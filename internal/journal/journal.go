@@ -120,31 +120,47 @@ type Event struct {
 }
 
 // DefaultCapacity bounds a recorder constructed with capacity <= 0:
-// 64Ki events (~4 MiB). Large flows overflow the tail counters into
-// Dropped rather than growing without bound.
+// at most 64Ki events (~4.5 MiB) are stored. It is a cap, not a
+// preallocation — storage grows in chunks as events arrive — so large
+// flows overflow the tail counters into Dropped rather than growing
+// without bound, while short runs cost only what they record.
 const DefaultCapacity = 1 << 16
+
+// Chunk sizes, in events: the first chunk holds firstChunk events and
+// each later one doubles its predecessor up to maxChunk, so a short run
+// allocates ~18 KiB and a full default-capacity recorder ~13 chunks.
+const (
+	firstChunk = 256
+	maxChunk   = 8 << 10
+)
 
 // Recorder is a bounded event buffer with one monotonic origin. The
 // zero value is not used: New returns an enabled recorder, and a nil
 // *Recorder is the disabled one (Emit and the accessors are no-ops).
 // Emit is safe for concurrent use.
+//
+// Events live in a list of chunks, each allocated at its full size when
+// the previous one fills; a stored event is never moved.
 type Recorder struct {
 	start time.Time
+	limit int
 
 	mu      sync.Mutex
-	events  []Event
+	chunks  [][]Event // all full except possibly the last
+	n       int       // stored events, across chunks
 	dropped int64
 
 	observer atomic.Pointer[func(Event)]
 }
 
-// New returns an enabled recorder whose clock starts now. capacity <= 0
-// selects DefaultCapacity.
+// New returns an enabled recorder whose clock starts now and which
+// stores at most capacity events; capacity <= 0 selects
+// DefaultCapacity. Nothing is preallocated.
 func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{start: time.Now(), events: make([]Event, 0, capacity)}
+	return &Recorder{start: time.Now(), limit: capacity}
 }
 
 // Enabled reports whether the recorder actually records (false for the
@@ -161,8 +177,14 @@ func (r *Recorder) Emit(e Event) {
 	}
 	e.TNS = time.Since(r.start).Nanoseconds() - e.DurNS
 	r.mu.Lock()
-	if len(r.events) < cap(r.events) {
-		r.events = append(r.events, e)
+	if r.n < r.limit {
+		last := len(r.chunks) - 1
+		if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+			r.grow()
+			last++
+		}
+		r.chunks[last] = append(r.chunks[last], e)
+		r.n++
 	} else {
 		r.dropped++
 	}
@@ -170,6 +192,18 @@ func (r *Recorder) Emit(e Event) {
 	if fn := r.observer.Load(); fn != nil {
 		(*fn)(e)
 	}
+}
+
+// grow appends an empty chunk twice the size of the last one (firstChunk
+// for the first), capped at maxChunk and at the room left under the
+// limit. Callers hold r.mu.
+func (r *Recorder) grow() {
+	size := firstChunk
+	if k := len(r.chunks); k > 0 {
+		size = min(2*cap(r.chunks[k-1]), maxChunk)
+	}
+	size = min(size, r.limit-r.n)
+	r.chunks = append(r.chunks, make([]Event, 0, size))
 }
 
 // SetObserver installs fn to be called synchronously on every Emit
@@ -189,14 +223,7 @@ func (r *Recorder) SetObserver(fn func(Event)) {
 
 // Snapshot returns a copy of the recorded events in emission order.
 // Returns nil on the nil recorder.
-func (r *Recorder) Snapshot() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
+func (r *Recorder) Snapshot() []Event { return r.Since(0) }
 
 // Since returns a copy of the recorded events from index i on (in
 // emission order), or nil when i is at or past the end. Incremental
@@ -212,10 +239,19 @@ func (r *Recorder) Since(i int) []Event {
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(r.events) {
+	if i >= r.n {
 		return nil
 	}
-	return append([]Event(nil), r.events[i:]...)
+	out := make([]Event, 0, r.n-i)
+	for _, c := range r.chunks {
+		if i >= len(c) {
+			i -= len(c)
+			continue
+		}
+		out = append(out, c[i:]...)
+		i = 0
+	}
+	return out
 }
 
 // Len returns the number of stored events.
@@ -225,7 +261,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
 }
 
 // Dropped returns how many events overflowed the capacity.
@@ -238,12 +274,13 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
-// Capacity returns the recorder's fixed event capacity (0 for nil).
+// Capacity returns the most events the recorder will store — the
+// limit New was given, not the memory allocated so far (0 for nil).
 func (r *Recorder) Capacity() int {
 	if r == nil {
 		return 0
 	}
-	return cap(r.events)
+	return r.limit
 }
 
 // Origin returns the wall-clock instant of the recorder's clock

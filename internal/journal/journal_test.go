@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -120,5 +122,153 @@ func TestLocChainSegRoundTrip(t *testing.T) {
 		if chain != c[0] || seg != c[1] {
 			t.Errorf("loc round trip %v -> (%d,%d)", c, chain, seg)
 		}
+	}
+}
+
+// chunkBoundaries lists event counts on and around every chunk boundary
+// a recorder of the given limit crosses; the last boundary is the limit.
+func chunkBoundaries(limit int) []int {
+	counts := []int{0, 1}
+	for end, size := 0, firstChunk; end < limit; size = min(2*size, maxChunk) {
+		end += min(size, limit-end)
+		counts = append(counts, end-1, end, end+1)
+	}
+	return counts
+}
+
+// TestChunkedStorageMatchesFlatReference grows recorders through every
+// chunk boundary up to and past their limit, checking Snapshot and
+// Since against a flat slice of the events the observer saw stored, and
+// that Capacity stays the limit (New(0) selecting DefaultCapacity).
+func TestChunkedStorageMatchesFlatReference(t *testing.T) {
+	for _, limit := range []int{4, 300, 5000, DefaultCapacity} {
+		arg := limit
+		if limit == DefaultCapacity {
+			arg = 0
+		}
+		r := New(arg)
+		var ref []Event
+		seen := 0 // the observer sees dropped events too
+		r.SetObserver(func(e Event) {
+			if seen++; len(ref) < limit {
+				ref = append(ref, e)
+			}
+		})
+		checkSince := func(n, i int) {
+			t.Helper()
+			got, lo := r.Since(i), max(i, 0)
+			if lo >= len(ref) {
+				if got != nil {
+					t.Fatalf("limit %d, %d emits: Since(%d) = %d events, want nil", limit, n, i, len(got))
+				}
+				return
+			}
+			if !slices.Equal(got, ref[lo:]) {
+				t.Fatalf("limit %d, %d emits: Since(%d) differs from the flat reference", limit, n, i)
+			}
+		}
+		counts := chunkBoundaries(limit)
+		n := 0
+		for _, c := range counts {
+			for ; n < c; n++ {
+				r.Emit(Detect(NewFaultKey(n, -1, -1, 0), n))
+			}
+			if !slices.Equal(r.Snapshot(), ref) || r.Len() != len(ref) {
+				t.Fatalf("limit %d, %d emits: Snapshot/Len differ from the flat reference (%d events)",
+					limit, n, len(ref))
+			}
+			if want := int64(n - len(ref)); r.Dropped() != want || seen != n {
+				t.Fatalf("limit %d, %d emits: Dropped = %d, want %d; observer saw %d",
+					limit, n, r.Dropped(), want, seen)
+			}
+			for _, i := range []int{-1, 0, n - 1, n, n + 1} {
+				checkSince(n, i)
+			}
+		}
+		if len(ref) != limit || r.Capacity() != limit {
+			t.Fatalf("limit %d: stored %d, Capacity %d", limit, len(ref), r.Capacity())
+		}
+		for _, i := range counts {
+			checkSince(n, i)
+		}
+	}
+}
+
+// TestConcurrentEmitAndSince races emitters against incremental readers
+// across several chunk boundaries (run it under -race): every reader's
+// cursor walk must see each stored event exactly once, in order.
+func TestConcurrentEmitAndSince(t *testing.T) {
+	const workers, per = 4, 1500
+	r := New(5000) // emits overflow the limit too
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Emit(Batch("pool", w, i, per, 0))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			next := make([]int64, workers) // per-worker next expected item
+			cursor := 0
+			for {
+				// Every Emit happens before done closes, so the read
+				// that follows seeing it closed is the final one.
+				finished := false
+				select {
+				case <-done:
+					finished = true
+				default:
+				}
+				evs := r.Since(cursor)
+				for _, e := range evs {
+					if e.A != next[e.Worker] {
+						t.Errorf("worker %d: item %d after %d", e.Worker, e.A, next[e.Worker]-1)
+						return
+					}
+					next[e.Worker]++
+				}
+				cursor += len(evs)
+				if finished {
+					if cursor != r.Len() {
+						t.Errorf("reader stopped at %d of %d events", cursor, r.Len())
+					}
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if r.Len() != 5000 || r.Dropped() != workers*per-5000 {
+		t.Errorf("Len %d Dropped %d", r.Len(), r.Dropped())
+	}
+}
+
+// TestNewAllocatesWhatItRecords guards the lazy growth: a default
+// recorder holding a handful of events costs one small chunk, not the
+// 64Ki-event capacity.
+func TestNewAllocatesWhatItRecords(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		r := New(0)
+		for k := 0; k < 8; k++ {
+			r.Emit(Note("x"))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("New(0) + 8 events allocates %d bytes, want < 64 KiB", per)
 	}
 }

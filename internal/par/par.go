@@ -15,8 +15,10 @@ package par
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +34,38 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
+}
+
+// WorkerPanic is what a pool re-raises on its calling goroutine when a
+// worker goroutine panicked: the first worker's panic value and that
+// worker's stack. Forwarding it lets a recover above Do (the daemon's
+// per-job isolation) catch a worker's panic as it catches one raised on
+// the serial path, which panics inline with the raw value.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string { return fmt.Sprint(p.Value) }
+
+// poolPanic carries the first panic among one pool's workers.
+type poolPanic struct{ first atomic.Pointer[WorkerPanic] }
+
+// catch is deferred by every worker goroutine: it records the first
+// panic and stops further index claims so the pool drains quickly.
+func (pp *poolPanic) catch(next *atomic.Int64, n int) {
+	if v := recover(); v != nil {
+		pp.first.CompareAndSwap(nil, &WorkerPanic{Value: v, Stack: debug.Stack()})
+		next.Store(int64(n))
+	}
+}
+
+// rethrow re-raises the recorded panic, if any, once every worker has
+// returned.
+func (pp *poolPanic) rethrow() {
+	if p := pp.first.Load(); p != nil {
+		panic(p)
+	}
 }
 
 // Do runs fn(worker, index) for every index in [0, n), distributing
@@ -81,11 +115,13 @@ func doCtx(ctx context.Context, workers, n int, fn func(worker, index int)) {
 		return
 	}
 	var next atomic.Int64
+	var pp poolPanic
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
+			defer pp.catch(&next, n)
 			for {
 				if ctx != nil && ctx.Err() != nil {
 					return
@@ -99,6 +135,7 @@ func doCtx(ctx context.Context, workers, n int, fn func(worker, index int)) {
 		}(w)
 	}
 	wg.Wait()
+	pp.rethrow()
 }
 
 // WorkerStat aliases the observability layer's per-worker sample (busy
@@ -150,11 +187,13 @@ func DoTimedCtx(ctx context.Context, workers, n int, fn func(worker, index int))
 		return stats, ctxErr()
 	}
 	var next atomic.Int64
+	var pp poolPanic
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
 			defer wg.Done()
+			defer pp.catch(&next, n)
 			t0 := time.Now()
 			items := int64(0)
 			for {
@@ -172,6 +211,7 @@ func DoTimedCtx(ctx context.Context, workers, n int, fn func(worker, index int))
 		}(w)
 	}
 	wg.Wait()
+	pp.rethrow()
 	return stats, ctxErr()
 }
 

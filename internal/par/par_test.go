@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -73,6 +74,48 @@ func TestDoEmptyAndSerialInline(t *testing.T) {
 	Do(1, 10, func(_, i int) { sum += i })
 	if sum != 45 {
 		t.Errorf("serial sum = %d", sum)
+	}
+}
+
+// TestWorkerPanicReachesCaller: a panic on a pool worker is re-raised
+// on the calling goroutine, with the worker's stack, after every worker
+// has returned; the serial path panics inline with the raw value.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	catch := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	boom := func(_, i int) {
+		if i == 37 {
+			panic("boom")
+		}
+	}
+	var running atomic.Int32
+	pools := map[string]func(){
+		"Do": func() {
+			Do(4, 100, func(w, i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				boom(w, i)
+			})
+		},
+		"DoTimed": func() { DoTimed(4, 100, boom) },
+	}
+	for name, pool := range pools {
+		wp, ok := catch(pool).(*WorkerPanic)
+		if !ok || wp.Value != "boom" || wp.Error() != "boom" {
+			t.Fatalf("%s: recovered %#v, want *WorkerPanic{Value: boom}", name, wp)
+		}
+		if !strings.Contains(string(wp.Stack), "par_test.go") {
+			t.Errorf("%s: worker stack does not reach the panicking fn:\n%s", name, wp.Stack)
+		}
+	}
+	if n := running.Load(); n != 0 {
+		t.Errorf("%d workers still running after Do re-panicked", n)
+	}
+	if v := catch(func() { Do(1, 100, boom) }); v != "boom" {
+		t.Errorf("serial path recovered %#v, want the raw value", v)
 	}
 }
 

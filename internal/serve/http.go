@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -84,11 +85,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// MaxSubmitBytes bounds a job submission's JSON body. Inline .bench
+// text dominates it: the largest suite circuit (s38417, ~22k gates)
+// serializes to ~0.75 MB, so 4 MiB leaves room for longer signal names
+// while keeping one request from buffering unbounded memory. Larger
+// bodies are answered 413.
+const MaxSubmitBytes = 4 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("spec body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 		return
 	}

@@ -29,8 +29,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -38,6 +40,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 )
@@ -292,9 +295,9 @@ func (s *Server) Cancel(id string) bool {
 		j.mu.Unlock()
 		s.q.remove(j)
 		j.cancel()
-		j.hub.close()
 		s.col.Counter("serve.jobs.canceled").Inc()
 		s.record(j, nil, nil)
+		j.hub.close()
 		return true
 	case StatusRunning:
 		j.mu.Unlock()
@@ -358,16 +361,7 @@ func (s *Server) runJob(j *Job) {
 
 	col := obs.New()
 	col.SetJournal(j.rec)
-	// Plan explicitly (rather than task.Run) so the tracker knows the
-	// whole shard map before the first unit starts; the merged result is
-	// byte-identical to task.Run's at any unit count.
-	ctx := task.WithTracker(j.ctx, tracker)
-	var res *task.Result
-	units, err := task.Plan(j.spec, j.spec.Units, s.cache)
-	if err == nil {
-		tracker.SetPlan(units)
-		res, err = task.RunUnits(ctx, units, s.cache, col)
-	}
+	res, err := s.execute(task.WithTracker(j.ctx, tracker), j, tracker, col)
 
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -393,8 +387,6 @@ func (s *Server) runJob(j *Job) {
 	wall := j.finished.Sub(j.started)
 	j.mu.Unlock()
 	j.cancel() // release the context's resources
-	j.hub.close()
-	s.liveHub.bump()
 	s.col.Counter(counter).Inc()
 	attrs := []any{
 		slog.String(telemetry.KeyJobID, j.id),
@@ -405,7 +397,45 @@ func (s *Server) runJob(j *Job) {
 	} else {
 		s.log.Info("job finished", attrs...)
 	}
+	// Count and record before closing the hub: a client whose SSE stream
+	// ends on "done" then finds the job in the counters and the ledger.
 	s.record(j, col.Snapshot(), res)
+	j.hub.close()
+	s.liveHub.bump()
+}
+
+// runUnits executes a planned job. It is a variable so tests can swap in
+// an executor that panics.
+var runUnits = task.RunUnits
+
+// execute plans and runs the job on the calling runner. A panic on that
+// path (an engine invariant tripped by one spec), or on one of its
+// worker pools (par forwards those to the runner), fails this job
+// alone: it is logged with the panicking goroutine's stack and returned
+// as the job's error, so the runner survives and other tenants' jobs
+// keep running.
+func (s *Server) execute(ctx context.Context, j *Job, tracker *telemetry.RunTracker, col *obs.Collector) (res *task.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			stack := debug.Stack()
+			if wp, ok := p.(*par.WorkerPanic); ok {
+				stack = wp.Stack
+			}
+			s.log.Error("job panicked",
+				slog.String(telemetry.KeyJobID, j.id),
+				slog.Any("panic", p), slog.String("stack", string(stack)))
+			res, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	// Plan explicitly (rather than task.Run) so the tracker knows the
+	// whole shard map before the first unit starts; the merged result is
+	// byte-identical to task.Run's at any unit count.
+	units, err := task.Plan(j.spec, j.spec.Units, s.cache)
+	if err != nil {
+		return nil, err
+	}
+	tracker.SetPlan(units)
+	return runUnits(ctx, units, s.cache, col)
 }
 
 // record appends the job's ledger record immediately (daemons cannot

@@ -16,9 +16,11 @@ import (
 
 	"repro"
 	"repro/internal/atpg"
+	"repro/internal/bench"
 	"repro/internal/diagnose"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/ledger"
 	"repro/internal/serve"
 )
@@ -537,6 +539,48 @@ func TestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSubmitBodyLimit: bodies past MaxSubmitBytes get 413 and the JSON
+// error shape; the largest suite circuit's inline .bench still fits.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, h, _ := testServer(t, serve.Config{})
+	post := func(sp serve.Spec) (int, map[string]string) {
+		t.Helper()
+		body, _ := json.Marshal(sp)
+		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("status %d: undecodable body: %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, e
+	}
+
+	code, e := post(serve.Spec{Kind: serve.KindScreen, Circuit: "big",
+		Bench: strings.Repeat("#", serve.MaxSubmitBytes)})
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(e["error"], "exceeds") {
+		t.Errorf("oversized body: status %d, error %q; want 413", code, e["error"])
+	}
+
+	p, err := gen.ProfileByName("s38417")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := bench.Write(&text, gen.Generate(p, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// An unknown kind fails validation after the whole body decoded, so
+	// a 400 (not 413) shows the largest inline netlist is admitted.
+	code, e = post(serve.Spec{Kind: "nope", Circuit: "s38417", Bench: text.String()})
+	if code != http.StatusBadRequest {
+		t.Errorf("s38417 inline bench (%d bytes): status %d (%q), want 400 from validation",
+			text.Len(), code, e["error"])
 	}
 }
 

@@ -48,6 +48,14 @@ func (h *hub) close() {
 	h.mu.Unlock()
 }
 
+// isClosed reports whether close has run. For a job hub that means the
+// job is terminal and its counters and ledger record are in.
+func (h *hub) isClosed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.closed
+}
+
 // wait returns the current epoch's channel; it is closed at the next
 // bump (or immediately when the hub is closed).
 func (h *hub) wait() <-chan struct{} {
@@ -97,8 +105,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	cursor := 0
 	for {
 		// Grab the epoch before reading, so a change landing after the
-		// read is guaranteed to wake the wait below.
+		// read is guaranteed to wake the wait below. The hub closes after
+		// the job's last event, so seeing it closed before the read means
+		// the read drains the journal.
 		epoch := j.hub.wait()
+		closed := j.hub.isClosed()
 		evs := j.rec.Since(cursor)
 		if len(evs) > 0 {
 			cursor += len(evs)
@@ -111,7 +122,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 			continue
 		}
-		if j.Status().Terminal() {
+		if closed {
 			payload, _ := json.Marshal(j.View())
 			fmt.Fprintf(w, "event: done\ndata: %s\n\n", payload)
 			flusher.Flush()
