@@ -78,7 +78,7 @@ func Register(fs *flag.FlagSet, kind string, opt Options) *Values {
 	}
 	if opt.Workers {
 		fs.IntVar(&v.Workers, "workers", d.Workers,
-			"fault-axis worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+			fmt.Sprintf("fault-axis worker goroutines (0 = GOMAXPROCS, 1 = serial, at most %d)", d.MaxWorkers))
 	}
 	if opt.Eval {
 		fs.StringVar(&v.Eval, "eval", d.Eval,

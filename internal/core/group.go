@@ -10,6 +10,7 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/scan"
 	"repro/internal/seqatpg"
 )
@@ -189,7 +190,15 @@ func planGroups(d *scan.Design, remaining []Screened, p Params) []coModel {
 
 	// Group 3: per chain, minimal number of DIST-wide windows (greedy
 	// interval cover over sorted first-locations).
-	for chain, faults := range perChain {
+	// Chains in ascending order: map order would make the model order,
+	// and with it the journal's event order, differ from run to run.
+	chains := make([]int, 0, len(perChain))
+	for chain := range perChain {
+		chains = append(chains, chain)
+	}
+	slices.Sort(chains)
+	for _, chain := range chains {
+		faults := perChain[chain]
 		slices.SortStableFunc(faults, func(a, b Screened) int {
 			fa, _, _ := a.Span()
 			fb, _, _ := b.Span()
@@ -224,8 +233,34 @@ func planGroups(d *scan.Design, remaining []Screened, p Params) []coModel {
 	return models
 }
 
+// Step-3 fault states, as kept in runStep3's status map.
+const (
+	step3Open byte = iota
+	step3Detected
+	step3Undetectable
+)
+
+// step3Outcome is what one step-3 attempt decided about one fault. The
+// pool index that owns the fault writes it; runStep3 folds the outcomes
+// in model/queue order once the pool has returned.
+type step3Outcome struct {
+	status byte // step3Open, step3Detected or step3Undetectable
+	miss   bool // a generated sequence failed confirmation (translation miss)
+	built  bool // the final pass built a maximally-enhanced model
+}
+
 // runStep3 runs grouped sequential ATPG with confirmation fault
 // simulation, then a final per-fault pass with a larger effort budget.
+//
+// Both passes run on the worker pool: one index is one C/O model in the
+// grouped pass and one leftover fault in the final pass. planGroups
+// puts every fault in exactly one model, and every attempt builds its
+// own sequential model and confirms on its own, so an outcome depends
+// only on its fault. Outcomes land in slots owned by their index and
+// are folded in order, so the report is byte-identical at any worker
+// count. A fault's journal events all come from the one index that owns
+// it, so they keep their order; events of different faults may
+// interleave.
 //
 // Undetectability is only ever claimed on a sound basis: combinational
 // redundancy of the scan-mode model (which implies sequential
@@ -237,20 +272,46 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 	if len(remaining) == 0 {
 		return nil
 	}
-	rec := p.Obs.Journal()
 	models := planGroups(d, remaining, p)
 	rep.COCircuits = len(models)
 
-	// Shared scan-mode combinational model for redundancy proofs and
+	// Grouped pass: one pool index per C/O model.
+	grouped := make([][]step3Outcome, len(models))
+	errs := make([]error, len(models))
+	poolErr := par.DoCtx(ctx, p.Workers, len(models), func(_, i int) {
+		grouped[i], errs[i] = runCOModel(ctx, d, models[i], p)
+	})
+	if err := firstErr(errs, poolErr); err != nil {
+		return err
+	}
+	status := make(map[fault.Fault]byte, len(remaining))
+	var finalQueue []Screened
+	for i, m := range models {
+		for j, s := range m.faults {
+			o := grouped[i][j]
+			if o.miss {
+				rep.TranslationMiss++
+			}
+			if o.status == step3Detected {
+				status[s.Fault] = step3Detected
+			} else {
+				finalQueue = append(finalQueue, s)
+			}
+		}
+	}
+
+	// Scan-mode combinational model for redundancy proofs and
 	// final-pass vector retries. In a partial-scan design the model
 	// would wrongly treat non-scan flip-flops as loadable and their D
 	// pins as observable, so both the proofs and the retries are
 	// disabled there (the paper's partial-scan setting relies on random
 	// vectors and sequential ATPG only). The model and SCOAP tables come
 	// from the artifact cache — step 2 asked for the same (circuit,
-	// fixed assignment) pair, so nothing is recomputed here.
-	var combEng *atpg.Engine
+	// fixed assignment) pair, so nothing is recomputed here. A PODEM
+	// engine keeps traversal scratch, so each worker builds its own over
+	// the shared read-only tables.
 	var cm *atpg.CombModel
+	var engines *par.PerWorker[*atpg.Engine]
 	if !d.Partial() {
 		arts := engine.Resolve(p.Engine).ForObs(d.C, p.Obs)
 		var err error
@@ -266,140 +327,37 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 		if err != nil {
 			return err
 		}
-		combEng = atpg.NewEngineTables(combModel, tables)
-		combEng.Instrument(p.Obs, "atpg.final")
+		engines = par.NewPerWorker(min(par.Workers(p.Workers), len(finalQueue)), func() *atpg.Engine {
+			e := atpg.NewEngineTables(combModel, tables)
+			e.Instrument(p.Obs, "atpg.final")
+			return e
+		})
 	}
 
-	status := make(map[fault.Fault]byte) // 0 open, 1 detected, 2 undetectable
-	var finalQueue []Screened
-	for _, m := range models {
-		tm, err := seqatpg.Build(d, m.ctrl, m.obs, m.frames)
-		if err != nil {
-			return err
+	// Final pass: one pool index per leftover fault.
+	final := make([]step3Outcome, len(finalQueue))
+	errs = make([]error, len(finalQueue))
+	poolErr = par.DoCtx(ctx, p.Workers, len(finalQueue), func(w, i int) {
+		var eng *atpg.Engine
+		if engines != nil {
+			eng = engines.Get(w)
 		}
-		tm.Instrument(p.Obs, "atpg.seq")
-		for _, s := range m.faults {
-			if status[s.Fault] != 0 {
-				continue
-			}
-			done := timeATPG(rec, "atpg.seq", s.Fault)
-			res, err := tm.GenerateCtx(ctx, s.Fault, p.SeqBacktracks)
-			if err != nil {
-				return err
-			}
-			done(res.Status, res.Backtracks)
-			switch res.Status {
-			case atpg.Found:
-				fr, err := faultsim.RunCtx(ctx, d.C, faultsim.Sequence(res.Sequence),
-					[]fault.Fault{s.Fault}, faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
-				if err != nil {
-					return err
-				}
-				if fr.DetectedAt[0] >= 0 {
-					status[s.Fault] = 1
-				} else {
-					rep.TranslationMiss++
-					finalQueue = append(finalQueue, s)
-				}
-			default:
-				finalQueue = append(finalQueue, s)
-			}
-		}
+		final[i], errs[i] = finalAttempt(ctx, d, finalQueue[i], eng, cm, p)
+	})
+	if err := firstErr(errs, poolErr); err != nil {
+		return err
 	}
-
-	// Final pass: target each leftover fault individually — first a
-	// deep combinational attempt (redundancy proof or a fresh vector),
-	// then maximally-enhanced sequential ATPG with the large budget.
-	for _, s := range finalQueue {
-		if status[s.Fault] != 0 {
-			continue
+	for i, s := range finalQueue {
+		o := final[i]
+		if o.built {
+			rep.FinalCOCircuits++
 		}
-		var cres atpg.Result
-		cres.Status = atpg.Aborted
-		if combEng != nil {
-			done := timeATPG(rec, "atpg.final", s.Fault)
-			var err error
-			cres, err = combEng.GenerateCtx(ctx, cm.MapFault(s.Fault), p.FinalBacktracks)
-			if err != nil {
-				return err
-			}
-			done(cres.Status, cres.Backtracks)
+		if o.miss {
+			rep.TranslationMiss++
 		}
-		switch cres.Status {
-		case atpg.Redundant:
-			status[s.Fault] = 2
-			continue
-		case atpg.Found:
-			// A fresh single vector, simulated on its own: the step-2
-			// set may simply have masked this fault's effect during
-			// scan-out. Whether the corrupted capture survives the shift
-			// to the scan-out depends on the surrounding chain data, so
-			// the don't-care bits are retried with several random fills.
-			v := scan.Vector{
-				FFs: make(map[netlist.SignalID]logic.V),
-				PIs: make(map[netlist.SignalID]logic.V),
-			}
-			for in, val := range cres.Assignment {
-				if d.C.IsFF(in) {
-					v.FFs[in] = val
-				} else {
-					v.PIs[in] = val
-				}
-			}
-			hit, err := tryVectorFills(ctx, d, s.Fault, v, 9, p)
-			if err != nil {
-				return err
-			}
-			if hit {
-				status[s.Fault] = 1
-				continue
-			}
+		if o.status != step3Open {
+			status[s.Fault] = o.status
 		}
-		var ctrl, obs map[netlist.SignalID]bool
-		fr := 2
-		if len(s.Locs) > 0 {
-			first, last, multi := s.Span()
-			aff := map[int]bool{}
-			for _, l := range s.Locs {
-				aff[l.Chain] = true
-			}
-			if multi {
-				ctrl, obs = buildCO(d, -1, 0, 0, aff)
-				fr = p.MaxFrames
-			} else {
-				ctrl, obs = buildCO(d, first.Chain, first.Seg, last.Seg, aff)
-				fr = span(&s) + 2
-			}
-		}
-		if fr > p.MaxFrames+2 {
-			fr = p.MaxFrames + 2
-		}
-		rep.FinalCOCircuits++
-		tm, err := seqatpg.Build(d, ctrl, obs, fr)
-		if err != nil {
-			return err
-		}
-		tm.Instrument(p.Obs, "atpg.seq")
-		done := timeATPG(rec, "atpg.seq", s.Fault)
-		res, err := tm.GenerateCtx(ctx, s.Fault, p.FinalBacktracks)
-		if err != nil {
-			return err
-		}
-		done(res.Status, res.Backtracks)
-		if res.Status == atpg.Found {
-			fsr, err := faultsim.RunCtx(ctx, d.C, faultsim.Sequence(res.Sequence),
-				[]fault.Fault{s.Fault}, faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
-			if err != nil {
-				return err
-			}
-			if fsr.DetectedAt[0] >= 0 {
-				status[s.Fault] = 1
-			} else {
-				rep.TranslationMiss++
-			}
-		}
-		// Redundant here means only "no test within the bounded enhanced
-		// model" — not a proof; the fault stays undetected.
 	}
 
 	// Last resort before declaring faults undetected: a burst of random
@@ -410,7 +368,7 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 	var open []fault.Fault
 	var openIdx []int
 	for i := range remaining {
-		if status[remaining[i].Fault] == 0 {
+		if status[remaining[i].Fault] == step3Open {
 			open = append(open, remaining[i].Fault)
 			openIdx = append(openIdx, i)
 		}
@@ -424,7 +382,7 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 		rescued := int64(0)
 		for k := range open {
 			if fr.DetectedAt[k] >= 0 {
-				status[remaining[openIdx[k]].Fault] = 1
+				status[remaining[openIdx[k]].Fault] = step3Detected
 				rescued++
 			}
 		}
@@ -433,9 +391,9 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 
 	for _, s := range remaining {
 		switch status[s.Fault] {
-		case 1:
+		case step3Detected:
 			rep.Step3.Detected++
-		case 2:
+		case step3Undetectable:
 			rep.Step3.Undetectable++
 		default:
 			rep.Step3.Undetected++
@@ -443,6 +401,152 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 		}
 	}
 	return nil
+}
+
+// firstErr returns the first per-index error of a pool run in index
+// order, or else the pool's own context error.
+func firstErr(errs []error, poolErr error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return poolErr
+}
+
+// confirm fault-simulates a generated sequence against f on the true
+// circuit; only a confirmed detection counts as one.
+func confirm(ctx context.Context, d *scan.Design, f fault.Fault, seq [][]logic.V, p Params) (bool, error) {
+	fr, err := faultsim.RunCtx(ctx, d.C, faultsim.Sequence(seq), []fault.Fault{f},
+		faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
+	if err != nil {
+		return false, err
+	}
+	return fr.DetectedAt[0] >= 0, nil
+}
+
+// runCOModel is one grouped-pass index: it builds model m's sequential
+// ATPG circuit and targets each of its faults with the group budget.
+func runCOModel(ctx context.Context, d *scan.Design, m coModel, p Params) ([]step3Outcome, error) {
+	tm, err := seqatpg.Build(d, m.ctrl, m.obs, m.frames)
+	if err != nil {
+		return nil, err
+	}
+	tm.Instrument(p.Obs, "atpg.seq")
+	rec := p.Obs.Journal()
+	out := make([]step3Outcome, len(m.faults))
+	for j, s := range m.faults {
+		done := timeATPG(rec, "atpg.seq", s.Fault)
+		res, err := tm.GenerateCtx(ctx, s.Fault, p.SeqBacktracks)
+		if err != nil {
+			return nil, err
+		}
+		done(res.Status, res.Backtracks)
+		if res.Status != atpg.Found {
+			continue
+		}
+		hit, err := confirm(ctx, d, s.Fault, res.Sequence, p)
+		if err != nil {
+			return nil, err
+		}
+		if hit {
+			out[j].status = step3Detected
+		} else {
+			out[j].miss = true
+		}
+	}
+	return out, nil
+}
+
+// finalAttempt is one final-pass index: a deep combinational attempt on
+// the scan-mode model (redundancy proof or a fresh vector) with eng,
+// nil in a partial-scan design, then maximally-enhanced sequential ATPG
+// with the large budget.
+func finalAttempt(ctx context.Context, d *scan.Design, s Screened, eng *atpg.Engine, cm *atpg.CombModel, p Params) (step3Outcome, error) {
+	rec := p.Obs.Journal()
+	cres := atpg.Result{Status: atpg.Aborted}
+	if eng != nil {
+		done := timeATPG(rec, "atpg.final", s.Fault)
+		var err error
+		cres, err = eng.GenerateCtx(ctx, cm.MapFault(s.Fault), p.FinalBacktracks)
+		if err != nil {
+			return step3Outcome{}, err
+		}
+		done(cres.Status, cres.Backtracks)
+	}
+	switch cres.Status {
+	case atpg.Redundant:
+		return step3Outcome{status: step3Undetectable}, nil
+	case atpg.Found:
+		// A fresh single vector, simulated on its own: the step-2 set
+		// may simply have masked this fault's effect during scan-out.
+		// Whether the corrupted capture survives the shift to the
+		// scan-out depends on the surrounding chain data, so the
+		// don't-care bits are retried with several random fills.
+		v := scan.Vector{
+			FFs: make(map[netlist.SignalID]logic.V),
+			PIs: make(map[netlist.SignalID]logic.V),
+		}
+		for in, val := range cres.Assignment {
+			if d.C.IsFF(in) {
+				v.FFs[in] = val
+			} else {
+				v.PIs[in] = val
+			}
+		}
+		hit, err := tryVectorFills(ctx, d, s.Fault, v, 9, p)
+		if err != nil {
+			return step3Outcome{}, err
+		}
+		if hit {
+			return step3Outcome{status: step3Detected}, nil
+		}
+	}
+	var ctrl, obs map[netlist.SignalID]bool
+	fr := 2
+	if len(s.Locs) > 0 {
+		first, last, multi := s.Span()
+		aff := map[int]bool{}
+		for _, l := range s.Locs {
+			aff[l.Chain] = true
+		}
+		if multi {
+			ctrl, obs = buildCO(d, -1, 0, 0, aff)
+			fr = p.MaxFrames
+		} else {
+			ctrl, obs = buildCO(d, first.Chain, first.Seg, last.Seg, aff)
+			fr = span(&s) + 2
+		}
+	}
+	if fr > p.MaxFrames+2 {
+		fr = p.MaxFrames + 2
+	}
+	out := step3Outcome{built: true}
+	tm, err := seqatpg.Build(d, ctrl, obs, fr)
+	if err != nil {
+		return step3Outcome{}, err
+	}
+	tm.Instrument(p.Obs, "atpg.seq")
+	done := timeATPG(rec, "atpg.seq", s.Fault)
+	res, err := tm.GenerateCtx(ctx, s.Fault, p.FinalBacktracks)
+	if err != nil {
+		return step3Outcome{}, err
+	}
+	done(res.Status, res.Backtracks)
+	if res.Status == atpg.Found {
+		hit, err := confirm(ctx, d, s.Fault, res.Sequence, p)
+		if err != nil {
+			return step3Outcome{}, err
+		}
+		if hit {
+			out.status = step3Detected
+		} else {
+			out.miss = true
+		}
+	}
+	// Redundant here means only "no test within the bounded enhanced
+	// model" — not a proof; the fault stays undetected.
+	return out, nil
 }
 
 // randomSequence builds a scan-mode input sequence with random values on

@@ -23,6 +23,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/ledger"
 	"repro/internal/serve"
+	"repro/internal/task"
 )
 
 // memSink collects the per-job ledger records a server appends.
@@ -521,6 +522,7 @@ func TestValidation(t *testing.T) {
 		{Kind: serve.KindFlow},
 		{Kind: serve.KindFlow, Circuit: "not-a-profile"},
 		{Kind: serve.KindFlow, Circuit: "s27", Eval: "warp-drive"},
+		{Kind: serve.KindFlow, Circuit: "s27", Workers: task.DefaultsFor(task.KindFlow).MaxWorkers + 1},
 	} {
 		body, _ := json.Marshal(sp)
 		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))

@@ -166,16 +166,31 @@ type Defaults struct {
 	// ConeThreshold is the hybrid event-budget default (0 =
 	// circuit-scaled).
 	ConeThreshold int
+	// MaxWorkers is the largest Workers value Normalize accepts. Every
+	// worker may hold its own scratch (evaluators, PODEM engines), so
+	// one spec must not be able to ask for an unbounded pool.
+	MaxWorkers int
 }
 
 // DefaultsFor returns the option defaults for a job kind.
 func DefaultsFor(kind string) Defaults {
-	d := Defaults{Scale: 1, Seed: 1, Eval: "auto", Cycles: 500}
+	d := Defaults{Scale: 1, Seed: 1, Eval: "auto", Cycles: 500, MaxWorkers: 256}
 	switch kind {
 	case KindFaultSim, KindDiagnose:
 		d.Scale = 0.1
 	}
 	return d
+}
+
+// LimitError is Normalize's rejection of a spec field above its
+// DefaultsFor limit.
+type LimitError struct {
+	Field      string
+	Value, Max int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("task: %s %d exceeds the limit of %d", e.Field, e.Value, e.Max)
 }
 
 // Normalize validates the spec and fills defaults from DefaultsFor, so
@@ -224,6 +239,9 @@ func (sp *Spec) Normalize() error {
 	}
 	if sp.Workers < 0 {
 		sp.Workers = d.Workers
+	}
+	if sp.Workers > d.MaxWorkers {
+		return &LimitError{Field: "workers", Value: sp.Workers, Max: d.MaxWorkers}
 	}
 	if sp.ConeThreshold < 0 {
 		sp.ConeThreshold = d.ConeThreshold

@@ -3,6 +3,7 @@ package task
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"regexp"
 	"strings"
@@ -272,6 +273,28 @@ func TestNormalizeErrors(t *testing.T) {
 		sp := c.sp
 		if err := sp.Normalize(); err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("Normalize(%+v) = %v, want %q", c.sp, err, c.frag)
+		}
+	}
+}
+
+// TestNormalizeWorkersLimit: Workers up to the DefaultsFor limit is
+// accepted; one more is a *LimitError naming the field and the limit.
+func TestNormalizeWorkersLimit(t *testing.T) {
+	for _, kind := range Kinds() {
+		max := DefaultsFor(kind).MaxWorkers
+		if max <= 0 {
+			t.Fatalf("%s: MaxWorkers = %d, want a positive limit", kind, max)
+		}
+		ok := Spec{Kind: kind, Circuit: "s27", Workers: max}
+		if err := ok.Normalize(); err != nil {
+			t.Errorf("%s: workers %d rejected: %v", kind, max, err)
+		}
+		over := Spec{Kind: kind, Circuit: "s27", Workers: max + 1}
+		var le *LimitError
+		if err := over.Normalize(); !errors.As(err, &le) {
+			t.Errorf("%s: workers %d: err = %v, want *LimitError", kind, max+1, err)
+		} else if le.Field != "workers" || le.Value != max+1 || le.Max != max {
+			t.Errorf("%s: LimitError = %+v", kind, le)
 		}
 	}
 }
