@@ -39,7 +39,6 @@ type table2Entry struct {
 	Circuit        string       `json:"circuit"`
 	Easy           int          `json:"easy"`
 	Hard           int          `json:"hard"`
-	ScreenMap      benchMeasure `json:"screen_map_serial"`
 	ScreenCompiled benchMeasure `json:"screen_compiled_serial"`
 	ScreenParallel benchMeasure `json:"screen_compiled_w8"`
 }
@@ -52,10 +51,8 @@ type baseline struct {
 	Table1     []table1Entry           `json:"table1"`
 	Table2     []table2Entry           `json:"table2"`
 	FaultSim   map[string]benchMeasure `json:"faultsim"`
-	// Headline ratios (per-circuit data above is the source of truth).
-	ScreenCompiledSpeedup   float64 `json:"screen_compiled_speedup_1t"`
-	FaultSimCompiledSpeedup float64 `json:"faultsim_compiled_speedup_1t"`
-	FaultSimW8Speedup       float64 `json:"faultsim_w8_speedup_vs_serial"`
+	// Headline ratio (per-circuit data above is the source of truth).
+	FaultSimW8Speedup float64 `json:"faultsim_w8_speedup_vs_serial"`
 }
 
 func measure(f func()) benchMeasure {
@@ -117,9 +114,6 @@ func TestEmitBench(t *testing.T) {
 			}
 		}
 		e2 := table2Entry{Circuit: p.Name, Easy: easy, Hard: hard}
-		e2.ScreenMap = measure(func() {
-			ScreenFaultsOpt(d, faults, ScreenOptions{Workers: 1, MapEval: true})
-		})
 		e2.ScreenCompiled = measure(func() {
 			ScreenFaultsOpt(d, faults, ScreenOptions{Workers: 1})
 		})
@@ -140,9 +134,6 @@ func TestEmitBench(t *testing.T) {
 	out.FaultSim["scalar_serial_128faults"] = measure(func() {
 		faultsim.RunSerial(d.C, seq, few, faultsim.Options{})
 	})
-	out.FaultSim["map_serial"] = measure(func() {
-		faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 1, MapEval: true})
-	})
 	out.FaultSim["compiled_serial"] = measure(func() {
 		faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 1})
 	})
@@ -153,17 +144,6 @@ func TestEmitBench(t *testing.T) {
 		faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 8})
 	})
 
-	var mapNs, compNs int64
-	for _, e := range out.Table2 {
-		mapNs += e.ScreenMap.NsPerOp
-		compNs += e.ScreenCompiled.NsPerOp
-	}
-	if compNs > 0 {
-		out.ScreenCompiledSpeedup = float64(mapNs) / float64(compNs)
-	}
-	if ns := out.FaultSim["compiled_serial"].NsPerOp; ns > 0 {
-		out.FaultSimCompiledSpeedup = float64(out.FaultSim["map_serial"].NsPerOp) / float64(ns)
-	}
 	if ns := out.FaultSim["compiled_w8"].NsPerOp; ns > 0 {
 		out.FaultSimW8Speedup = float64(out.FaultSim["compiled_serial"].NsPerOp) / float64(ns)
 	}
@@ -178,8 +158,6 @@ func TestEmitBench(t *testing.T) {
 	if err := enc.Encode(&out); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("screening compiled speedup (1 thread): %.2fx", out.ScreenCompiledSpeedup)
-	t.Logf("faultsim compiled speedup (1 thread): %.2fx", out.FaultSimCompiledSpeedup)
 	t.Logf("faultsim w8 speedup vs compiled-serial: %.2fx", out.FaultSimW8Speedup)
 }
 

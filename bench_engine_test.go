@@ -76,8 +76,8 @@ func TestEmitEngineBench(t *testing.T) {
 			"one warm engine cache across iterations (the default-cache behavior of " +
 			"repeated runs on one circuit); flow_bypass rebuilds every derived artifact " +
 			"per phase. Backend rows force one evaluator each on the largest circuit at " +
-			"bench scale (below the hybrid crossover — event and hybrid are deliberately " +
-			"out of their regime there). faultsim_hybrid rows compare hybrid against " +
+			"bench scale (below the hybrid crossover — hybrid is deliberately out of " +
+			"its regime there). faultsim_hybrid rows compare hybrid against " +
 			"compiled at the crossover scale under random functional stimulus.",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -116,7 +116,7 @@ func TestEmitEngineBench(t *testing.T) {
 	d := mustBenchDesign(t, "s38584")
 	faults := CollapsedFaults(d.C)
 	seq := Sequence(d.AlternatingSequence(8))
-	for _, b := range []EvalBackend{EvalCompiled, EvalPacked, EvalEvent, EvalHybrid} {
+	for _, b := range []EvalBackend{EvalCompiled, EvalHybrid} {
 		out.Backends[b.String()] = measure(func() {
 			SimulateFaultsOpt(d.C, seq, faults, SimOptions{Eval: b})
 		})

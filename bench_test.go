@@ -328,11 +328,10 @@ func BenchmarkAblationPodemVsSat(b *testing.B) {
 	})
 }
 
-// BenchmarkScreen measures the screening engine across evaluator
-// backends and worker counts on the scaled suite's largest circuit.
-// "map-serial" is the original single-threaded map-lookup engine;
-// "compiled-serial" isolates the compiled-evaluator speedup; the wN
-// variants add fault-axis sharding on top.
+// BenchmarkScreen measures the screening engine across worker counts
+// on the scaled suite's largest circuit: "compiled-serial" is the
+// single-threaded compiled evaluator; the wN variants add fault-axis
+// sharding on top.
 func BenchmarkScreen(b *testing.B) {
 	d := benchDesign(b, "s38584", 0)
 	faults := CollapsedFaults(d.C)
@@ -340,7 +339,6 @@ func BenchmarkScreen(b *testing.B) {
 		name string
 		opts ScreenOptions
 	}{
-		{"map-serial", ScreenOptions{Workers: 1, MapEval: true}},
 		{"compiled-serial", ScreenOptions{Workers: 1}},
 		{"compiled-w4", ScreenOptions{Workers: 4}},
 		{"compiled-w8", ScreenOptions{Workers: 8}},
@@ -355,7 +353,7 @@ func BenchmarkScreen(b *testing.B) {
 }
 
 // BenchmarkFaultSim measures sequential fault simulation of the
-// alternating sequence across backends and worker counts (same axes as
+// alternating sequence across worker counts (same axes as
 // BenchmarkScreen; "scalar-serial" is the one-fault-at-a-time reference
 // machine, the floor every packed variant is measured against).
 func BenchmarkFaultSim(b *testing.B) {
@@ -376,7 +374,6 @@ func BenchmarkFaultSim(b *testing.B) {
 		name string
 		opts faultsim.Options
 	}{
-		{"map-serial", faultsim.Options{Workers: 1, MapEval: true}},
 		{"compiled-serial", faultsim.Options{Workers: 1}},
 		{"compiled-w4", faultsim.Options{Workers: 4}},
 		{"compiled-w8", faultsim.Options{Workers: 8}},

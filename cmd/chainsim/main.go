@@ -8,7 +8,7 @@
 // Usage:
 //
 //	chainsim [-profile s27|s1423|…] [-scale 0.1] [-chains N] [-seed 1] [-list]
-//	         [-eval auto|compiled|packed|scalar|event|hybrid]
+//	         [-eval auto|compiled|hybrid]
 //	         [-metrics] [-trace] [-tracefile run.json] [-progress] [-debug addr]
 //
 // The observability flags are the shared surface (see
@@ -56,9 +56,8 @@ func main() {
 		v = specflags.Register(flag.CommandLine, fsct.TaskScreen,
 			specflags.Options{Profile: true, DefaultProfile: "s27", Chains: true,
 				Workers: true, Eval: true, ScaleDefault: 0.05})
-		list    = flag.Bool("list", false, "list every escaping hard fault")
-		mapEval = flag.Bool("mapeval", false, "deprecated: same as -eval packed")
-		oflags  = obsflags.Register(flag.CommandLine)
+		list   = flag.Bool("list", false, "list every escaping hard fault")
+		oflags = obsflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -96,7 +95,7 @@ func main() {
 
 	faults := fsct.CollapsedFaults(d.C)
 	screened, err := fsct.ScreenFaultsCtx(ctx, d, faults,
-		fsct.ScreenOptions{Workers: v.Workers, Eval: backend, MapEval: *mapEval, Obs: col})
+		fsct.ScreenOptions{Workers: v.Workers, Obs: col})
 	if err != nil {
 		fail(err)
 	}
@@ -116,7 +115,7 @@ func main() {
 	fmt.Printf("alternating shift test: %d cycles over %d chain(s), longest %d\n",
 		len(alt), len(d.Chains), d.MaxChainLen())
 
-	simOpts := fsct.SimOptions{Workers: v.Workers, Eval: backend, MapEval: *mapEval, Obs: col}
+	simOpts := fsct.SimOptions{Workers: v.Workers, Eval: backend, Obs: col}
 	easyRes, err := fsct.SimulateFaultsCtx(ctx, d.C, alt, easy, simOpts)
 	if err != nil {
 		fail(err)

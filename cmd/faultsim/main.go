@@ -7,7 +7,7 @@
 //	faultsim -in circuit.bench -seq tests.txt
 //	faultsim -profile s9234 -scale 0.1 -random 2000 -profileplot
 //	faultsim -profile s5378 -scale 0.1 -random 500 -metrics [-trace]
-//	faultsim -profile s1423 -random 500 -eval packed
+//	faultsim -profile s1423 -random 500 -eval hybrid
 //	faultsim -profile s9234 -random 1000 -tracefile run.json -progress
 //
 // The flags assemble a task spec (see internal/task and
@@ -59,15 +59,15 @@ func exit(code int) {
 }
 
 func main() {
+	maxCycles := fsct.TaskDefaultsFor(fsct.TaskFaultSim).MaxCycles
 	var (
 		v = specflags.Register(flag.CommandLine, fsct.TaskFaultSim,
 			specflags.Options{In: true, Profile: true, Workers: true, Eval: true, Cone: true})
 		seqFile     = flag.String("seq", "", "test sequence file (see internal/faultsim format)")
-		random      = flag.Int("random", 0, "generate this many random cycles instead of -seq")
+		random      = flag.Int("random", 0, fmt.Sprintf("generate this many random cycles instead of -seq (at most %d)", maxCycles))
 		uncollapsed = flag.Bool("uncollapsed", false, "use the full fault list (no equivalence collapsing)")
 		profilePlot = flag.Bool("profileplot", false, "print the cumulative detection profile")
 		emit        = flag.String("emit", "", "write the stimulus used to this file")
-		mapEval     = flag.Bool("mapeval", false, "deprecated: same as -eval packed")
 		oflags      = obsflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
@@ -84,9 +84,6 @@ func main() {
 	}
 	sess.StampTrace(&sp)
 	sp.Uncollapsed = *uncollapsed
-	if *mapEval {
-		sp.Eval = "packed"
-	}
 	switch {
 	case *seqFile != "":
 		data, ferr := os.ReadFile(*seqFile)

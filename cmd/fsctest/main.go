@@ -7,7 +7,7 @@
 //
 //	fsctest [-scale 0.1] [-circuits s1423,s5378] [-chains N] [-seed 1]
 //	        [-table all|1|2|3] [-fig5 s38584] [-v]
-//	        [-eval auto|compiled|packed|scalar|event|hybrid]
+//	        [-eval auto|compiled|hybrid]
 //	        [-metrics] [-trace] [-tracefile run.json] [-progress]
 //	        [-debug addr] [-why fault]
 //

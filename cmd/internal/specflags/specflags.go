@@ -82,7 +82,7 @@ func Register(fs *flag.FlagSet, kind string, opt Options) *Values {
 	}
 	if opt.Eval {
 		fs.StringVar(&v.Eval, "eval", d.Eval,
-			"evaluator backend: auto, compiled, packed, scalar, event, hybrid")
+			"fault-simulation backend: auto, compiled, hybrid")
 	}
 	if opt.Cone {
 		fs.IntVar(&v.ConeThr, "conethr", d.ConeThreshold,

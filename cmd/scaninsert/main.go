@@ -50,7 +50,7 @@ func exit(code int) {
 func main() {
 	var (
 		v = specflags.Register(flag.CommandLine, fsct.TaskScreen,
-			specflags.Options{In: true, Profile: true, Chains: true, Workers: true, Eval: true})
+			specflags.Options{In: true, Profile: true, Chains: true, Workers: true})
 		out    = flag.String("out", "", "write the scan-mode circuit to this .bench file")
 		detail = flag.Bool("detail", false, "print every segment")
 		screen = flag.Bool("screen", false, "also screen the collapsed fault list (easy/hard split)")

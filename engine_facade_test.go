@@ -18,16 +18,17 @@ func TestProfileByNameFacade(t *testing.T) {
 
 func TestParseEvalBackendFacade(t *testing.T) {
 	for name, want := range map[string]EvalBackend{
-		"auto": EvalAuto, "compiled": EvalCompiled, "packed": EvalPacked,
-		"scalar": EvalScalar, "event": EvalEvent,
+		"auto": EvalAuto, "compiled": EvalCompiled, "hybrid": EvalHybrid,
 	} {
 		got, err := ParseEvalBackend(name)
 		if err != nil || got != want {
 			t.Errorf("ParseEvalBackend(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseEvalBackend("quantum"); err == nil {
-		t.Error("ParseEvalBackend accepted junk")
+	for _, name := range []string{"quantum", "packed", "scalar", "event"} {
+		if _, err := ParseEvalBackend(name); err == nil {
+			t.Errorf("ParseEvalBackend accepted %q", name)
+		}
 	}
 }
 
@@ -70,7 +71,7 @@ func TestEvalBackendsAgreeViaFacade(t *testing.T) {
 	faults := CollapsedFaults(d.C)
 	seq := Sequence(d.AlternatingSequence(8))
 	var ref *SimResult
-	for _, b := range []EvalBackend{EvalCompiled, EvalPacked, EvalScalar, EvalEvent} {
+	for _, b := range []EvalBackend{EvalCompiled, EvalHybrid} {
 		res := SimulateFaultsOpt(d.C, seq, faults, SimOptions{Eval: b})
 		if ref == nil {
 			ref = res

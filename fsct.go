@@ -72,8 +72,8 @@ type (
 	Sequence = faultsim.Sequence
 	// SimResult is the outcome of fault-simulating a sequence.
 	SimResult = faultsim.Result
-	// EvalBackend selects a simulation backend (EvalAuto, EvalCompiled,
-	// EvalPacked, EvalScalar, EvalEvent, EvalHybrid).
+	// EvalBackend selects a fault-simulation backend (EvalAuto,
+	// EvalCompiled, EvalHybrid).
 	EvalBackend = engine.Backend
 	// EngineCache memoizes per-circuit derived artifacts (compiled
 	// programs, collapsed fault lists, combinational ATPG models and
@@ -81,19 +81,15 @@ type (
 	EngineCache = engine.Cache
 )
 
-// Evaluator backends for SimOptions.Eval, ScreenOptions.Eval and
-// FlowParams.Eval.
+// Fault-simulation backends for SimOptions.Eval and FlowParams.Eval.
 const (
 	EvalAuto     = engine.Auto
 	EvalCompiled = engine.Compiled
-	EvalPacked   = engine.Packed
-	EvalScalar   = engine.Scalar
-	EvalEvent    = engine.Event
 	EvalHybrid   = engine.Hybrid
 )
 
-// ParseEvalBackend maps a flag string (auto, compiled, packed, scalar,
-// event, hybrid) to an EvalBackend.
+// ParseEvalBackend maps a flag string (auto, compiled, hybrid) to an
+// EvalBackend.
 func ParseEvalBackend(s string) (EvalBackend, error) { return engine.ParseBackend(s) }
 
 // NewEngineCache returns an empty artifact cache. Passing nil wherever
@@ -197,8 +193,8 @@ func DominanceFaults(c *Circuit) []Fault { return fault.Dominance(c) }
 // (compiled evaluator, GOMAXPROCS workers).
 func ScreenFaults(d *Design, faults []Fault) []Screened { return core.Screen(d, faults) }
 
-// ScreenOptions tunes the screening engine (worker count, evaluator
-// backend).
+// ScreenOptions tunes the screening engine (worker count, artifact
+// cache, metrics collector).
 type ScreenOptions = core.ScreenOptions
 
 // ScreenFaultsOpt is ScreenFaults with explicit execution options.

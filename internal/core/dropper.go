@@ -30,10 +30,8 @@ type combDropper struct {
 	coveredAt []int
 	nVectors  int
 	workers   int
-	arts      *engine.Artifacts
-	backend   engine.Backend
-	col       *obs.Collector
-	evals     []engine.CombEvaluator // one per worker, lazily created
+	prog      *sim.Program
+	evals     []*sim.CompiledComb // one per worker, lazily created
 	injbuf    [][]sim.LaneInject
 	base      []logic.V // per model input: vector-independent fill
 	pending   []int     // reused scratch: still-uncovered fault indices
@@ -41,13 +39,8 @@ type combDropper struct {
 	predCtr   *obs.Counter // step2.drop.predicted (nil-safe)
 }
 
-func newCombDropper(d *scan.Design, cm *atpg.CombModel, hard []Screened, workers int, backend engine.Backend, cache *engine.Cache, col *obs.Collector) *combDropper {
+func newCombDropper(d *scan.Design, cm *atpg.CombModel, hard []Screened, workers int, cache *engine.Cache, col *obs.Collector) *combDropper {
 	workers = par.Workers(workers)
-	backend = backend.ResolveComb()
-	arts := engine.Resolve(cache).ForObs(cm.C, col)
-	if backend == engine.Compiled {
-		arts.Program(col) // materialize (and account) the shared program up front
-	}
 	cd := &combDropper{
 		d:         d,
 		cm:        cm,
@@ -55,11 +48,9 @@ func newCombDropper(d *scan.Design, cm *atpg.CombModel, hard []Screened, workers
 		covered:   par.NewBitSet(len(hard)),
 		coveredAt: make([]int, len(hard)),
 		workers:   workers,
-		arts:      arts,
-		backend:   backend,
-		col:       col,
+		prog:      engine.Resolve(cache).ForObs(cm.C, col).Program(col),
 		predCtr:   col.Counter("step2.drop.predicted"),
-		evals:     make([]engine.CombEvaluator, workers),
+		evals:     make([]*sim.CompiledComb, workers),
 		injbuf:    make([][]sim.LaneInject, workers),
 		base:      make([]logic.V, len(cm.C.Inputs)),
 		inW:       make([]logic.Word, len(cm.C.Inputs)),
@@ -112,7 +103,7 @@ func (cd *combDropper) drop(v scan.Vector) {
 	par.Do(workers, len(batches), func(worker, bi int) {
 		eval := cd.evals[worker]
 		if eval == nil {
-			eval = engine.NewCombEvaluator(cd.backend, cd.arts, cd.col)
+			eval = sim.NewCompiledCombFrom(cd.prog)
 			cd.evals[worker] = eval
 			cd.injbuf[worker] = make([]sim.LaneInject, 0, 63)
 		}

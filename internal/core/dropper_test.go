@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/atpg"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/logic"
@@ -32,7 +31,7 @@ func TestDropperMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd := newCombDropper(d, cm, hard, 0, engine.Auto, nil, nil)
+	cd := newCombDropper(d, cm, hard, 0, nil, nil)
 
 	// A fully-specified vector: all FFs 1, all free PIs 1.
 	vec := scan.Vector{

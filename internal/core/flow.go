@@ -61,8 +61,9 @@ type Params struct {
 	// serial). Reports are identical at any width.
 	Workers int
 
-	// Eval selects the simulation backend for screening, fault
-	// simulation and the step-2 dropper (engine.Auto picks per phase).
+	// Eval selects the fault-simulation backend (engine.Auto picks per
+	// run). Screening and the step-2 dropper are combinational and
+	// always use the compiled evaluator.
 	Eval engine.Backend
 
 	// Engine supplies the shared circuit-artifact cache every phase
@@ -237,7 +238,7 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	// ---- Screening (Section 3) ----
 	span := col.Phase("screen")
 	t0 := time.Now()
-	screened, err := ScreenOptCtx(ctx, d, faults, ScreenOptions{Workers: p.Workers, Eval: p.Eval, Cache: p.Engine, Obs: col})
+	screened, err := ScreenOptCtx(ctx, d, faults, ScreenOptions{Workers: p.Workers, Cache: p.Engine, Obs: col})
 	rep.ScreenCPU = time.Since(t0)
 	span.End()
 	if err != nil {
@@ -432,7 +433,7 @@ func runStep2(ctx context.Context, d *scan.Design, hard []Screened, p Params, re
 	// the vector already covers, so PODEM only runs for still-uncovered
 	// faults and the vector set stays small (the paper's Figure 5 makes
 	// the same point: the early vectors carry almost all detections).
-	dropper := newCombDropper(d, cm, hard, p.Workers, p.Eval, p.Engine, p.Obs)
+	dropper := newCombDropper(d, cm, hard, p.Workers, p.Engine, p.Obs)
 
 	rec := p.Obs.Journal()
 	redundant := make([]bool, len(hard))

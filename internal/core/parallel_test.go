@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/gen"
@@ -13,7 +14,7 @@ import (
 
 // TestScreenDeterministicAcrossWorkers pins the sharded screener's
 // determinism contract: identical []Screened (categories AND location
-// lists) for workers = 1, 4 and GOMAXPROCS, with either evaluator.
+// lists) for workers = 1, 4 and GOMAXPROCS.
 func TestScreenDeterministicAcrossWorkers(t *testing.T) {
 	c := gen.Generate(gen.Profile{Name: "sdet", PIs: 10, POs: 8, FFs: 40, Gates: 600}, 3)
 	d, err := tpi.Insert(c, tpi.Options{NumChains: 2, Seed: 1})
@@ -22,13 +23,10 @@ func TestScreenDeterministicAcrossWorkers(t *testing.T) {
 	}
 	faults := fault.Collapsed(d.C)
 	ref := ScreenOpt(d, faults, ScreenOptions{Workers: 1})
-	for _, mapEval := range []bool{false, true} {
-		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-			got := ScreenOpt(d, faults, ScreenOptions{Workers: workers, MapEval: mapEval})
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("workers=%d mapEval=%v: screening output differs from serial reference",
-					workers, mapEval)
-			}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
+		got := ScreenOpt(d, faults, ScreenOptions{Workers: workers})
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("workers=%d: screening output differs from serial reference", workers)
 		}
 	}
 }
@@ -66,16 +64,18 @@ func TestFlowDeterministicAcrossWorkers(t *testing.T) {
 
 // TestFaultsimDeterminismViaFlowSequences exercises faultsim.Run across
 // widths on a real scan-design workload (the alternating sequence), the
-// stimulus the flow actually feeds it.
+// stimulus the flow actually feeds it, under both backends.
 func TestFaultsimDeterminismViaFlowSequences(t *testing.T) {
 	d := s27Design(t, 1)
 	faults := fault.Collapsed(d.C)
 	alt := faultsim.Sequence(d.AlternatingSequence(8))
 	ref := faultsim.Run(d.C, alt, faults, faultsim.Options{Workers: 1})
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		got := faultsim.Run(d.C, alt, faults, faultsim.Options{Workers: workers})
-		if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
-			t.Fatalf("workers=%d: alternating-sequence detections differ", workers)
+	for _, eval := range []engine.Backend{engine.Compiled, engine.Hybrid} {
+		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			got := faultsim.Run(d.C, alt, faults, faultsim.Options{Workers: workers, Eval: eval})
+			if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
+				t.Fatalf("eval=%v workers=%d: alternating-sequence detections differ", eval, workers)
+			}
 		}
 	}
 }

@@ -77,33 +77,15 @@ func (s *Screened) Span() (first, last Location, multiChain bool) {
 // ScreenOptions tunes the screening engine's execution.
 type ScreenOptions struct {
 	// Workers shards the 63-fault batches across this many goroutines,
-	// each owning a private packed evaluator. 0 selects GOMAXPROCS; 1
+	// each owning a private compiled evaluator. 0 selects GOMAXPROCS; 1
 	// forces serial. Output is identical at any width.
 	Workers int
-	// MapEval selects the map-based reference evaluator (ablation).
-	//
-	// Deprecated: set Eval to engine.Packed instead. MapEval is only
-	// consulted while Eval is engine.Auto.
-	MapEval bool
-	// Eval selects the combinational evaluator backend (engine.Auto
-	// picks the compiled one).
-	Eval engine.Backend
 	// Cache supplies the shared circuit-artifact cache. Nil selects
 	// engine.Default().
 	Cache *engine.Cache
 	// Obs, when non-nil, receives screen.* counters (faults, batches,
 	// per-category verdicts) and the "screen" worker-pool utilization.
 	Obs *obs.Collector
-}
-
-// backend resolves the configured combinational backend, honouring the
-// deprecated MapEval switch.
-func (o ScreenOptions) backend() engine.Backend {
-	b := o.Eval
-	if b == engine.Auto && o.MapEval {
-		b = engine.Packed
-	}
-	return b.ResolveComb()
 }
 
 // Screen computes the forward-implication categorization of every fault
@@ -192,13 +174,9 @@ func ScreenOptCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, opt
 	}
 	col := opts.Obs
 	rec := col.Journal()
-	backend := opts.backend()
-	arts := engine.Resolve(opts.Cache).ForObs(c, col)
-	if backend == engine.Compiled {
-		arts.Program(col) // materialize (and account) the shared program up front
-	}
+	prog := engine.Resolve(opts.Cache).ForObs(c, col).Program(col)
 	type wstate struct {
-		eval engine.CombEvaluator
+		eval *sim.CompiledComb
 		injs []sim.LaneInject
 		// Per-lane verdict accumulators, reused across batches: locations
 		// collect here and are copied into the output as one exact-size
@@ -208,7 +186,7 @@ func ScreenOptCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, opt
 		cats [63]Category
 	}
 	states := par.NewPerWorker(workers, func() *wstate {
-		return &wstate{injs: make([]sim.LaneInject, 0, 63), eval: engine.NewCombEvaluator(backend, arts, col)}
+		return &wstate{injs: make([]sim.LaneInject, 0, 63), eval: sim.NewCompiledCombFrom(prog)}
 	})
 	body := func(worker, bi int) {
 		st := states.Get(worker)

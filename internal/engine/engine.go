@@ -2,9 +2,8 @@
 // flow: a per-circuit cache of everything the phases derive from a
 // netlist — the compiled sim.Program (which embodies the levelization
 // order), the collapsed fault list, the scan-mode combinational ATPG
-// model and its SCOAP search tables — plus the unified evaluator
-// construction (Backend / Evaluator / CombEvaluator) that places all
-// four simulation backends behind one interface.
+// model and its SCOAP search tables — plus the Backend selection
+// (compiled or hybrid) for fault simulation.
 //
 // Before this layer existed every phase rebuilt its own derived
 // structures: screening, each of the many fault-simulation calls inside

@@ -219,41 +219,47 @@ func TestCombSearchMemoized(t *testing.T) {
 }
 
 func TestParseBackend(t *testing.T) {
-	for _, b := range []Backend{Auto, Compiled, Packed, Scalar, Event, Hybrid} {
+	for _, b := range []Backend{Auto, Compiled, Hybrid} {
 		got, err := ParseBackend(b.String())
 		if err != nil || got != b {
 			t.Errorf("ParseBackend(%q) = %v, %v", b.String(), got, err)
 		}
 	}
-	if _, err := ParseBackend("warp"); err == nil {
-		t.Error("ParseBackend accepted junk")
+	// Only auto, compiled and hybrid parse.
+	for _, name := range []string{"warp", "packed", "scalar", "event"} {
+		if _, err := ParseBackend(name); err == nil {
+			t.Errorf("ParseBackend accepted %q", name)
+		}
 	}
 }
 
 func TestResolveAuto(t *testing.T) {
 	small := testCircuit(t, 5)
-	if got := Auto.ResolveSeq(small, Hint{Lanes: 1, Cycles: 1000}); got != Compiled {
+	if got := Auto.ResolveSeq(small, 1); got != Compiled {
 		t.Errorf("small circuit resolved to %v, want compiled", got)
 	}
-	if got := Auto.ResolveComb(); got != Compiled {
-		t.Errorf("Auto comb resolved to %v, want compiled", got)
-	}
-	if got := Event.ResolveComb(); got != Scalar {
-		t.Errorf("Event comb resolved to %v, want scalar", got)
-	}
-	if got := Hybrid.ResolveComb(); got != Compiled {
-		t.Errorf("Hybrid comb resolved to %v, want compiled", got)
-	}
-	if got := Packed.ResolveSeq(small, Hint{}); got != Packed {
+	if got := Hybrid.ResolveSeq(small, 1); got != Hybrid {
 		t.Errorf("forced backend rewritten to %v", got)
 	}
+	// A one-fault confirmation run on a large sequential circuit stays
+	// on the compiled sweep.
+	mid := gen.Generate(gen.Profile{Name: "engm", PIs: 8, POs: 6, FFs: 64, Gates: 2100}, 3)
+	if len(mid.Order) < 2048 {
+		t.Fatalf("test circuit has %d signals, want >= 2048", len(mid.Order))
+	}
+	if got := Auto.ResolveSeq(mid, 1); got != Compiled {
+		t.Errorf("1-lane run on a %d-signal circuit resolved to %v, want compiled", len(mid.Order), got)
+	}
 	// Full-width passes on large sequential circuits take the hybrid
-	// strategy; the same shape without flip-flops stays compiled.
+	// strategy; a one-fault run on the same circuit stays compiled.
 	large := gen.Generate(gen.Profile{Name: "engl", PIs: 8, POs: 6, FFs: 64, Gates: 4200}, 3)
-	if got := Auto.ResolveSeq(large, Hint{Lanes: 63, Cycles: 100}); got != Hybrid {
+	if got := Auto.ResolveSeq(large, 63); got != Hybrid {
 		t.Errorf("large sequential full-width resolved to %v, want hybrid", got)
 	}
-	if got := Auto.ResolveSeq(small, Hint{Lanes: 63, Cycles: 100}); got != Compiled {
+	if got := Auto.ResolveSeq(large, 1); got != Compiled {
+		t.Errorf("large sequential 1-lane resolved to %v, want compiled", got)
+	}
+	if got := Auto.ResolveSeq(small, 63); got != Compiled {
 		t.Errorf("small full-width resolved to %v, want compiled", got)
 	}
 }

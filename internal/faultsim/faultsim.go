@@ -1,12 +1,12 @@
 // Package faultsim runs fault simulation of test sequences: a serial
 // reference simulator, a 63-fault parallel machine simulator built on
-// the packed evaluator, and a hybrid strategy that runs each fault on a
-// per-fault delta simulator against a shared fault-free baseline and
-// demotes broadly-diverging faults back to the packed sweep. Detection
-// means a primary output carries a definite value in the fault-free
-// machine and the opposite definite value in the faulty machine at the
-// same cycle; an X never detects. Every strategy produces identical
-// results at any worker count.
+// the compiled 64-lane evaluator, and a hybrid strategy that runs each
+// fault on a per-fault delta simulator against a shared fault-free
+// baseline and demotes broadly-diverging faults back to the compiled
+// sweep. Detection means a primary output carries a definite value in
+// the fault-free machine and the opposite definite value in the faulty
+// machine at the same cycle; an X never detects. Every strategy
+// produces identical results at any worker count.
 //
 // Combinational fault simulation falls out as the special case of a
 // circuit with no flip-flops and one-cycle sequences.
@@ -49,23 +49,17 @@ type Options struct {
 	// 63-fault batches). 0 selects runtime.GOMAXPROCS; 1 forces the
 	// serial path. Results are identical at any width.
 	Workers int
-	// MapEval selects the map-based reference evaluator instead of the
-	// compiled one (ablation; slower).
-	//
-	// Deprecated: set Eval to engine.Packed instead. MapEval is kept as
-	// a synonym and only consulted while Eval is engine.Auto.
-	MapEval bool
 	// Eval selects the simulation backend. engine.Auto (the zero value)
 	// picks per run: hybrid for full-width passes on larger sequential
-	// circuits, the event-driven scalar path for near-empty batches on
-	// large circuits, and the compiled evaluator otherwise.
+	// circuits, and the compiled evaluator otherwise.
 	Eval engine.Backend
 	// ConeThreshold is the hybrid strategy's per-cycle gate-evaluation
 	// budget: faults whose divergence exceeds it in any cycle are
 	// demoted to the compiled sweep. 0 selects the circuit-scaled
-	// engine.ConeThresholdFor default. Ignored by the other backends. The
-	// demotion decision depends only on the fault, the sequence and the
-	// initial state, so results stay identical at any worker count.
+	// engine.ConeThresholdFor default. Ignored by the compiled
+	// backend. The demotion decision depends only on the fault, the
+	// sequence and the initial state, so results stay identical at any
+	// worker count.
 	ConeThreshold int
 	// Cache supplies the shared circuit-artifact cache the compiled
 	// program is drawn from. Nil selects engine.Default().
@@ -77,16 +71,6 @@ type Options struct {
 	// (hybrid fast path) pools. A nil collector costs one pointer test
 	// per batch.
 	Obs *obs.Collector
-}
-
-// backend resolves the configured evaluator backend for circuit c given
-// the run shape, honouring the deprecated MapEval switch.
-func (o Options) backend(c *netlist.Circuit, lanes, cycles int) engine.Backend {
-	b := o.Eval
-	if b == engine.Auto && o.MapEval {
-		b = engine.Packed
-	}
-	return b.ResolveSeq(c, engine.Hint{Lanes: lanes, Cycles: cycles})
 }
 
 // Result reports, for each fault (by index into the input fault slice),
@@ -169,14 +153,10 @@ func RunCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []faul
 	if lanes > 63 {
 		lanes = 63
 	}
-	backend := opts.backend(c, lanes, len(seq))
+	backend := opts.Eval.ResolveSeq(c, lanes)
 	if col.Enabled() {
 		col.Counter("faultsim.runs").Inc()
-		name := backend.String()
-		if backend == engine.Packed {
-			name = "map" // historical counter name for the map-based evaluator
-		}
-		col.Counter("faultsim.eval." + name).Inc()
+		col.Counter("faultsim.eval." + backend.String()).Inc()
 		col.Counter("faultsim.faults").Add(int64(len(faults)))
 	}
 	arts := engine.Resolve(opts.Cache).ForObs(c, col)
@@ -185,10 +165,7 @@ func RunCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []faul
 	if backend == engine.Hybrid {
 		err = runHybrid(ctx, seqW, faults, opts, res, col, arts)
 	} else {
-		if backend == engine.Compiled {
-			arts.Program(col) // materialize (and account) the shared program up front
-		}
-		err = runSweep(ctx, backend, seqW, faults, nil, opts, res, col, arts)
+		err = runSweep(ctx, seqW, faults, nil, opts, res, col, arts.Program(col))
 	}
 	if col.Enabled() {
 		col.Counter("faultsim.detected").Add(int64(res.NumDetected()))
@@ -212,13 +189,13 @@ func broadcastSeq(c *netlist.Circuit, seq Sequence) [][]logic.Word {
 	return seqW
 }
 
-// runSweep is the packed 63-faults-per-batch simulation shared by the
-// direct backends and the hybrid strategy's demotion pass. idxs selects
+// runSweep is the compiled 63-faults-per-batch simulation shared by the
+// compiled backend and the hybrid strategy's demotion pass. idxs selects
 // the faults to simulate (indices into faults, ascending); nil means
 // all of them. Detections are recorded under the fault's original
 // index, and each batch writes only its own result slots, so the
 // outcome is identical at any worker count.
-func runSweep(ctx context.Context, backend engine.Backend, seqW [][]logic.Word, faults []fault.Fault, idxs []int, opts Options, res *Result, col *obs.Collector, arts *engine.Artifacts) error {
+func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, idxs []int, opts Options, res *Result, col *obs.Collector, prog *sim.Program) error {
 	total := len(idxs)
 	if idxs == nil {
 		total = len(faults)
@@ -242,14 +219,14 @@ func runSweep(ctx context.Context, backend engine.Backend, seqW [][]logic.Word, 
 	rec := col.Journal()
 
 	type wstate struct {
-		ps   engine.Evaluator
+		ps   *sim.CompiledSeq
 		poW  []logic.Word
 		injs []sim.LaneInject
 		fidx []int // absolute fault index per lane-1-based batch slot
 	}
 	states := par.NewPerWorker(workers, func() *wstate {
 		return &wstate{
-			ps:   engine.NewSeqEvaluator(backend, arts, col),
+			ps:   sim.NewCompiledSeqFrom(prog),
 			injs: make([]sim.LaneInject, 0, 63),
 			fidx: make([]int, 0, 63),
 		}
@@ -408,7 +385,7 @@ func runHybrid(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, o
 		// partial-result contract.
 		return err
 	}
-	return runSweep(ctx, engine.Compiled, seqW, faults, swept, opts, res, col, arts)
+	return runSweep(ctx, seqW, faults, swept, opts, res, col, prog)
 }
 
 // noteDetections records the first-detection cycle for every fault whose

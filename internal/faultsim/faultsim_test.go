@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/logic"
@@ -58,11 +59,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesMapEvaluator cross-checks the compiled evaluator
-// backend against the map-based reference over whole fault-simulation
-// runs on randomized circuits and sequences (the faultsim-level
-// counterpart of the sim-package evaluator cross-check).
-func TestCompiledMatchesMapEvaluator(t *testing.T) {
+// TestCompiledMatchesRunSerial cross-checks the compiled evaluator
+// backend against the scalar reference (RunSerial, which shares no
+// evaluator code with it) over whole fault-simulation runs on
+// randomized circuits and sequences.
+func TestCompiledMatchesRunSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 6; trial++ {
 		c := gen.Generate(gen.Profile{
@@ -71,12 +72,12 @@ func TestCompiledMatchesMapEvaluator(t *testing.T) {
 		}, int64(40+trial))
 		faults := fault.Collapsed(c)
 		seq := randSeq(r, len(c.Inputs), 40, true)
-		mapRes := Run(c, seq, faults, Options{Workers: 1, MapEval: true})
-		compRes := Run(c, seq, faults, Options{Workers: 1})
-		for i := range mapRes.DetectedAt {
-			if mapRes.DetectedAt[i] != compRes.DetectedAt[i] {
-				t.Errorf("trial %d fault %d (%s): map %d, compiled %d",
-					trial, i, faults[i].Describe(c), mapRes.DetectedAt[i], compRes.DetectedAt[i])
+		serRes := RunSerial(c, seq, faults, Options{})
+		compRes := Run(c, seq, faults, Options{Workers: 1, Eval: engine.Compiled})
+		for i := range serRes.DetectedAt {
+			if serRes.DetectedAt[i] != compRes.DetectedAt[i] {
+				t.Errorf("trial %d fault %d (%s): serial %d, compiled %d",
+					trial, i, faults[i].Describe(c), serRes.DetectedAt[i], compRes.DetectedAt[i])
 			}
 		}
 	}
@@ -84,20 +85,20 @@ func TestCompiledMatchesMapEvaluator(t *testing.T) {
 
 // TestRunDeterministicAcrossWorkers pins the sharding determinism
 // contract: identical Result for workers = 1, 4 and GOMAXPROCS, with
-// either evaluator backend, with and without early stop.
+// either backend, with and without early stop.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	c := gen.Generate(gen.Profile{Name: "det", PIs: 8, POs: 6, FFs: 20, Gates: 400}, 77)
 	faults := fault.Collapsed(c)
 	seq := randSeq(r, len(c.Inputs), 60, true)
-	for _, mapEval := range []bool{false, true} {
+	for _, eval := range []engine.Backend{engine.Compiled, engine.Hybrid} {
 		for _, stop := range []bool{false, true} {
-			ref := Run(c, seq, faults, Options{Workers: 1, MapEval: mapEval, StopWhenAllDetected: stop})
+			ref := Run(c, seq, faults, Options{Workers: 1, Eval: eval, StopWhenAllDetected: stop})
 			for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
-				got := Run(c, seq, faults, Options{Workers: workers, MapEval: mapEval, StopWhenAllDetected: stop})
+				got := Run(c, seq, faults, Options{Workers: workers, Eval: eval, StopWhenAllDetected: stop})
 				if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
-					t.Fatalf("mapEval=%v stop=%v: workers=%d result differs from serial",
-						mapEval, stop, workers)
+					t.Fatalf("eval=%v stop=%v: workers=%d result differs from serial",
+						eval, stop, workers)
 				}
 			}
 		}

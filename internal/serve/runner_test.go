@@ -49,7 +49,7 @@ func TestRunnerPanicFailsOnlyThatJob(t *testing.T) {
 		if units[0].Spec.Kind == KindScreen { // panic on a pool worker
 			par.Do(2, 4, func(_, i int) {
 				if i == 3 {
-					panic("engine: scalar evaluator supports one injection per lane")
+					panic("core: injected worker panic")
 				}
 			})
 		}
@@ -74,7 +74,7 @@ func TestRunnerPanicFailsOnlyThatJob(t *testing.T) {
 	s.Close()
 
 	v := bad.View()
-	if v.Status != StatusFailed || !strings.Contains(v.Error, "panic: engine: scalar evaluator") {
+	if v.Status != StatusFailed || !strings.Contains(v.Error, "panic: core: injected worker panic") {
 		t.Errorf("panicking job: status %s, error %q", v.Status, v.Error)
 	}
 	select {

@@ -523,6 +523,9 @@ func TestValidation(t *testing.T) {
 		{Kind: serve.KindFlow, Circuit: "not-a-profile"},
 		{Kind: serve.KindFlow, Circuit: "s27", Eval: "warp-drive"},
 		{Kind: serve.KindFlow, Circuit: "s27", Workers: task.DefaultsFor(task.KindFlow).MaxWorkers + 1},
+		{Kind: serve.KindFaultSim, Circuit: "s27", Cycles: task.DefaultsFor(task.KindFaultSim).MaxCycles + 1},
+		{Kind: serve.KindFaultSim, Circuit: "s27", Cycles: 2000000000},
+		{Kind: serve.KindFaultSim, Circuit: "s27", Eval: "event"},
 	} {
 		body, _ := json.Marshal(sp)
 		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))

@@ -21,9 +21,9 @@ import (
 //     "does this signal carry an injection" test is a dense slice load
 //     instead of a map lookup.
 //
-// PackedComb stays as the map-based reference implementation; the
-// cross-check tests in compiled_test.go and internal/faultsim pin the
-// two to identical outputs.
+// PackedComb and PackedSeq stay as the map-based reference
+// implementations; the cross-check tests in compiled_test.go pin the
+// compiled evaluators to identical outputs.
 
 // instr is one compiled gate evaluation: op applied to the fanin IDs
 // in Program.fanin[inLo:inHi], result stored at signal out.

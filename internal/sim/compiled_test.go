@@ -51,13 +51,20 @@ func randWord(r *rand.Rand) logic.Word {
 
 // TestCompiledMatchesPackedComb cross-checks the compiled combinational
 // evaluator against the map-based reference on randomized circuits,
-// inputs and injection sets.
+// per-lane divergent inputs and injection sets that change on every
+// ClearX round. Every fourth circuit has no flip-flops, the shape of
+// the scan-mode combinational model screening and the step-2 dropper
+// evaluate.
 func TestCompiledMatchesPackedComb(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
+		ffs := 5 + r.Intn(12)
+		if trial%4 == 3 {
+			ffs = 0
+		}
 		c := gen.Generate(gen.Profile{
 			Name: "xcheck", PIs: 4 + r.Intn(8), POs: 3 + r.Intn(6),
-			FFs: 5 + r.Intn(12), Gates: 60 + r.Intn(200),
+			FFs: ffs, Gates: 60 + r.Intn(200),
 		}, int64(100+trial))
 		ref := NewPackedComb(c)
 		cmp := NewCompiledComb(c)
@@ -95,8 +102,11 @@ func TestCompiledMatchesPackedComb(t *testing.T) {
 	}
 }
 
-// TestCompiledSeqMatchesPackedSeq runs multi-cycle sequences with
-// injection swaps mid-stream on both sequential simulators.
+// TestCompiledSeqMatchesPackedSeq runs multi-cycle sequences on both
+// sequential simulators: first with broadcast inputs and an injection
+// swap mid-stream, then over repeated ResetX rounds that each install a
+// new injection set, preset flip-flops with per-lane divergent state
+// words (X included) and clock per-lane divergent inputs.
 func TestCompiledSeqMatchesPackedSeq(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 8; trial++ {
@@ -133,6 +143,36 @@ func TestCompiledSeqMatchesPackedSeq(t *testing.T) {
 			for i := range c.FFs {
 				if a, b := ref.StateWord(i), cmp.StateWord(i); !a.Eq(b) {
 					t.Fatalf("trial %d cycle %d FF %d: state diverged", trial, cyc, i)
+				}
+			}
+		}
+		for round := 0; round < 3; round++ {
+			injs = randInjections(r, c, 1+r.Intn(40))
+			ref.SetInjections(injs)
+			cmp.SetInjections(injs)
+			ref.ResetX()
+			cmp.ResetX()
+			for ff := 0; ff < len(c.FFs) && ff < 4; ff++ {
+				w := randWord(r)
+				ref.SetStateWord(ff, w)
+				cmp.SetStateWord(ff, w)
+			}
+			for cyc := 0; cyc < 24; cyc++ {
+				for i := range pi {
+					pi[i] = randWord(r)
+				}
+				poA = ref.Cycle(pi, poA)
+				poB = cmp.Cycle(pi, poB)
+				for o := range poA {
+					if !poA[o].Eq(poB[o]) {
+						t.Fatalf("trial %d round %d cycle %d output %d: packed %+v compiled %+v",
+							trial, round, cyc, o, poA[o], poB[o])
+					}
+				}
+				for i := range c.FFs {
+					if a, b := ref.StateWord(i), cmp.StateWord(i); !a.Eq(b) {
+						t.Fatalf("trial %d round %d cycle %d FF %d: state diverged", trial, round, cyc, i)
+					}
 				}
 			}
 		}

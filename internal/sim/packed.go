@@ -21,7 +21,9 @@ func (li LaneInject) applyStem(w logic.Word) logic.Word {
 }
 
 // PackedComb is the 64-lane analogue of Comb. All lanes evaluate the same
-// circuit structure; injections differentiate lanes.
+// circuit structure; injections differentiate lanes. It is the map-based
+// reference CompiledComb is tested against; production code runs the
+// compiled evaluators.
 type PackedComb struct {
 	C    *netlist.Circuit
 	Vals []logic.Word

@@ -163,7 +163,7 @@ func executeScreen(ctx context.Context, sp Spec, u Unit, cache *engine.Cache, co
 	p.Circuit, p.Hash = d.C.Name, d.C.StructuralHash()
 	p.Faults, p.Lo, p.Hi = len(faults), lo, hi
 	screened, serr := core.ScreenOptCtx(ctx, d, faults[lo:hi], core.ScreenOptions{
-		Workers: sp.Workers, Eval: sp.backend(), Cache: cache, Obs: col,
+		Workers: sp.Workers, Cache: cache, Obs: col,
 	})
 	if serr != nil {
 		return p, serr

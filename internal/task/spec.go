@@ -91,10 +91,12 @@ type Spec struct {
 	// Workers shards each phase's fault axis within the process
 	// (0 = GOMAXPROCS). Results are identical at any width.
 	Workers int `json:"workers,omitempty"`
-	// Eval selects the simulation backend (default "auto").
+	// Eval selects the fault-simulation backend: "auto" (the
+	// default), "compiled" or "hybrid".
 	Eval string `json:"eval,omitempty"`
 	// Cycles is the random-sequence length for faultsim jobs
-	// (default 500). Ignored when Sequence is set.
+	// (default 500, at most DefaultsFor(kind).MaxCycles). Ignored when
+	// Sequence is set.
 	Cycles int `json:"cycles,omitempty"`
 	// Sequence, when non-empty, is an inline stimulus in the
 	// internal/faultsim text format, replacing the generated random
@@ -170,11 +172,16 @@ type Defaults struct {
 	// worker may hold its own scratch (evaluators, PODEM engines), so
 	// one spec must not be able to ask for an unbounded pool.
 	MaxWorkers int
+	// MaxCycles is the largest Cycles value Normalize accepts. The
+	// random stimulus and its packed broadcast both grow with
+	// cycles × inputs, so one spec must not be able to ask for an
+	// unbounded sequence.
+	MaxCycles int
 }
 
 // DefaultsFor returns the option defaults for a job kind.
 func DefaultsFor(kind string) Defaults {
-	d := Defaults{Scale: 1, Seed: 1, Eval: "auto", Cycles: 500, MaxWorkers: 256}
+	d := Defaults{Scale: 1, Seed: 1, Eval: "auto", Cycles: 500, MaxWorkers: 256, MaxCycles: 1 << 16}
 	switch kind {
 	case KindFaultSim, KindDiagnose:
 		d.Scale = 0.1
@@ -236,6 +243,9 @@ func (sp *Spec) Normalize() error {
 	}
 	if sp.Cycles <= 0 {
 		sp.Cycles = d.Cycles
+	}
+	if sp.Cycles > d.MaxCycles {
+		return &LimitError{Field: "cycles", Value: sp.Cycles, Max: d.MaxCycles}
 	}
 	if sp.Workers < 0 {
 		sp.Workers = d.Workers

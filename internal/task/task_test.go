@@ -267,6 +267,7 @@ func TestNormalizeErrors(t *testing.T) {
 		{Spec{Kind: KindFlow, Circuit: "no-such-profile"}, "no-such-profile"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Scale: 1.5}, "out of range"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Eval: "bogus"}, "bogus"},
+		{Spec{Kind: KindFlow, Circuit: "s27", Eval: "event"}, "event"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Version: 99}, "version"},
 	}
 	for _, c := range cases {
@@ -295,6 +296,30 @@ func TestNormalizeWorkersLimit(t *testing.T) {
 			t.Errorf("%s: workers %d: err = %v, want *LimitError", kind, max+1, err)
 		} else if le.Field != "workers" || le.Value != max+1 || le.Max != max {
 			t.Errorf("%s: LimitError = %+v", kind, le)
+		}
+	}
+}
+
+// TestNormalizeCyclesLimit: Cycles up to the DefaultsFor limit is
+// accepted; one more is a *LimitError naming the field and the limit.
+func TestNormalizeCyclesLimit(t *testing.T) {
+	for _, kind := range Kinds() {
+		max := DefaultsFor(kind).MaxCycles
+		if max <= 0 {
+			t.Fatalf("%s: MaxCycles = %d, want a positive limit", kind, max)
+		}
+		ok := Spec{Kind: kind, Circuit: "s27", Cycles: max}
+		if err := ok.Normalize(); err != nil {
+			t.Errorf("%s: cycles %d rejected: %v", kind, max, err)
+		}
+		for _, n := range []int{max + 1, 2000000000} {
+			over := Spec{Kind: kind, Circuit: "s27", Cycles: n}
+			var le *LimitError
+			if err := over.Normalize(); !errors.As(err, &le) {
+				t.Errorf("%s: cycles %d: err = %v, want *LimitError", kind, n, err)
+			} else if le.Field != "cycles" || le.Value != n || le.Max != max {
+				t.Errorf("%s: LimitError = %+v", kind, le)
+			}
 		}
 	}
 }
@@ -373,7 +398,7 @@ func TestExecuteEmitsUnitEvents(t *testing.T) {
 // exactly, and that plans partition the fault axis contiguously with
 // batch-aligned interior boundaries.
 func FuzzSpecRoundTrip(f *testing.F) {
-	f.Add("screen", 0.5, int64(7), 2, 3, "packed", 100, false, 4)
+	f.Add("screen", 0.5, int64(7), 2, 3, "hybrid", 100, false, 4)
 	f.Add("faultsim", 0.0, int64(0), 0, 0, "", 0, true, 0)
 	f.Add("atpg", 1.0, int64(-3), 1, -2, "hybrid", -5, false, -1)
 	f.Add("diagnose", 0.25, int64(42), 9, 1, "auto", 17, false, 2)
