@@ -8,11 +8,33 @@
 // pseudo-outputs) or unrolled by the seqatpg package. Inputs whose value
 // is pinned by test point insertion are supplied as fixed assignments and
 // never used as decision variables.
+//
+// Each PODEM decision costs work in proportion to the signals it
+// changes, not to the model or the fault cone:
+//
+//   - injection sites are dense per-signal marks (a stem site with its
+//     stuck value, or a gate consuming a branch injection), set when a
+//     fault is loaded and cleared for the next one, so implication
+//     tests one byte per gate rather than probing a map;
+//   - outside the fault cone the faulty machine equals the good one by
+//     construction (no faulty fanin, no injection site), so those gates
+//     are evaluated once, reading fanin values in place, and the result
+//     is copied to the faulty machine;
+//   - the set of signals carrying a fault effect (D) is kept up to date
+//     as values change, and the D-frontier is built from that set's
+//     fanouts plus the branch-injection gates, sorted into topological
+//     order.
+//
+// The frontier is exactly the one a full scan of the cone in topological
+// order would produce, contents and order, so the search itself (every
+// decision, backtrack count and assignment) does not depend on how the
+// implication is computed.
 package atpg
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"repro/internal/fault"
@@ -97,36 +119,50 @@ type Engine struct {
 
 	// Injection sites: a plain fault has one; a time-frame-expanded
 	// fault has one per frame (the same physical defect replicated).
-	injs     []sim.Inject
-	stemInj  map[netlist.SignalID]logic.V
-	brInj    map[netlist.SignalID][]sim.Inject // keyed by consuming gate
+	// site marks each signal that is a stem site or consumes a branch
+	// injection, and stuck holds a stem site's stuck value, so the
+	// implication loop tests one byte per gate instead of probing a map.
+	injs  []sim.Inject
+	site  []uint8
+	stuck []logic.V
+
 	obsDist  []int32
 	buckets  [][]netlist.SignalID
 	inQueue  []bool
 	maxLevel int
+	consts   []netlist.SignalID // zero-fanin gates, seeded by reset
+	pos      []int32            // position of each gate in c.Order
 
-	// Fault cone: only signals downstream of an injection site can be
-	// D-frontier members or observe the fault; restricting the frontier
-	// and observation scans to the cone keeps each PODEM iteration
-	// proportional to the fault's region, not the whole model.
-	coneGates   []netlist.SignalID // gates in the cone, topological order
-	coneOutputs []netlist.SignalID // observation points in the cone
-	inCone      []bool
-	isOut       []bool // cone observation points, indexed by signal
+	// Fault cone: only signals downstream of an injection site can carry
+	// a fault effect. Outside it the faulty machine equals the good one,
+	// so drain evaluates those gates once. cone lists the members so the
+	// marks are cleared in proportion to the cone, not the model.
+	cone   []netlist.SignalID
+	inCone []bool
+	isOut  []bool // observation points in the cone, indexed by signal
+
+	// D-set: the signals currently carrying a fault effect, kept up to
+	// date as values change (dPos is each member's index, -1 outside the
+	// set; outD counts members that are observation points). The
+	// D-frontier is derived from the set's fanouts, never from a scan of
+	// the cone.
+	dset []netlist.SignalID
+	dPos []int32
+	outD int
 
 	// SCOAP controllability per signal (computed once per model).
 	cc0, cc1 []int64
 
-	// Epoch-tagged scratch for xPathExists.
+	// Epoch-tagged scratch for xPathExists and the D-frontier's
+	// de-duplication.
 	seenEpoch []uint32
 	epoch     uint32
 
-	// Reused traversal scratch: the D-frontier of the current iteration,
-	// the xPathExists DFS stack and the buildCone DFS stack. Kept on the
-	// engine so the search loop never allocates per iteration.
-	frontier  []netlist.SignalID
-	xstack    []netlist.SignalID
-	coneStack []netlist.SignalID
+	// Reused traversal scratch: the D-frontier of the current iteration
+	// and the xPathExists DFS stack. Kept on the engine so the search
+	// loop never allocates per iteration.
+	frontier []netlist.SignalID
+	xstack   []netlist.SignalID
 
 	// decision stack
 	stack []decision
@@ -235,10 +271,12 @@ func NewEngineTables(m *Model, t *Tables) *Engine {
 		good:    make([]logic.V, len(c.Signals)),
 		flty:    make([]logic.V, len(c.Signals)),
 		inQueue: make([]bool, len(c.Signals)),
-		stemInj: make(map[netlist.SignalID]logic.V),
-		brInj:   make(map[netlist.SignalID][]sim.Inject),
+		site:    make([]uint8, len(c.Signals)),
+		stuck:   make([]logic.V, len(c.Signals)),
+		pos:     make([]int32, len(c.Signals)),
 		inCone:  make([]bool, len(c.Signals)),
 		isOut:   make([]bool, len(c.Signals)),
+		dPos:    make([]int32, len(c.Signals)),
 
 		seenEpoch: make([]uint32, len(c.Signals)),
 	}
@@ -246,6 +284,15 @@ func NewEngineTables(m *Model, t *Tables) *Engine {
 		if l > e.maxLevel {
 			e.maxLevel = l
 		}
+	}
+	for i, g := range c.Order {
+		e.pos[g] = int32(i)
+		if len(c.Signals[g].Fanin) == 0 {
+			e.consts = append(e.consts, g)
+		}
+	}
+	for i := range e.dPos {
+		e.dPos[i] = -1
 	}
 	e.buckets = make([][]netlist.SignalID, e.maxLevel+1)
 	e.obsDist = t.ObsDist
@@ -488,15 +535,27 @@ type objectiveT struct {
 	val logic.V
 }
 
+// Injection-site marks (Engine.site).
+const (
+	siteStem   uint8 = 1 << iota // the signal carries a stem injection
+	siteBranch                   // the gate consumes a branch injection
+)
+
 func (e *Engine) loadFault(injs []sim.Inject) {
+	for _, in := range e.injs {
+		if in.IsStem() {
+			e.site[in.Signal] = 0
+		} else {
+			e.site[in.Gate] = 0
+		}
+	}
 	e.injs = append(e.injs[:0], injs...)
-	clear(e.stemInj)
-	clear(e.brInj)
 	for _, in := range injs {
 		if in.IsStem() {
-			e.stemInj[in.Signal] = in.Value
+			e.site[in.Signal] |= siteStem
+			e.stuck[in.Signal] = in.Value
 		} else {
-			e.brInj[in.Gate] = append(e.brInj[in.Gate], in)
+			e.site[in.Gate] |= siteBranch
 		}
 	}
 	e.stack = e.stack[:0]
@@ -506,17 +565,15 @@ func (e *Engine) loadFault(injs []sim.Inject) {
 // buildCone collects the fanout cone of every injection site: the only
 // region where fault effects can live.
 func (e *Engine) buildCone() {
-	for i := range e.inCone {
-		e.inCone[i] = false
-		e.isOut[i] = false
+	for _, s := range e.cone {
+		e.inCone[s] = false
+		e.isOut[s] = false
 	}
-	e.coneGates = e.coneGates[:0]
-	e.coneOutputs = e.coneOutputs[:0]
-	stack := e.coneStack[:0]
+	cone := e.cone[:0]
 	push := func(s netlist.SignalID) {
 		if !e.inCone[s] {
 			e.inCone[s] = true
-			stack = append(stack, s)
+			cone = append(cone, s)
 		}
 	}
 	for _, in := range e.injs {
@@ -526,31 +583,21 @@ func (e *Engine) buildCone() {
 			push(in.Gate)
 		}
 	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fo := range e.c.Fanouts[s] {
+	for i := 0; i < len(cone); i++ {
+		for _, fo := range e.c.Fanouts[cone[i]] {
 			push(fo)
 		}
 	}
-	e.coneStack = stack[:0]
-	// Cone gates in global topological order keeps frontier iteration
-	// deterministic.
-	for _, g := range e.c.Order {
-		if e.inCone[g] {
-			e.coneGates = append(e.coneGates, g)
-		}
-	}
+	e.cone = cone
 	for _, o := range e.c.Outputs {
-		if e.inCone[o] && !e.isOut[o] {
+		if e.inCone[o] {
 			e.isOut[o] = true
-			e.coneOutputs = append(e.coneOutputs, o)
 		}
 	}
 }
 
-// reset initializes values: everything X, fixed inputs assigned, full
-// propagation.
+// reset initializes values: everything X, constant gates and fixed
+// inputs assigned, full propagation.
 func (e *Engine) reset() {
 	for i := range e.good {
 		e.good[i] = logic.X
@@ -562,36 +609,51 @@ func (e *Engine) reset() {
 	for i := range e.buckets {
 		e.buckets[i] = e.buckets[i][:0]
 	}
+	for _, s := range e.dset {
+		e.dPos[s] = -1
+	}
+	e.dset = e.dset[:0]
+	e.outD = 0
+	// A constant gate has no fanin, so no event ever reaches it: seed it
+	// like an input.
+	for _, g := range e.consts {
+		e.set(g, e.c.Signals[g].Op.Eval(nil))
+	}
 	for _, in := range e.c.Inputs {
 		v, fixed := e.m.Fixed[in]
 		if !fixed {
 			v = logic.X
 		}
-		e.setInput(in, v)
+		e.set(in, v)
 	}
 	e.drain()
 }
 
-// setInput writes an input value into both machines (honouring a stem
-// fault on the input in the faulty machine) and schedules its fanout.
-func (e *Engine) setInput(in netlist.SignalID, v logic.V) {
-	e.good[in] = v
+// set writes a source value (an input or a constant gate) into both
+// machines, honouring a stem fault on it in the faulty machine, and
+// schedules its fanout.
+func (e *Engine) set(s netlist.SignalID, v logic.V) {
 	fv := v
-	if sv, ok := e.stemInj[in]; ok {
-		fv = sv
+	if e.site[s]&siteStem != 0 {
+		fv = e.stuck[s]
 	}
-	e.flty[in] = fv
-	for _, fo := range e.c.Fanouts[in] {
+	e.good[s], e.flty[s] = v, fv
+	if e.inCone[s] {
+		e.noteD(s)
+	}
+	for _, fo := range e.c.Fanouts[s] {
 		e.schedule(fo)
 	}
 }
 
 func (e *Engine) assign(pi netlist.SignalID, v logic.V) {
-	e.setInput(pi, v)
+	e.set(pi, v)
 }
 
+// schedule queues gate s for evaluation. Every fanout in a model is a
+// gate: inputs have no fanin and a model has no flip-flops.
 func (e *Engine) schedule(s netlist.SignalID) {
-	if e.c.Signals[s].Kind != netlist.KindGate || e.inQueue[s] {
+	if e.inQueue[s] {
 		return
 	}
 	e.inQueue[s] = true
@@ -599,38 +661,134 @@ func (e *Engine) schedule(s netlist.SignalID) {
 	e.buckets[lvl] = append(e.buckets[lvl], s)
 }
 
-// drain runs event-driven levelized propagation until stable.
+// drain runs event-driven levelized propagation until stable. A gate
+// outside the fault cone has no faulty fanin and no injection site, so
+// it is evaluated in the good machine only and the result copied to the
+// faulty one.
 func (e *Engine) drain() {
-	var gbuf, fbuf [12]logic.V
 	for lvl := 1; lvl <= e.maxLevel; lvl++ {
 		bucket := e.buckets[lvl]
 		for i := 0; i < len(bucket); i++ {
 			g := bucket[i]
 			e.inQueue[g] = false
 			s := &e.c.Signals[g]
-			gin := gbuf[:0]
-			fin := fbuf[:0]
-			for _, f := range s.Fanin {
-				gin = append(gin, e.good[f])
-				fin = append(fin, e.flty[f])
+			gv := evalFrom(s.Op, s.Fanin, e.good)
+			if !e.inCone[g] {
+				if gv != e.good[g] {
+					e.good[g], e.flty[g] = gv, gv
+					for _, fo := range e.c.Fanouts[g] {
+						e.schedule(fo)
+					}
+				}
+				continue
 			}
-			for _, br := range e.brInj[g] {
-				fin[br.Pin] = br.Value
-			}
-			gv := s.Op.Eval(gin)
-			fv := s.Op.Eval(fin)
-			if sv, ok := e.stemInj[g]; ok {
-				fv = sv
-			}
+			fv := e.evalFaulty(g, s)
 			if gv != e.good[g] || fv != e.flty[g] {
-				e.good[g] = gv
-				e.flty[g] = fv
+				e.good[g], e.flty[g] = gv, fv
+				e.noteD(g)
 				for _, fo := range e.c.Fanouts[g] {
 					e.schedule(fo)
 				}
 			}
 		}
-		e.buckets[lvl] = e.buckets[lvl][:0]
+		e.buckets[lvl] = bucket[:0]
+	}
+}
+
+// evalFaulty evaluates cone gate g in the faulty machine, applying the
+// branch injections it consumes and a stem injection on its output.
+func (e *Engine) evalFaulty(g netlist.SignalID, s *netlist.Signal) logic.V {
+	switch site := e.site[g]; {
+	case site&siteStem != 0:
+		return e.stuck[g]
+	case site&siteBranch != 0:
+		var fbuf [12]logic.V
+		fin := fbuf[:0]
+		for _, f := range s.Fanin {
+			fin = append(fin, e.flty[f])
+		}
+		for _, in := range e.injs {
+			if in.Gate == g {
+				fin[in.Pin] = in.Value
+			}
+		}
+		return s.Op.Eval(fin)
+	}
+	return evalFrom(s.Op, s.Fanin, e.flty)
+}
+
+// evalFrom is logic.Op.Eval over the fanin values read straight from
+// vals, without gathering them first.
+func evalFrom(op logic.Op, fanin []netlist.SignalID, vals []logic.V) logic.V {
+	switch op {
+	case logic.OpBuf:
+		return vals[fanin[0]]
+	case logic.OpNot:
+		return vals[fanin[0]].Not()
+	case logic.OpAnd, logic.OpNand, logic.OpOr, logic.OpNor:
+		// A controlling input decides the output; otherwise any X input
+		// leaves it X.
+		ctrl, out := logic.Zero, logic.Zero
+		switch op {
+		case logic.OpNand:
+			out = logic.One
+		case logic.OpOr:
+			ctrl, out = logic.One, logic.One
+		case logic.OpNor:
+			ctrl = logic.One
+		}
+		unknown := false
+		for _, f := range fanin {
+			switch vals[f] {
+			case ctrl:
+				return out
+			case logic.X:
+				unknown = true
+			}
+		}
+		if unknown {
+			return logic.X
+		}
+		return out.Not()
+	case logic.OpXor, logic.OpXnor:
+		acc := logic.Zero
+		for _, f := range fanin {
+			acc = acc.Xor(vals[f])
+			if acc == logic.X {
+				return logic.X
+			}
+		}
+		if op == logic.OpXnor {
+			return acc.Not()
+		}
+		return acc
+	}
+	return op.Eval(nil) // constants
+}
+
+// noteD updates cone signal s's D-set membership after its value
+// changed.
+func (e *Engine) noteD(s netlist.SignalID) {
+	in := e.dPos[s] >= 0
+	if e.hasD(s) == in {
+		return
+	}
+	if in {
+		i := e.dPos[s]
+		last := e.dset[len(e.dset)-1]
+		e.dset[i] = last
+		e.dPos[last] = i
+		e.dset = e.dset[:len(e.dset)-1]
+		e.dPos[s] = -1
+		if e.isOut[s] {
+			e.outD--
+		}
+		return
+	}
+	e.dPos[s] = int32(len(e.dset))
+	e.dset = append(e.dset, s)
+	if e.isOut[s] {
+		e.outD++
 	}
 }
 
@@ -641,14 +799,7 @@ func (e *Engine) hasD(s netlist.SignalID) bool {
 }
 
 // observedD reports whether any primary output carries a fault effect.
-func (e *Engine) observedD() bool {
-	for _, o := range e.coneOutputs {
-		if e.hasD(o) {
-			return true
-		}
-	}
-	return false
-}
+func (e *Engine) observedD() bool { return e.outD > 0 }
 
 // activated reports whether some injection site currently sees opposite
 // definite values in the two machines.
@@ -686,30 +837,60 @@ func (e *Engine) feasible(frontier []netlist.SignalID) bool {
 }
 
 // dFrontier returns gates with a fault effect on an input and an
-// undetermined output, scanning only the fault cone. The returned slice
-// is engine-owned scratch, valid until the next call.
+// undetermined output, in c.Order order. The candidates are the fanouts
+// of the D-set plus the branch-injection gates (a stuck branch makes a D
+// on a pin whose source carries none), so the cost follows the fault
+// effect, not the cone. The returned slice is engine-owned scratch,
+// valid until the next call.
 func (e *Engine) dFrontier() []netlist.SignalID {
+	e.epoch++
+	ep := e.epoch
 	frontier := e.frontier[:0]
-	for _, g := range e.coneGates {
-		if e.good[g].Known() && e.flty[g].Known() {
-			continue
+	consider := func(g netlist.SignalID) {
+		if e.seenEpoch[g] == ep {
+			return
 		}
-		s := &e.c.Signals[g]
-		for pin, f := range s.Fanin {
-			gv, fv := e.good[f], e.flty[f]
-			for _, br := range e.brInj[g] {
-				if br.Pin == pin {
-					fv = br.Value
-				}
-			}
-			if gv.Known() && fv.Known() && gv != fv {
-				frontier = append(frontier, g)
-				break
-			}
+		e.seenEpoch[g] = ep
+		if e.good[g].Known() && e.flty[g].Known() {
+			return
+		}
+		if e.site[g]&siteBranch != 0 && !e.branchPinD(g) {
+			return
+		}
+		frontier = append(frontier, g)
+	}
+	for _, s := range e.dset {
+		for _, fo := range e.c.Fanouts[s] {
+			consider(fo)
 		}
 	}
+	for _, in := range e.injs {
+		if !in.IsStem() {
+			consider(in.Gate)
+		}
+	}
+	slices.SortFunc(frontier, func(a, b netlist.SignalID) int {
+		return int(e.pos[a] - e.pos[b])
+	})
 	e.frontier = frontier
 	return frontier
+}
+
+// branchPinD reports whether branch-injection gate g sees a fault effect
+// on some input pin, with its stuck branches applied.
+func (e *Engine) branchPinD(g netlist.SignalID) bool {
+	for pin, f := range e.c.Signals[g].Fanin {
+		gv, fv := e.good[f], e.flty[f]
+		for _, in := range e.injs {
+			if in.Gate == g && in.Pin == pin {
+				fv = in.Value
+			}
+		}
+		if gv.Known() && fv.Known() && gv != fv {
+			return true
+		}
+	}
+	return false
 }
 
 // xPathExists reports whether some frontier gate reaches an output

@@ -326,3 +326,43 @@ func TestFreeInputs(t *testing.T) {
 		t.Errorf("free inputs = %v", free)
 	}
 }
+
+// TestPodemConstantGate: a zero-fanin constant gate has no fanin event
+// to schedule it, so reset must seed it; otherwise it stays X, backtrace
+// refuses it, and testable faults come out "redundant".
+func TestPodemConstantGate(t *testing.T) {
+	src := `
+INPUT(a)
+OUTPUT(g)
+k = CONST1()
+g = AND(a, k)
+`
+	c, err := bench.ParseString(src, "const")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllFaults(t, c, nil)
+	m, _ := NewModel(c, nil)
+	e := NewEngine(m)
+	for _, f := range fault.Collapsed(c) {
+		res := e.Generate(f, 1000)
+		t.Logf("%s: %v", f.Describe(c), res.Status)
+		if res.Status != Found && exhaustivelyTestable(c, nil, f) {
+			t.Errorf("%s: %v, want found", f.Describe(c), res.Status)
+		}
+	}
+	for _, name := range []string{"a", "k", "g"} {
+		s, _ := c.Lookup(name)
+		for _, v := range []logic.V{logic.Zero, logic.One} {
+			f := fault.Fault{Signal: s, Gate: netlist.None, Pin: -1, Stuck: v}
+			res := e.Generate(f, 1000)
+			want := Found
+			if name == "k" && v == logic.One {
+				want = Redundant // k is 1 in both machines
+			}
+			if res.Status != want {
+				t.Errorf("%s: %v, want %v", f.Describe(c), res.Status, want)
+			}
+		}
+	}
+}

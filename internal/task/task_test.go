@@ -9,10 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atpg"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
+	"repro/internal/faultsim"
 	"repro/internal/journal"
+	"repro/internal/logic"
 	"repro/internal/obs"
 )
 
@@ -452,4 +456,74 @@ func FuzzSpecRoundTrip(f *testing.F) {
 			expect = u.Hi
 		}
 	})
+}
+
+// TestATPGJobConstantDriver runs an atpg job on an inline netlist with a
+// constant driver and checks its verdicts against exhaustive serial
+// fault simulation of the same scan-mode combinational model: PODEM
+// must find a test for exactly the faults some input vector detects,
+// and call only the rest redundant.
+func TestATPGJobConstantDriver(t *testing.T) {
+	src := `
+INPUT(a)
+INPUT(b)
+OUTPUT(z)
+q = DFF(d)
+k = CONST1()
+d = AND(a, k)
+n = NAND(q, k)
+z = OR(n, b)
+`
+	sp := Spec{Kind: KindATPG, Bench: src, Circuit: "constdrv"}
+	if err := sp.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), sp, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := sp.BuildDesign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := atpg.BuildCombModel(d.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var free []int
+	for i, in := range cm.C.Inputs {
+		if _, ok := d.Assignments[in]; !ok {
+			free = append(free, i)
+		}
+	}
+	if len(free) > 12 {
+		t.Fatalf("%d free inputs: too many to enumerate", len(free))
+	}
+	var seq faultsim.Sequence
+	for mask := 0; mask < 1<<len(free); mask++ {
+		vec := make([]logic.V, len(cm.C.Inputs))
+		for i, in := range cm.C.Inputs {
+			vec[i] = d.Assignments[in]
+		}
+		for j, i := range free {
+			vec[i] = logic.FromBool(mask&(1<<j) != 0)
+		}
+		seq = append(seq, vec)
+	}
+	faults := fault.Collapsed(cm.C)
+	sim := faultsim.RunSerial(cm.C, seq, faults, faultsim.Options{})
+	detected := 0
+	for _, at := range sim.DetectedAt {
+		if at >= 0 {
+			detected++
+		}
+	}
+	if res.Faults != len(faults) || res.Aborted != 0 {
+		t.Fatalf("job: %d faults, %d aborted; want %d faults, none aborted", res.Faults, res.Aborted, len(faults))
+	}
+	if res.Found != detected || res.Redundant != len(faults)-detected {
+		t.Errorf("job: found %d redundant %d; exhaustive simulation detects %d of %d",
+			res.Found, res.Redundant, detected, len(faults))
+	}
 }
