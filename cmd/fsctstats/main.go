@@ -21,9 +21,8 @@
 // newest run against the rolling median of up to -window prior runs and
 // exits non-zero when any checked metric drifts beyond its allowance in
 // either direction — a coverage drop is as suspicious as a runtime
-// rise. It shares its threshold semantics with cmd/benchdiff via
-// internal/metriccmp: -keys entries match a flattened metric key
-// exactly or by final segment, and -threshold overrides every per-key
+// rise. -keys entries match a flattened metric key exactly or by
+// final segment, and -threshold overrides every per-key
 // allowance. Series with no prior runs pass vacuously; an empty match
 // set warns on stderr (and fails under -strict, so CI catches a
 // mistyped ledger path).

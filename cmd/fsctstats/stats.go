@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/ledger"
-	"repro/internal/metriccmp"
 )
 
 // Derived metric keys synthesized from each record, alongside its
@@ -21,8 +20,8 @@ const (
 )
 
 // checkThresholds is the per-key allowed |ratio| for `fsctstats check`,
-// looked up via metriccmp.ThresholdFor (exact dotted key first, then the
-// final segment). Coverage is expected to be deterministic for a fixed
+// looked up via thresholdFor (exact dotted key first, then the final
+// segment). Coverage is expected to be deterministic for a fixed
 // circuit/seed, so its band is tight; wall time is noisy; cache hit
 // rate sits between.
 var checkThresholds = map[string]float64{
@@ -35,6 +34,35 @@ var checkThresholds = map[string]float64{
 
 // defaultCheckKeys are the metrics checked when -keys is not given.
 var defaultCheckKeys = []string{"coverage", keyWall, keyHitRate}
+
+// thresholdFor resolves the allowed |ratio| for a flattened key: an
+// exact dotted-key entry wins, then the key's final path segment; a key
+// matching neither allows no movement at all.
+func thresholdFor(key string, thresholds map[string]float64) float64 {
+	if t, ok := thresholds[key]; ok {
+		return t
+	}
+	if i := strings.LastIndexByte(key, '.'); i >= 0 {
+		return thresholds[key[i+1:]]
+	}
+	return 0
+}
+
+// changeRatio is the relative move from old to now (+0.10 = 10% up). A
+// move off a zero baseline counts as a full +100%; 0 -> 0 is no move.
+func changeRatio(old, now float64) float64 {
+	switch {
+	case old != 0:
+		return (now - old) / old
+	case now != 0:
+		return 1
+	}
+	return 0
+}
+
+// drifted reports whether a ratio left the allowed band in either
+// direction: a coverage drop is as suspicious as a runtime rise.
+func drifted(ratio, allowed float64) bool { return ratio > allowed || ratio < -allowed }
 
 // values builds the record's comparable metric map: every flattened
 // metric, plus the derived wall_ns and cache_hit_rate keys.
@@ -178,8 +206,7 @@ type drift struct {
 
 // runCheck compares, within every (CLI, circuit) series, the newest
 // run's metrics against the rolling median of up to Window prior runs,
-// and reports the drifts — the cross-run sibling of cmd/benchdiff's
-// commit-to-commit gate. Returns true when any metric drifted (the CLI
+// and reports the drifts. Returns true when any metric drifted (the CLI
 // exits non-zero). Series with no prior runs pass vacuously: a fresh
 // ledger has no baseline to drift from.
 func runCheck(w io.Writer, recs []ledger.Record, opt checkOptions) (bool, error) {
@@ -214,22 +241,18 @@ func runCheck(w io.Writer, recs []ledger.Record, opt checkOptions) (bool, error)
 			}
 			allowed := opt.Threshold
 			if allowed <= 0 {
-				allowed, _ = metriccmp.ThresholdFor(key, checkThresholds)
+				allowed = thresholdFor(key, checkThresholds)
 			}
-			res := metriccmp.Compare(
-				map[string]float64{key: old}, map[string]float64{key: now},
-				map[string]float64{key: allowed})
-			for _, d := range res.Deltas {
-				if opt.Verbose {
-					fmt.Fprintf(w, "%s: %s median=%.4g latest=%.4g ratio=%+.2f%% (allowed ±%.2f%%)\n",
-						gk, key, old, now, 100*d.Ratio, 100*allowed)
-				}
-				if d.Drifted() {
-					drifts = append(drifts, drift{
-						Group: gk, Key: key, Median: old, Latest: now,
-						Ratio: d.Ratio, Allowed: allowed,
-					})
-				}
+			ratio := changeRatio(old, now)
+			if opt.Verbose {
+				fmt.Fprintf(w, "%s: %s median=%.4g latest=%.4g ratio=%+.2f%% (allowed ±%.2f%%)\n",
+					gk, key, old, now, 100*ratio, 100*allowed)
+			}
+			if drifted(ratio, allowed) {
+				drifts = append(drifts, drift{
+					Group: gk, Key: key, Median: old, Latest: now,
+					Ratio: ratio, Allowed: allowed,
+				})
 			}
 		}
 	}

@@ -332,3 +332,85 @@ func TestParseKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestExactKeyThresholdWins pins the two-level threshold lookup: a full
+// dotted key overrides the final-segment family entry, full keys match
+// leaves the family map would skip, and a key matching neither allows
+// no movement.
+func TestExactKeyThresholdWins(t *testing.T) {
+	th := map[string]float64{
+		"ns_per_op":                   0.25,
+		"a.ns_per_op":                 1.0, // exact key loosens the family bound
+		"metrics.counters.cache.hits": 0.05,
+	}
+	for key, want := range map[string]float64{
+		"a.ns_per_op":                  1.0,
+		"b.ns_per_op":                  0.25,
+		"ns_per_op":                    0.25,
+		"metrics.counters.cache.hits":  0.05,
+		"metrics.counters.cache.total": 0,
+		"hits":                         0,
+	} {
+		if got := thresholdFor(key, th); got != want {
+			t.Errorf("thresholdFor(%q) = %v, want %v", key, got, want)
+		}
+	}
+	// +60% passes under the exact key's 100% allowance; +10% on a 5%
+	// counter does not.
+	if drifted(changeRatio(100, 160), thresholdFor("a.ns_per_op", th)) {
+		t.Error("exact-key allowance must cover a +60% move")
+	}
+	if !drifted(changeRatio(10, 11), thresholdFor("metrics.counters.cache.hits", th)) {
+		t.Error("+10% on a 5% counter must drift")
+	}
+}
+
+// TestDriftIsTwoSided: a drop beyond the allowance drifts just as a
+// rise does.
+func TestDriftIsTwoSided(t *testing.T) {
+	allowed := thresholdFor("run.coverage", map[string]float64{"coverage": 0.1})
+	if r := changeRatio(100, 60); !drifted(r, allowed) {
+		t.Errorf("a -40%% coverage drop (ratio %v) must drift at ±10%%", r)
+	}
+	if r := changeRatio(100, 140); !drifted(r, allowed) {
+		t.Errorf("a +40%% rise (ratio %v) must drift at ±10%%", r)
+	}
+	if r := changeRatio(100, 95); drifted(r, allowed) {
+		t.Errorf("a -5%% move (ratio %v) must stay inside ±10%%", r)
+	}
+}
+
+// TestZeroBaselineRatio: any move off a zero baseline is a full +100%
+// change, and 0 -> 0 is none, so a zero-allowance counter such as
+// "undetected" drifts exactly when it leaves zero.
+func TestZeroBaselineRatio(t *testing.T) {
+	if r := changeRatio(0, 3); r != 1 {
+		t.Errorf("0 -> 3 ratio = %v, want 1", r)
+	}
+	if r := changeRatio(0, -3); r != 1 {
+		t.Errorf("0 -> -3 ratio = %v, want 1", r)
+	}
+	if r := changeRatio(0, 0); r != 0 {
+		t.Errorf("0 -> 0 ratio = %v, want 0", r)
+	}
+	allowed := thresholdFor("undetected", checkThresholds)
+	if !drifted(changeRatio(0, 1), allowed) {
+		t.Error("undetected 0 -> 1 must drift")
+	}
+	if drifted(changeRatio(0, 0), allowed) {
+		t.Error("undetected 0 -> 0 must not drift")
+	}
+	var out bytes.Buffer
+	recs := []ledger.Record{
+		rec("s27", 0, 0, 1000, 0, 0),
+		rec("s27", 1, 0, 1000, 0, 0),
+	}
+	if drifted, err := runCheck(&out, recs, checkOptions{Keys: []string{"coverage"}}); err != nil || drifted {
+		t.Fatalf("0 -> 0 coverage drifted=%v err=%v:\n%s", drifted, err, out.String())
+	}
+	recs[1].Metrics["coverage"] = 50
+	out.Reset()
+	if drifted, err := runCheck(&out, recs, checkOptions{Keys: []string{"coverage"}}); err != nil || !drifted {
+		t.Fatalf("0 -> 50 coverage drifted=%v err=%v:\n%s", drifted, err, out.String())
+	}
+}

@@ -34,7 +34,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -545,11 +544,6 @@ func (s *Session) writeLedger() error {
 		recs[i].WallNS = wall
 	}
 	return ledger.Append(s.flags.Ledger, recs...)
-}
-
-// WriteTraceTo exports the current journal snapshot to w (tests).
-func (s *Session) WriteTraceTo(w io.Writer) error {
-	return journal.WriteTrace(w, s.recorder.Snapshot(), s.recorder.Dropped())
 }
 
 // stderrIsTTY reports whether stderr is a character device, selecting

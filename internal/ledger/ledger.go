@@ -14,8 +14,7 @@
 // on one machine interleave whole lines through O_APPEND.
 //
 // cmd/fsctstats queries the ledger: filtering, per-circuit trends, and
-// cross-run drift detection against a rolling median (sharing the
-// threshold machinery of internal/metriccmp with cmd/benchdiff).
+// cross-run drift detection against a rolling median.
 package ledger
 
 import (
@@ -23,10 +22,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/metriccmp"
 	"repro/internal/obs"
 )
 
@@ -94,13 +93,62 @@ func FlattenMetrics(m *obs.Metrics) map[string]float64 {
 	if m == nil {
 		return nil
 	}
-	flat, err := metriccmp.FlattenValue(m)
+	flat, err := flattenValue(m)
 	if err != nil {
 		// obs.Metrics is plain data; its JSON round trip cannot fail.
 		// Keep the record rather than losing the run over a metric map.
 		return nil
 	}
 	return flat
+}
+
+// flattenValue marshals v through JSON and reduces the decoded document
+// to its numeric leaves keyed by dotted path. Array elements are
+// labeled by their "circuit" or "name" field when they have one (their
+// index otherwise), so a pool or phase keeps its key when its position
+// in the snapshot moves.
+func flattenValue(v any) (map[string]float64, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, err
+	}
+	out := map[string]float64{}
+	flatten("", doc, out)
+	return out, nil
+}
+
+func flatten(prefix string, v any, out map[string]float64) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, val := range x {
+			flatten(joinKey(prefix, k), val, out)
+		}
+	case []any:
+		for i, val := range x {
+			key := strconv.Itoa(i)
+			if m, ok := val.(map[string]any); ok {
+				if name, ok := m["circuit"].(string); ok {
+					key = name
+				} else if name, ok := m["name"].(string); ok {
+					key = name
+				}
+			}
+			flatten(joinKey(prefix, key), val, out)
+		}
+	case float64:
+		out[prefix] = x
+	}
+}
+
+func joinKey(prefix, k string) string {
+	if prefix == "" {
+		return k
+	}
+	return prefix + "." + k
 }
 
 // Append appends the records to the JSONL ledger at path, creating the

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,6 +141,59 @@ func TestFlattenMetrics(t *testing.T) {
 	}
 	if FlattenMetrics(nil) != nil {
 		t.Fatal("nil snapshot must flatten to nil")
+	}
+}
+
+// TestFlattenLabelsArraysByCircuit: array elements take their key from
+// a "circuit" (or "name") field, and only numeric leaves survive.
+func TestFlattenLabelsArraysByCircuit(t *testing.T) {
+	const doc = `{
+  "note": "text leaves are ignored",
+  "scale": 0.04,
+  "flow": [
+    {"circuit": "s9234", "build": {"ns_per_op": 1000000, "allocs_per_op": 1500}},
+    {"circuit": "s38584", "build": {"ns_per_op": 30000000, "allocs_per_op": 9000}}
+  ],
+  "phases": [{"name": "screen", "wall_ns": 5}, {"wall_ns": 6}]
+}`
+	flat, err := flattenValue(json.RawMessage(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"scale":                           0.04,
+		"flow.s9234.build.ns_per_op":      1000000,
+		"flow.s9234.build.allocs_per_op":  1500,
+		"flow.s38584.build.ns_per_op":     30000000,
+		"flow.s38584.build.allocs_per_op": 9000,
+		"phases.screen.wall_ns":           5,
+		"phases.1.wall_ns":                6,
+	}
+	if len(flat) != len(want) {
+		t.Errorf("flattened %d leaves, want %d: %v", len(flat), len(want), flat)
+	}
+	for k, v := range want {
+		if got, ok := flat[k]; !ok || got != v {
+			t.Errorf("%s = %v (present %v), want %v", k, got, ok, v)
+		}
+	}
+}
+
+func TestFlattenValue(t *testing.T) {
+	type inner struct {
+		Name string `json:"name"`
+		N    int64  `json:"n"`
+	}
+	doc := struct {
+		Wall  int64   `json:"wall_ns"`
+		Items []inner `json:"items"`
+	}{Wall: 42, Items: []inner{{Name: "screen", N: 7}}}
+	m, err := flattenValue(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["wall_ns"] != 42 || m["items.screen.n"] != 7 {
+		t.Fatalf("flattened = %v", m)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package par provides the bounded-parallelism primitives the fault
 // simulator and screening engine shard their fault axis with: a worker
-// pool with dynamic index distribution (Do, plus the measured DoTimed
+// pool with dynamic index distribution (Do, plus the measured DoTimedCtx
 // variant feeding the observability layer's pool-utilization metrics),
 // chunk helpers for 63-wide fault batches, and an atomic bit set for
 // cross-worker fault dropping.
@@ -139,25 +139,20 @@ func doCtx(ctx context.Context, workers, n int, fn func(worker, index int)) {
 }
 
 // WorkerStat aliases the observability layer's per-worker sample (busy
-// time inside the work loop plus indices claimed), so DoTimed results
+// time inside the work loop plus indices claimed), so DoTimedCtx results
 // feed Collector.RecordPool without conversion. The workload is
 // CPU-bound with no blocking, so loop time is busy time; uneven
 // Busy/Items across workers is the load-imbalance signature surfaced as
 // pool utilization.
 type WorkerStat = obs.WorkerStat
 
-// DoTimed is Do plus per-worker measurement: it returns one WorkerStat
-// per dense worker ID (length min(workers, n) after resolution). The
-// distribution, determinism contract and serial path match Do exactly;
-// the only extra cost is two monotonic clock reads per worker, so it is
-// safe to substitute for Do whenever a collector is enabled.
-func DoTimed(workers, n int, fn func(worker, index int)) []WorkerStat {
-	stats, _ := DoTimedCtx(nil, workers, n, fn)
-	return stats
-}
-
-// DoTimedCtx is DoTimed with the cancellation semantics of DoCtx: the
-// per-worker stats cover whatever work ran before the context fired.
+// DoTimedCtx is DoCtx plus per-worker measurement: it returns one
+// WorkerStat per dense worker ID (length min(workers, n) after
+// resolution), covering whatever work ran before the context fired.
+// The distribution, determinism contract and serial path match Do
+// exactly; the only extra cost is the stats slice and two monotonic
+// clock reads per worker, so it is safe to substitute for DoCtx
+// whenever a collector is enabled.
 func DoTimedCtx(ctx context.Context, workers, n int, fn func(worker, index int)) ([]WorkerStat, error) {
 	ctxErr := func() error {
 		if ctx == nil {
@@ -224,9 +219,12 @@ func DoTimedCtx(ctx context.Context, workers, n int, fn func(worker, index int))
 //
 // With no recorder attached the per-index clock reads are skipped
 // entirely, so the overhead over DoTimedCtx is two time.Now calls per
-// invocation; with col == nil it degrades to plain DoCtx cost. The
-// distribution and determinism contract match Do.
+// invocation; with col == nil it is plain DoCtx. The distribution and
+// determinism contract match Do.
 func DoPoolCtx(ctx context.Context, workers, n int, name string, col *obs.Collector, fn func(worker, index int)) error {
+	if col == nil {
+		return DoCtx(ctx, workers, n, fn)
+	}
 	run := fn
 	if rec := col.Journal(); rec.Enabled() {
 		run = func(worker, index int) {

@@ -100,7 +100,7 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 				boom(w, i)
 			})
 		},
-		"DoTimed": func() { DoTimed(4, 100, boom) },
+		"DoTimedCtx": func() { DoTimedCtx(nil, 4, 100, boom) },
 	}
 	for name, pool := range pools {
 		wp, ok := catch(pool).(*WorkerPanic)
@@ -182,7 +182,10 @@ func TestDoTimedCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		const n = 500
 		var hits [n]atomic.Int32
-		stats := DoTimed(workers, n, func(_, i int) { hits[i].Add(1) })
+		stats, err := DoTimedCtx(nil, workers, n, func(_, i int) { hits[i].Add(1) })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, got)
@@ -203,14 +206,14 @@ func TestDoTimedCoversEveryIndexOnce(t *testing.T) {
 			t.Fatalf("workers=%d: %d stats entries, want %d", workers, len(stats), want)
 		}
 	}
-	if got := DoTimed(4, 0, func(_, _ int) {}); got != nil {
+	if got, _ := DoTimedCtx(nil, 4, 0, func(_, _ int) {}); got != nil {
 		t.Fatalf("n=0 must return nil, got %v", got)
 	}
 }
 
 func TestDoTimedSerialInline(t *testing.T) {
 	var worker atomic.Int32
-	stats := DoTimed(1, 10, func(w, _ int) { worker.Store(int32(w)) })
+	stats, _ := DoTimedCtx(nil, 1, 10, func(w, _ int) { worker.Store(int32(w)) })
 	if worker.Load() != 0 {
 		t.Fatal("serial path must use worker 0")
 	}
