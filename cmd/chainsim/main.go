@@ -9,15 +9,14 @@
 //
 //	chainsim [-profile s27|s1423|…] [-scale 0.1] [-chains N] [-seed 1] [-list]
 //	         [-eval auto|compiled|hybrid]
-//	         [-metrics] [-trace] [-tracefile run.json] [-progress] [-debug addr]
+//	         [-metrics] [-tracefile run.json] [-progress] [-debug addr]
 //
 // The observability flags are the shared surface (see
 // cmd/internal/obsflags): -metrics appends a metrics summary (screening
-// and simulation counters, pool utilization), -trace streams phase
-// annotations to stderr, -tracefile exports the flight-recorder
-// timeline as a Chrome trace-event file, -progress renders live
-// progress on stderr, and -debug addr serves /debug/pprof and
-// /debug/vars.
+// and simulation counters, pool utilization), -tracefile exports the
+// flight-recorder timeline as a Chrome trace-event file, -progress
+// renders stamped phase lines and live progress on stderr, and -debug
+// addr serves /debug/pprof and /debug/vars.
 //
 // SIGINT cancels the screening/simulation cooperatively and the process
 // exits non-zero.

@@ -12,11 +12,11 @@
 //
 // The observability flags are the shared surface (see
 // cmd/internal/obsflags): -metrics appends a metrics summary (the
-// "dictionary" phase, screening counters, pool utilization), -trace
-// streams phase annotations to stderr, -tracefile exports the
-// flight-recorder timeline as a Chrome trace-event file, -progress
-// renders live progress on stderr, and -debug addr serves /debug/pprof
-// and /debug/vars.
+// "dictionary" phase, screening counters, pool utilization),
+// -tracefile exports the flight-recorder timeline as a Chrome
+// trace-event file, -progress renders stamped phase lines and live
+// progress on stderr, and -debug addr serves /debug/pprof and
+// /debug/vars.
 //
 // SIGINT cancels screening, dictionary building, and the -stats sweep
 // cooperatively; the process exits non-zero.

@@ -6,7 +6,7 @@
 //
 //	faultsim -in circuit.bench -seq tests.txt
 //	faultsim -profile s9234 -scale 0.1 -random 2000 -profileplot
-//	faultsim -profile s5378 -scale 0.1 -random 500 -metrics [-trace]
+//	faultsim -profile s5378 -scale 0.1 -random 500 -metrics [-progress]
 //	faultsim -profile s1423 -random 500 -eval hybrid
 //	faultsim -profile s9234 -random 1000 -tracefile run.json -progress
 //
@@ -16,11 +16,11 @@
 // daemon's for the same spec.
 //
 // The observability flags are the shared surface (see
-// cmd/internal/obsflags): -metrics prints a metrics summary, -trace
-// streams phase annotations to stderr, -tracefile exports the
-// flight-recorder timeline as a Chrome trace-event file, -progress
-// renders live progress on stderr, and -debug addr serves /debug/pprof
-// and /debug/vars.
+// cmd/internal/obsflags): -metrics prints a metrics summary,
+// -tracefile exports the flight-recorder timeline as a Chrome
+// trace-event file, -progress renders stamped phase lines and live
+// progress on stderr, and -debug addr serves /debug/pprof and
+// /debug/vars.
 //
 // SIGINT cancels the run at the next fault batch; the partial coverage
 // is printed (and the partial timeline exported) and the process exits

@@ -8,7 +8,7 @@
 //	fsctest [-scale 0.1] [-circuits s1423,s5378] [-chains N] [-seed 1]
 //	        [-table all|1|2|3] [-fig5 s38584] [-v]
 //	        [-eval auto|compiled|hybrid]
-//	        [-metrics] [-trace] [-tracefile run.json] [-progress]
+//	        [-metrics] [-tracefile run.json] [-progress]
 //	        [-debug addr] [-why fault]
 //
 // Each selected circuit runs as one flow-kind task spec through the
@@ -24,11 +24,11 @@
 // With -metrics each run is instrumented and the output switches to a
 // JSON array of per-circuit reports, each embedding its metrics
 // snapshot (phase wall times, fault-category counters, ATPG and
-// fault-simulation statistics, worker-pool utilization); -trace
-// additionally streams phase annotations to stderr, -tracefile writes
-// the run's flight-recorder timeline as a Chrome trace-event file,
-// -progress renders live per-phase progress on stderr, and -debug addr
-// serves /debug/pprof and /debug/vars while running.
+// fault-simulation statistics, worker-pool utilization); -tracefile
+// writes the run's flight-recorder timeline as a Chrome trace-event
+// file, -progress streams stamped phase lines, each phase's summary
+// and live per-phase progress to stderr, and -debug addr serves
+// /debug/pprof and /debug/vars while running.
 //
 // -why <fault> replays the flight recorder after each run and explains
 // what the flow decided about the named fault (match by the Describe
@@ -118,9 +118,7 @@ func main() {
 			continue
 		}
 		col := sess.Collector()
-		if oflags.Trace {
-			col.Tracef("run %s (scale %g, seed %d)", p.Name, v.Scale, v.Seed)
-		}
+		col.Notef("run %s (scale %g, seed %d)", p.Name, v.Scale, v.Seed)
 		sp, serr := v.Spec(p.Name)
 		if serr != nil {
 			fmt.Fprintf(os.Stderr, "fsctest: %s: %v\n", p.Name, serr)

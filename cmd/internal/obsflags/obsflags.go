@@ -2,12 +2,12 @@
 // observability flag surface and lifecycle:
 //
 //	-metrics     instrument the run, emit a metrics snapshot
-//	-trace       stream phase annotations to stderr
 //	-tracefile   export the run's flight-recorder timeline as a Chrome
 //	             trace-event JSON file (chrome://tracing, Perfetto)
 //	-otlpfile    export the same timeline as an OTLP/JSON span tree
 //	             (OpenTelemetry collectors, fsctstats trace)
-//	-progress    live per-phase progress on stderr (TTY-aware)
+//	-progress    live progress on stderr: stamped phase and summary
+//	             lines plus a throttled rate/ETA line (TTY-aware)
 //	-debug       /debug/pprof + /debug/vars + /metrics HTTP server
 //	-ledger      append the run's records to a JSONL run ledger
 //	-memprofile  write a pprof heap profile on exit
@@ -21,6 +21,10 @@
 // records are written on Close. Commands report per-circuit results
 // with RecordRun and their exit status with SetExit, so interrupted
 // runs land in the ledger with whatever they completed.
+//
+// The session's flight recorder is the run's only live sink: the
+// -progress renderer and each run's unit tracker subscribe to it on
+// their own, and -tracefile/-otlpfile export what it recorded.
 //
 // Every session also roots a distributed-trace context: a fresh
 // 128-bit trace ID, or — when the TRACEPARENT environment variable
@@ -56,7 +60,6 @@ import (
 // Flags holds the shared observability flag values.
 type Flags struct {
 	Metrics    bool
-	Trace      bool
 	TraceFile  string
 	OTLPFile   string
 	Progress   bool
@@ -74,10 +77,9 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.BoolVar(&f.Metrics, "metrics", false, "instrument the run and report metrics")
-	fs.BoolVar(&f.Trace, "trace", false, "stream phase trace annotations to stderr")
 	fs.StringVar(&f.TraceFile, "tracefile", "", "export the run's timeline to this `file` as Chrome trace events (chrome://tracing, Perfetto); same events as -otlpfile, viewer-oriented form")
 	fs.StringVar(&f.OTLPFile, "otlpfile", "", "export the run's timeline to this `file` as an OTLP/JSON span tree (OpenTelemetry collectors, fsctstats trace); same events as -tracefile, tooling-oriented form")
-	fs.BoolVar(&f.Progress, "progress", false, "render live per-phase progress on stderr")
+	fs.BoolVar(&f.Progress, "progress", false, "render live progress on stderr: stamped phase and summary lines, and a rate/ETA line per phase")
 	fs.StringVar(&f.Debug, "debug", "", "serve /debug/pprof, /debug/vars and /metrics on this `address` (e.g. localhost:6060)")
 	fs.StringVar(&f.Ledger, "ledger", "", "append this run's records to the JSONL run ledger at `file` (query with cmd/fsctstats)")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this `file` on exit (SIGINT included)")
@@ -90,7 +92,7 @@ func Register(fs *flag.FlagSet) *Flags {
 // use it to decide between the nil (free) collector and a real one.
 // -ledger counts: its records carry the metrics snapshot.
 func (f *Flags) Active() bool {
-	return f.Metrics || f.Trace || f.TraceFile != "" || f.OTLPFile != "" ||
+	return f.Metrics || f.TraceFile != "" || f.OTLPFile != "" ||
 		f.Progress || f.Debug != "" || f.Ledger != ""
 }
 
@@ -113,8 +115,8 @@ func (f *Flags) setFlags() map[string]string {
 // Session is the process-wide observability state behind the flags:
 // one flight recorder shared by every collector the command creates
 // (per-circuit collectors merge into one timeline), the progress
-// renderer subscribed to it, the debug server, and the pending ledger
-// records flushed on Close.
+// renderer and the current run's tracker subscribed to it, the debug
+// server, and the pending ledger records flushed on Close.
 type Session struct {
 	flags    *Flags
 	recorder *journal.Recorder
@@ -134,6 +136,7 @@ type Session struct {
 	tparent trace.SpanID
 
 	mu         sync.Mutex
+	untrack    func() // detaches the latest TrackCtx tracker
 	runs       []ledger.Record
 	exit       int
 	circuits   []string     // distinct circuits seen by RecordRun
@@ -158,12 +161,11 @@ func (f *Flags) Open() (*Session, error) {
 	// this invocation a child of the caller's span (CI scripts, make
 	// targets); anything else — unset or malformed — roots a fresh trace,
 	// the header being advisory by W3C convention.
+	var caller trace.Context
 	if pc, err := trace.Parse(os.Getenv("TRACEPARENT")); err == nil {
-		s.tctx = trace.Context{Trace: pc.Trace, Span: trace.NewSpanID(), Flags: pc.Flags | trace.FlagSampled}
-		s.tparent = pc.Span
-	} else {
-		s.tctx = trace.NewContext()
+		caller = pc
 	}
+	s.tctx, s.tparent = caller.Child(), caller.Span
 	if err := s.openLogger(); err != nil {
 		return nil, err
 	}
@@ -172,7 +174,7 @@ func (f *Flags) Open() (*Session, error) {
 	}
 	if f.Progress {
 		s.progress = journal.NewProgress(os.Stderr, stderrIsTTY())
-		s.recorder.SetObserver(s.progress.Observe)
+		s.recorder.Subscribe(s.progress.Observe)
 	}
 	if f.Debug != "" {
 		srv, err := obs.ServeDebug(f.Debug)
@@ -265,42 +267,15 @@ func (s *Session) SetTraceAttr(key, value string) {
 // the last structural hash, any SetTraceAttr extras — plus the
 // recorder's dropped-event count, so truncated traces self-describe.
 func (s *Session) Trace() trace.Trace {
-	rec := s.recorder
-	var events []journal.Event
-	var endNS, dropped int64
-	originNS := s.start.UnixNano()
-	if rec != nil {
-		events = rec.Snapshot()
-		endNS = rec.Elapsed().Nanoseconds()
-		dropped = rec.Dropped()
-		if o := rec.Origin(); !o.IsZero() {
-			originNS = o.UnixNano()
-		}
-	}
 	s.mu.Lock()
-	circuits := append([]string(nil), s.circuits...)
+	attrs := []trace.Attr{{Key: "run_id", Value: s.runID}, {Key: "cli", Value: s.cli}}
+	if len(s.circuits) > 0 {
+		attrs = append(attrs, trace.Attr{Key: "circuit", Value: strings.Join(s.circuits, ",")})
+	}
+	attrs = append(attrs, s.traceAttrs...)
 	hash := s.hash
-	extras := append([]trace.Attr(nil), s.traceAttrs...)
 	s.mu.Unlock()
-	res := []trace.Attr{
-		{Key: "service.name", Value: journal.TraceProcessName},
-		{Key: "run_id", Value: s.runID},
-		{Key: "cli", Value: s.cli},
-	}
-	if len(circuits) > 0 {
-		res = append(res, trace.Attr{Key: "circuit", Value: strings.Join(circuits, ",")})
-	}
-	if hash != 0 {
-		res = append(res, trace.Attr{Key: "structural_hash", Value: fmt.Sprintf("%016x", hash)})
-	}
-	res = append(res, extras...)
-	res = append(res, trace.Attr{Key: "journal.dropped_events", Value: fmt.Sprintf("%d", dropped)})
-	return trace.Trace{
-		Ctx: s.tctx, Parent: s.tparent,
-		OriginNS: originNS,
-		Resource: res,
-		Spans:    trace.Assemble(s.tctx, s.tparent, s.cli, events, endNS),
-	}
+	return trace.FromRecorder(s.recorder, s.tctx, s.tparent, s.cli, -1, hash, attrs...)
 }
 
 // writeOTLP exports the assembled span tree to -otlpfile.
@@ -325,25 +300,21 @@ func (s *Session) writeOTLP() error {
 // TrackCtx installs a unit tracker for the run described by kind and
 // circuit: unit lifecycle transitions land in the session log under
 // correlated run_id/unit_id attributes, and — when the session has a
-// flight recorder — journal events feed the tracker's per-unit progress
-// heartbeat (chained in front of the progress renderer's observer, so
-// -progress keeps working). The returned context carries the tracker
-// into task.Execute; pass it to the run.
+// flight recorder — the tracker subscribes to it for its per-unit
+// progress heartbeat, replacing the previous run's tracker. The
+// returned context carries the tracker into task.Execute; pass it to
+// the run.
 func (s *Session) TrackCtx(ctx context.Context, kind, circuit string) context.Context {
 	tr := telemetry.NewRunTracker(telemetry.Info{
 		RunID: s.runID, Kind: kind, Circuit: circuit,
 		TraceID: s.tctx.Trace.String(),
 	}, s.logger)
-	if rec := s.recorder; rec != nil {
-		if prev := s.progress; prev != nil {
-			rec.SetObserver(func(e journal.Event) {
-				prev.Observe(e)
-				tr.Observe(e)
-			})
-		} else {
-			rec.SetObserver(tr.Observe)
-		}
+	s.mu.Lock()
+	if s.untrack != nil {
+		s.untrack()
 	}
+	s.untrack = s.recorder.Subscribe(tr.Observe)
+	s.mu.Unlock()
 	return task.WithTracker(ctx, tr)
 }
 
@@ -362,18 +333,15 @@ func (s *Session) EnsureRecorder() *journal.Recorder {
 func (s *Session) Recorder() *journal.Recorder { return s.recorder }
 
 // Collector returns a fresh enabled collector wired to the session's
-// sinks — stderr tracing per -trace, the shared journal — and
-// publishes it for /debug/vars and /metrics. It returns nil (the
-// disabled collector) when no instrumentation was requested, so
-// callers can pass the result straight into option structs.
+// shared journal and publishes it for /debug/vars and /metrics. It
+// returns nil (the disabled collector) when no instrumentation was
+// requested, so callers can pass the result straight into option
+// structs.
 func (s *Session) Collector() *obs.Collector {
 	if !s.flags.Active() && s.recorder == nil {
 		return nil
 	}
 	col := obs.New()
-	if s.flags.Trace {
-		col.SetTrace(os.Stderr)
-	}
 	col.SetJournal(s.recorder)
 	obs.Publish(col)
 	return col
@@ -400,17 +368,7 @@ func (s *Session) RecordRun(circuit string, hash uint64, m *obs.Metrics, extra m
 	if s.flags.Ledger == "" {
 		return
 	}
-	flat := ledger.FlattenMetrics(m)
-	if flat == nil && len(extra) > 0 {
-		flat = make(map[string]float64, len(extra))
-	}
-	for k, v := range extra {
-		flat[k] = v
-	}
-	rec := ledger.Record{Circuit: circuit, Metrics: flat}
-	if hash != 0 {
-		rec.Hash = ledger.HashString(hash)
-	}
+	rec := ledger.NewRecord(circuit, hash, m, extra)
 	s.mu.Lock()
 	s.runs = append(s.runs, rec)
 	s.mu.Unlock()

@@ -1,14 +1,18 @@
 package obsflags
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -69,6 +73,40 @@ func TestCloseReportsTraceError(t *testing.T) {
 	}
 	if err := s.Close(); err == nil {
 		t.Fatal("second Close must report the same failure, not success")
+	}
+}
+
+// TestRegisterFlagSurface pins the shared flag set: adding or dropping
+// an observability flag is a deliberate change to every CLI.
+func TestRegisterFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"debug", "ledger", "log", "logfile", "memprofile", "metrics", "otlpfile", "progress", "tracefile"}
+	if !slices.Equal(got, want) {
+		t.Errorf("registered flags = %v, want %v", got, want)
+	}
+}
+
+// TestTrackCtxReplacesTracker: each TrackCtx subscribes its tracker to
+// the session recorder and detaches the previous run's.
+func TestTrackCtxReplacesTracker(t *testing.T) {
+	s := open(t, "-tracefile", filepath.Join(t.TempDir(), "trace.json"))
+	defer s.Close()
+	track := func(circuit string) *telemetry.RunTracker {
+		tr := task.TrackerFrom(s.TrackCtx(context.Background(), task.KindFaultSim, circuit)).(*telemetry.RunTracker)
+		tr.UnitStarted(task.Unit{Spec: task.Spec{Kind: task.KindFaultSim, Circuit: circuit}, Count: 1, Hi: -1})
+		return tr
+	}
+	first := track("a")
+	second := track("b")
+	s.Recorder().Emit(journal.Detect(1, 5))
+	if d := first.Snapshot().Detected; d != 0 {
+		t.Errorf("the previous run's tracker saw %d detections, want 0", d)
+	}
+	if d := second.Snapshot().Detected; d != 1 {
+		t.Errorf("the current run's tracker saw %d detections, want 1", d)
 	}
 }
 

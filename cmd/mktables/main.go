@@ -9,10 +9,10 @@
 //
 // The observability flags are the shared surface (see
 // cmd/internal/obsflags). The tables stay on stdout; -metrics prints
-// the parse/render phase timings to stderr, -trace streams phase
-// annotations, -tracefile exports the timeline as a Chrome trace-event
-// file, -progress renders live progress, -debug addr serves
-// /debug/pprof and /debug/vars.
+// the parse/render phase timings to stderr, -tracefile exports the
+// timeline as a Chrome trace-event file, -progress renders stamped
+// phase lines and live progress, -debug addr serves /debug/pprof and
+// /debug/vars.
 package main
 
 import (

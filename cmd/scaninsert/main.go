@@ -11,10 +11,9 @@
 //
 // The observability flags are the shared surface (see
 // cmd/internal/obsflags): -metrics appends a metrics summary after
-// -screen, -trace streams phase annotations to stderr, -tracefile
-// exports the flight-recorder timeline as a Chrome trace-event file,
-// -progress renders live progress, -debug addr serves /debug/pprof and
-// /debug/vars.
+// -screen, -tracefile exports the flight-recorder timeline as a Chrome
+// trace-event file, -progress renders stamped phase lines and live
+// progress on stderr, -debug addr serves /debug/pprof and /debug/vars.
 //
 // SIGINT cancels -screen cooperatively; the process exits non-zero.
 package main

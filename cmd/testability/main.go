@@ -7,14 +7,14 @@
 //
 //	testability -profile s9234 -scale 0.1 [-scan] [-top 15]
 //	testability -in circuit.bench
-//	testability -profile s38584 -scan -metrics -trace
+//	testability -profile s38584 -scan -metrics -progress
 //
 // The observability flags are the shared surface (see
 // cmd/internal/obsflags): -metrics appends per-phase wall times
-// (generate, insert, scoap), -trace streams the phase annotations to
-// stderr, -tracefile exports the timeline as a Chrome trace-event
-// file, -progress renders live progress, -debug addr serves
-// /debug/pprof and /debug/vars.
+// (generate, insert, scoap), -tracefile exports the timeline as a
+// Chrome trace-event file, -progress renders stamped phase lines and
+// live progress on stderr, -debug addr serves /debug/pprof and
+// /debug/vars.
 //
 // Unlike the fault-driven commands there is no -workers flag here:
 // SCOAP analysis is one levelized forward pass (controllability) and

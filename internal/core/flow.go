@@ -299,7 +299,7 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	if col.Enabled() {
 		col.Counter("step1.confirmed").Add(int64(rep.EasyConfirmed))
 		col.Counter("step1.escapes").Add(int64(rep.EasyEscapes))
-		col.Tracef("step1: %d/%d easy faults confirmed by the alternating test, %d escapes rejoin f_hard",
+		col.Notef("step1: %d/%d easy faults confirmed by the alternating test, %d escapes rejoin f_hard",
 			rep.EasyConfirmed, len(easyFaults), rep.EasyEscapes)
 	}
 
@@ -325,7 +325,7 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 		col.Counter("step2.detected").Add(int64(rep.Step2.Detected))
 		col.Counter("step2.undetectable").Add(int64(rep.Step2.Undetectable))
 		col.Counter("step2.vectors").Add(int64(rep.Step2Vectors))
-		col.Tracef("step2: %d detected, %d proven undetectable, %d vectors, %d faults remain",
+		col.Notef("step2: %d detected, %d proven undetectable, %d vectors, %d faults remain",
 			rep.Step2.Detected, rep.Step2.Undetectable, rep.Step2Vectors, len(remaining))
 	}
 
@@ -345,7 +345,7 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 		col.Counter("step3.models").Add(int64(rep.COCircuits))
 		col.Counter("step3.final_models").Add(int64(rep.FinalCOCircuits))
 		col.Counter("step3.translation_miss").Add(int64(rep.TranslationMiss))
-		col.Tracef("step3: %d detected, %d undetectable, %d undetected over %d+%d C/O models",
+		col.Notef("step3: %d detected, %d undetectable, %d undetected over %d+%d C/O models",
 			rep.Step3.Detected, rep.Step3.Undetectable, rep.Step3.Undetected,
 			rep.COCircuits, rep.FinalCOCircuits)
 	}

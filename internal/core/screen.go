@@ -271,14 +271,9 @@ func ScreenOptCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, opt
 			s.Locs = arena[lo:len(arena):len(arena)]
 		}
 	}
-	var err error
-	if col.Enabled() {
-		col.Counter("screen.faults").Add(int64(len(faults)))
-		col.Counter("screen.batches").Add(int64(len(batches)))
-		err = par.DoPoolCtx(ctx, workers, len(batches), "screen", col, body)
-	} else {
-		err = par.DoCtx(ctx, workers, len(batches), body)
-	}
+	col.Counter("screen.faults").Add(int64(len(faults)))
+	col.Counter("screen.batches").Add(int64(len(batches)))
+	err := par.DoPoolCtx(ctx, workers, len(batches), "screen", col, body)
 
 	// FF D-pin branch faults (invisible to net-value comparison).
 	for i := range out {
@@ -333,7 +328,7 @@ func ScreenOptCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, opt
 		col.Counter("screen.easy").Add(n1)
 		col.Counter("screen.hard").Add(n2)
 		col.Counter("screen.unaffecting").Add(n3)
-		col.Tracef("screen: %d faults -> %d easy, %d hard, %d unaffecting", len(out), n1, n2, n3)
+		col.Notef("screen: %d faults -> %d easy, %d hard, %d unaffecting", len(out), n1, n2, n3)
 	}
 	return out, err
 }

@@ -162,7 +162,7 @@ func TestStep3DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStep3CancelMidPass cancels the flow from a journal observer as
+// TestStep3CancelMidPass cancels the flow from a journal subscriber as
 // soon as the grouped pass (atpg.seq) or the final pass (atpg.final)
 // reports its first attempt. The run must return context.Canceled
 // promptly, join every worker, and fold no step-3 verdict into the
@@ -179,7 +179,7 @@ func TestStep3CancelMidPass(t *testing.T) {
 			col := obs.New()
 			rec := journal.New(0)
 			col.SetJournal(rec)
-			rec.SetObserver(func(e journal.Event) {
+			rec.Subscribe(func(e journal.Event) {
 				if e.Kind == journal.KindATPG && e.Arg == stage {
 					once.Do(func() {
 						cancelledAt = time.Now()

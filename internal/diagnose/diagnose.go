@@ -174,11 +174,7 @@ func BuildObsCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, seqs
 			}
 			runBatch(st, batches[bi].Lo, batches[bi].Len(), bi == 0)
 		}
-		if col.Enabled() {
-			err = par.DoPoolCtx(ctx, workers, len(batches), "diagnose", col, body)
-		} else {
-			err = par.DoCtx(ctx, workers, len(batches), body)
-		}
+		err = par.DoPoolCtx(ctx, workers, len(batches), "diagnose", col, body)
 	}
 	for i := range faults {
 		s := Signature(hashers[i].sum())

@@ -274,10 +274,7 @@ func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, id
 		}
 		cycleCtr.Add(int64(ran))
 	}
-	if col.Enabled() {
-		return par.DoPoolCtx(ctx, workers, len(batches), "faultsim", col, body)
-	}
-	return par.DoCtx(ctx, workers, len(batches), body)
+	return par.DoPoolCtx(ctx, workers, len(batches), "faultsim", col, body)
 }
 
 // runHybrid is the hybrid strategy: faults run one at a time on a
@@ -355,12 +352,7 @@ func runHybrid(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, o
 			}
 		}
 	}
-	var err error
-	if col.Enabled() {
-		err = par.DoPoolCtx(ctx, workers, len(units), "faultsim.delta", col, body)
-	} else {
-		err = par.DoCtx(ctx, workers, len(units), body)
-	}
+	err := par.DoPoolCtx(ctx, workers, len(units), "faultsim.delta", col, body)
 
 	swept := make([]int, 0, len(faults)/8)
 	for fi, d := range demoted {

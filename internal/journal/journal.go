@@ -6,15 +6,14 @@
 // stamped against one run origin, so consumers can reconstruct the full
 // timeline of a run after the fact.
 //
-// Three consumers sit on top of the recorder:
-//
-//   - WriteTrace exports the event buffer in the Chrome trace-event
-//     format, so phase and per-worker timelines open directly in
-//     chrome://tracing or Perfetto;
-//   - Progress subscribes to events live and renders a throttled
-//     rate/ETA line per phase on a terminal;
-//   - provenance replay (internal/core) scans the buffer to explain a
-//     single fault's classification, ATPG attempts and detection.
+// Live consumers subscribe (Recorder.Subscribe), each on its own, so
+// the recorder is a run's only live sink: Progress renders stamped
+// phase and note lines and a throttled rate/ETA line (-progress), the
+// unit tracker (internal/telemetry) takes events as its heartbeat, and
+// the daemon's per-job hub (internal/serve) wakes its SSE readers.
+// Offline consumers read the buffer: WriteTrace exports it as Chrome
+// trace events, internal/trace assembles it into an OTLP span tree, and
+// provenance replay (internal/core) explains one fault's journey.
 //
 // The recorder follows the same cost discipline as internal/obs: a nil
 // *Recorder is the disabled recorder — Emit on it returns immediately —
@@ -25,8 +24,8 @@
 package journal
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -149,8 +148,7 @@ type Recorder struct {
 	chunks  [][]Event // all full except possibly the last
 	n       int       // stored events, across chunks
 	dropped int64
-
-	observer atomic.Pointer[func(Event)]
+	subs    []*func(Event) // copy-on-write: replaced whole, never mutated
 }
 
 // New returns an enabled recorder whose clock starts now and which
@@ -169,8 +167,8 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 // Emit records one event, stamping its TNS so that TNS is the event's
 // start: the current offset minus the event's DurNS. Events beyond the
-// capacity increment Dropped instead of being stored; the observer (if
-// any) still sees them. No-op on the nil recorder.
+// capacity increment Dropped instead of being stored; subscribers still
+// see them. No-op on the nil recorder.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
@@ -188,8 +186,9 @@ func (r *Recorder) Emit(e Event) {
 	} else {
 		r.dropped++
 	}
+	subs := r.subs
 	r.mu.Unlock()
-	if fn := r.observer.Load(); fn != nil {
+	for _, fn := range subs {
 		(*fn)(e)
 	}
 }
@@ -206,19 +205,25 @@ func (r *Recorder) grow() {
 	r.chunks = append(r.chunks, make([]Event, 0, size))
 }
 
-// SetObserver installs fn to be called synchronously on every Emit
-// (after the event is recorded), replacing any previous observer. Pass
-// nil to detach. The observer must be fast and must not call back into
-// the recorder. No-op on the nil recorder.
-func (r *Recorder) SetObserver(fn func(Event)) {
+// Subscribe registers fn to be called synchronously on every later
+// Emit, after the event is recorded, and returns the function that
+// detaches it again. Subscribers are called in subscription order and
+// see every event, including those past the capacity. They must be
+// fast and must not call back into the recorder. On the nil recorder
+// Subscribe does nothing and returns a no-op cancel.
+func (r *Recorder) Subscribe(fn func(Event)) (cancel func()) {
 	if r == nil {
-		return
+		return func() {}
 	}
-	if fn == nil {
-		r.observer.Store(nil)
-		return
+	sub := &fn
+	r.mu.Lock()
+	r.subs = append(slices.Clip(r.subs), sub)
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		r.subs = slices.DeleteFunc(slices.Clone(r.subs), func(s *func(Event)) bool { return s == sub })
+		r.mu.Unlock()
 	}
-	r.observer.Store(&fn)
 }
 
 // Snapshot returns a copy of the recorded events in emission order.

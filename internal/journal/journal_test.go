@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,7 +12,7 @@ import (
 func TestNilRecorderIsValidSink(t *testing.T) {
 	var r *Recorder
 	r.Emit(Note("ignored"))
-	r.SetObserver(func(Event) { t.Fatal("observer on nil recorder") })
+	r.Subscribe(func(Event) { t.Fatal("subscriber on nil recorder") })()
 	if r.Enabled() || r.Len() != 0 || r.Dropped() != 0 || r.Capacity() != 0 {
 		t.Error("nil recorder reports non-zero state")
 	}
@@ -80,20 +81,80 @@ func TestConcurrentEmit(t *testing.T) {
 }
 
 func TestObserverSeesEveryEvent(t *testing.T) {
-	r := New(2) // smaller than the emission count: observer still sees all
+	r := New(2) // smaller than the emission count: subscribers still see all
 	var n int
 	var mu sync.Mutex
-	r.SetObserver(func(Event) { mu.Lock(); n++; mu.Unlock() })
+	cancel := r.Subscribe(func(Event) { mu.Lock(); n++; mu.Unlock() })
 	for i := 0; i < 5; i++ {
 		r.Emit(Note("x"))
 	}
 	if n != 5 {
-		t.Errorf("observer saw %d events, want 5", n)
+		t.Errorf("subscriber saw %d events, want 5", n)
 	}
-	r.SetObserver(nil)
+	cancel()
+	cancel() // idempotent
 	r.Emit(Note("y"))
 	if n != 5 {
-		t.Error("detached observer still called")
+		t.Error("canceled subscriber still called")
+	}
+}
+
+// TestSubscribersSeeEmissionOrder: every subscriber sees every event,
+// stored or dropped, in emission order, and a cancel detaches only its
+// own subscriber.
+func TestSubscribersSeeEmissionOrder(t *testing.T) {
+	r := New(3)
+	var a, b []int64
+	cancelA := r.Subscribe(func(e Event) { a = append(a, e.A) })
+	r.Subscribe(func(e Event) { b = append(b, e.A) })
+	for i := 0; i < 6; i++ {
+		r.Emit(Detect(FaultKey(i), 0))
+	}
+	want := []int64{0, 1, 2, 3, 4, 5}
+	if !slices.Equal(a, want) || !slices.Equal(b, want) {
+		t.Fatalf("subscribers saw %v and %v, want %v each", a, b, want)
+	}
+	if r.Len() != 3 || r.Dropped() != 3 {
+		t.Fatalf("stored %d, dropped %d; want 3 and 3", r.Len(), r.Dropped())
+	}
+	cancelA()
+	r.Emit(Detect(FaultKey(6), 0))
+	if len(a) != 6 || !slices.Equal(b, append(want, 6)) {
+		t.Errorf("after canceling the first subscriber: first saw %v, second %v", a, b)
+	}
+}
+
+// TestSubscribeConcurrentWithEmit exercises the copy-on-write list
+// under the race detector: emitters run while subscribers come and go.
+func TestSubscribeConcurrentWithEmit(t *testing.T) {
+	r := New(64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				r.Emit(Note("x"))
+			}
+		}()
+	}
+	var calls atomic.Int64
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				cancel := r.Subscribe(func(Event) { calls.Add(1) })
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Len() + int(r.Dropped()); got != 2000 {
+		t.Errorf("recorded+dropped = %d, want 2000", got)
+	}
+	if len(r.subs) != 0 {
+		t.Errorf("%d subscribers left after every cancel", len(r.subs))
 	}
 }
 
@@ -138,7 +199,7 @@ func chunkBoundaries(limit int) []int {
 
 // TestChunkedStorageMatchesFlatReference grows recorders through every
 // chunk boundary up to and past their limit, checking Snapshot and
-// Since against a flat slice of the events the observer saw stored, and
+// Since against a flat slice of the events the subscriber saw stored, and
 // that Capacity stays the limit (New(0) selecting DefaultCapacity).
 func TestChunkedStorageMatchesFlatReference(t *testing.T) {
 	for _, limit := range []int{4, 300, 5000, DefaultCapacity} {
@@ -148,8 +209,8 @@ func TestChunkedStorageMatchesFlatReference(t *testing.T) {
 		}
 		r := New(arg)
 		var ref []Event
-		seen := 0 // the observer sees dropped events too
-		r.SetObserver(func(e Event) {
+		seen := 0 // the subscriber sees dropped events too
+		r.Subscribe(func(e Event) {
 			if seen++; len(ref) < limit {
 				ref = append(ref, e)
 			}
@@ -178,7 +239,7 @@ func TestChunkedStorageMatchesFlatReference(t *testing.T) {
 					limit, n, len(ref))
 			}
 			if want := int64(n - len(ref)); r.Dropped() != want || seen != n {
-				t.Fatalf("limit %d, %d emits: Dropped = %d, want %d; observer saw %d",
+				t.Fatalf("limit %d, %d emits: Dropped = %d, want %d; subscriber saw %d",
 					limit, n, r.Dropped(), want, seen)
 			}
 			for _, i := range []int{-1, 0, n - 1, n, n + 1} {

@@ -1,15 +1,18 @@
 package journal
 
-// Live progress reporting: a Progress subscribes to a recorder's event
-// stream (Recorder.SetObserver) and renders a throttled one-line status
-// per phase — items done over total, rate, and the ETA extrapolated
-// from the rate so far. On a terminal the line rewrites in place
-// (carriage return); on a pipe it degrades to occasional plain lines so
-// logs stay readable. Long silent runs become
+// Live progress reporting: a Progress subscribes to a recorder
+// (Recorder.Subscribe) and prints every phase begin/end and every note
+// as a permanent line stamped with its offset from the recorder origin,
+// with a throttled status line per phase in between:
 //
+//	[    0.0123s] phase screen: start
 //	screen: 512/2876 batches 48%  12843/s  ETA 0.2s
+//	[    0.4568s] phase screen: end (444.5ms)
 //
-// instead of nothing.
+// On a terminal the status line rewrites in place; on a pipe it
+// degrades to occasional plain lines. Stamps, rates and throttling read
+// event time, never the wall clock, so the output is a pure function of
+// the event stream.
 
 import (
 	"fmt"
@@ -20,19 +23,18 @@ import (
 )
 
 // Progress renders live run progress from journal events. Construct
-// with NewProgress and install with rec.SetObserver(p.Observe). Safe
-// for concurrent Observe calls.
+// with NewProgress and attach with rec.Subscribe(p.Observe). Safe for
+// concurrent Observe calls.
 type Progress struct {
 	w         io.Writer
 	tty       bool
-	minPeriod time.Duration
-	now       func() time.Time // injectable clock for tests
+	minPeriod int64 // status-line throttle, in event-time nanoseconds
 
 	mu        sync.Mutex
 	phase     string
 	pools     map[string]*poolProgress
-	lastPrint time.Time
-	lineOpen  bool // a \r-rewritten line is on screen (tty only)
+	lastPrint int64 // event-time offset of the latest line
+	lineOpen  bool  // a \r-rewritten line is on screen (tty only)
 }
 
 type poolProgress struct {
@@ -53,14 +55,13 @@ func NewProgress(w io.Writer, tty bool) *Progress {
 	return &Progress{
 		w:         w,
 		tty:       tty,
-		minPeriod: period,
-		now:       time.Now,
+		minPeriod: period.Nanoseconds(),
 		pools:     make(map[string]*poolProgress),
 	}
 }
 
-// Observe consumes one journal event; install it as the recorder's
-// observer. No-op on the nil reporter.
+// Observe consumes one journal event; subscribe it to the recorder.
+// No-op on the nil reporter.
 func (p *Progress) Observe(e Event) {
 	if p == nil {
 		return
@@ -68,17 +69,18 @@ func (p *Progress) Observe(e Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	switch e.Kind {
+	case KindNote:
+		p.stampLocked(e.TNS, e.Arg)
 	case KindPhaseBegin:
 		p.phase = e.Arg
 		p.pools = make(map[string]*poolProgress)
-		p.printLocked(fmt.Sprintf("%s: ...", e.Arg))
+		p.stampLocked(e.TNS, "phase "+e.Arg+": start")
 	case KindPhaseEnd:
-		if p.phase == e.Arg || p.phase == "" {
+		if p.phase == e.Arg {
 			p.phase = ""
-			p.printLocked(fmt.Sprintf("%s: done in %s", e.Arg,
-				time.Duration(e.DurNS).Round(time.Millisecond)))
-			p.endLineLocked()
 		}
+		p.stampLocked(e.TNS+e.DurNS, fmt.Sprintf("phase %s: end (%s)", e.Arg,
+			time.Duration(e.DurNS).Round(time.Microsecond)))
 	case KindBatch:
 		pp := p.pools[e.Arg]
 		if pp == nil {
@@ -87,11 +89,10 @@ func (p *Progress) Observe(e Event) {
 		}
 		pp.done++
 		pp.total = e.B
-		if end := e.TNS + e.DurNS; end > pp.lastTNS {
-			pp.lastTNS = end
-		}
-		if now := p.now(); now.Sub(p.lastPrint) >= p.minPeriod {
-			p.printLocked(p.renderLocked(e.Arg, pp))
+		end := e.TNS + e.DurNS
+		pp.lastTNS = max(pp.lastTNS, end)
+		if end-p.lastPrint >= p.minPeriod {
+			p.printLocked(end, p.renderLocked(e.Arg, pp), true)
 		}
 	}
 }
@@ -122,27 +123,26 @@ func (p *Progress) renderLocked(pool string, pp *poolProgress) string {
 	return b.String()
 }
 
-// printLocked writes one status line. On a tty the line overwrites the
-// previous one; elsewhere each print is its own plain line (throttling
-// is the caller's job).
-func (p *Progress) printLocked(line string) {
-	p.lastPrint = p.now()
-	if p.tty {
-		// Pad to wipe leftovers from a longer previous line.
+// printLocked writes one line at event time t. A status line rewrites
+// in place on a tty (padded to wipe a longer predecessor) and is a
+// plain line elsewhere; a permanent line replaces any in-place one.
+func (p *Progress) printLocked(t int64, line string, status bool) {
+	p.lastPrint = t
+	switch {
+	case status && p.tty:
 		fmt.Fprintf(p.w, "\r%-78s", line)
 		p.lineOpen = true
-		return
+	case p.lineOpen:
+		fmt.Fprintf(p.w, "\r%-78s\n", line)
+		p.lineOpen = false
+	default:
+		fmt.Fprintln(p.w, line)
 	}
-	fmt.Fprintln(p.w, line)
 }
 
-// endLineLocked terminates an in-place line so subsequent regular
-// output starts on a fresh row.
-func (p *Progress) endLineLocked() {
-	if p.tty && p.lineOpen {
-		fmt.Fprintln(p.w)
-		p.lineOpen = false
-	}
+// stampLocked prints text as a permanent line stamped with event time t.
+func (p *Progress) stampLocked(t int64, text string) {
+	p.printLocked(t, fmt.Sprintf("[%10.4fs] %s", time.Duration(t).Seconds(), text), false)
 }
 
 // Flush terminates any in-place status line; call once after the run
@@ -153,5 +153,8 @@ func (p *Progress) Flush() {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.endLineLocked()
+	if p.lineOpen {
+		fmt.Fprintln(p.w)
+		p.lineOpen = false
+	}
 }

@@ -3,40 +3,25 @@ package journal
 import (
 	"strings"
 	"testing"
-	"time"
 )
-
-// fakeClock advances a fixed step per reading, making throttling
-// deterministic.
-type fakeClock struct {
-	t    time.Time
-	step time.Duration
-}
-
-func (f *fakeClock) now() time.Time {
-	f.t = f.t.Add(f.step)
-	return f.t
-}
 
 func TestProgressPlainLines(t *testing.T) {
 	var b strings.Builder
 	p := NewProgress(&b, false)
-	clk := &fakeClock{t: time.Unix(0, 0), step: 3 * time.Second} // always past minPeriod
-	p.now = clk.now
 
 	p.Observe(Event{Kind: KindPhaseBegin, Arg: "screen", TNS: 0})
-	p.Observe(Event{Kind: KindBatch, Arg: "screen", A: 0, B: 4, TNS: 0, DurNS: 1e6})
-	p.Observe(Event{Kind: KindBatch, Arg: "screen", A: 1, B: 4, TNS: 1e6, DurNS: 1e6})
-	p.Observe(Event{Kind: KindPhaseEnd, Arg: "screen", TNS: 0, DurNS: 4e6})
+	p.Observe(Event{Kind: KindBatch, Arg: "screen", A: 0, B: 4, TNS: 2e9, DurNS: 1e9})
+	p.Observe(Event{Kind: KindBatch, Arg: "screen", A: 1, B: 4, TNS: 3e9, DurNS: 3e9})
+	p.Observe(Event{Kind: KindPhaseEnd, Arg: "screen", TNS: 0, DurNS: 8e9})
 	p.Flush()
 
 	out := b.String()
 	for _, want := range []string{
-		"screen: ...",
+		"[    0.0000s] phase screen: start",
 		"2/4 batches 50%",
 		"/s",  // a rate is rendered
 		"ETA", // and an ETA while work remains
-		"screen: done in 4ms",
+		"[    8.0000s] phase screen: end (8s)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress output missing %q:\n%s", want, out)
@@ -49,31 +34,56 @@ func TestProgressPlainLines(t *testing.T) {
 
 func TestProgressThrottles(t *testing.T) {
 	var b strings.Builder
-	p := NewProgress(&b, false) // minPeriod 2s off-tty
-	clk := &fakeClock{t: time.Unix(0, 0), step: time.Millisecond}
-	p.now = clk.now
+	p := NewProgress(&b, false) // 2s status period off-tty
 
 	p.Observe(Event{Kind: KindPhaseBegin, Arg: "p", TNS: 0})
 	for i := 0; i < 1000; i++ {
 		p.Observe(Event{Kind: KindBatch, Arg: "p", A: int64(i), B: 1000,
-			TNS: int64(i) * 1000, DurNS: 1000})
+			TNS: int64(i) * 1e6, DurNS: 1e6})
 	}
-	// 1000 batch events at 1ms apart never cross the 2s min period, so
-	// only the phase-begin line prints.
+	// 1000 batches ending 1ms apart never cross the 2s period, so only
+	// the phase-begin line prints.
 	if lines := strings.Count(b.String(), "\n"); lines != 1 {
 		t.Errorf("throttled progress printed %d lines, want 1:\n%s", lines, b.String())
+	}
+}
+
+// TestProgressGolden pins the off-terminal rendering of a fixed event
+// slice: stamped phase and note lines, and the throttled status line
+// (the first batch is within the 2s period of the phase start, the
+// second past it, the third within the period of the second).
+func TestProgressGolden(t *testing.T) {
+	events := []Event{
+		{Kind: KindPhaseBegin, Arg: "screen", TNS: 12_300_000},
+		{Kind: KindBatch, Arg: "screen", A: 0, B: 8, TNS: 12_300_000, DurNS: 500_000_000},
+		{Kind: KindBatch, Arg: "screen", A: 1, B: 8, TNS: 1_012_300_000, DurNS: 1_500_000_000},
+		{Kind: KindBatch, Arg: "screen", A: 2, B: 8, TNS: 2_512_300_000, DurNS: 500_000_000},
+		{Kind: KindNote, Arg: "screen: 8 faults -> 3 easy, 4 hard, 1 unaffecting", TNS: 3_100_000_000},
+		{Kind: KindPhaseEnd, Arg: "screen", TNS: 12_300_000, DurNS: 3_100_000_000},
+	}
+	var b strings.Builder
+	p := NewProgress(&b, false)
+	for _, e := range events {
+		p.Observe(e)
+	}
+	p.Flush()
+	want := `[    0.0123s] phase screen: start
+screen: 2/8 batches 25%  1/s  ETA 7.5s
+[    3.1000s] screen: 8 faults -> 3 easy, 4 hard, 1 unaffecting
+[    3.1123s] phase screen: end (3.1s)
+`
+	if got := b.String(); got != want {
+		t.Errorf("progress golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
 func TestProgressTTYRewritesInPlace(t *testing.T) {
 	var b strings.Builder
 	p := NewProgress(&b, true)
-	clk := &fakeClock{t: time.Unix(0, 0), step: time.Second}
-	p.now = clk.now
 
 	p.Observe(Event{Kind: KindPhaseBegin, Arg: "p", TNS: 0})
-	p.Observe(Event{Kind: KindBatch, Arg: "p", A: 0, B: 2, TNS: 0, DurNS: 1e6})
-	p.Observe(Event{Kind: KindPhaseEnd, Arg: "p", TNS: 0, DurNS: 2e6})
+	p.Observe(Event{Kind: KindBatch, Arg: "p", A: 0, B: 2, TNS: 0, DurNS: 2e8})
+	p.Observe(Event{Kind: KindPhaseEnd, Arg: "p", TNS: 0, DurNS: 3e8})
 	p.Flush()
 
 	out := b.String()

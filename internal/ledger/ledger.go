@@ -87,6 +87,26 @@ type ServerMeta struct {
 // HashString renders a structural hash the way Record.Hash stores it.
 func HashString(h uint64) string { return fmt.Sprintf("%016x", h) }
 
+// NewRecord composes the record of one run over circuit: the flattened
+// metrics snapshot with the extra headline scalars ("coverage") merged
+// in, and the structural hash (0 for none) rendered by HashString. The
+// writer completes the session fields (Schema, Time, CLI, Flags, Exit,
+// WallNS).
+func NewRecord(circuit string, hash uint64, m *obs.Metrics, extra map[string]float64) Record {
+	flat := FlattenMetrics(m)
+	if flat == nil && len(extra) > 0 {
+		flat = make(map[string]float64, len(extra))
+	}
+	for k, v := range extra {
+		flat[k] = v
+	}
+	rec := Record{Circuit: circuit, Metrics: flat}
+	if hash != 0 {
+		rec.Hash = HashString(hash)
+	}
+	return rec
+}
+
 // FlattenMetrics reduces an obs snapshot to the flat numeric map a
 // Record carries. Nil in, nil out.
 func FlattenMetrics(m *obs.Metrics) map[string]float64 {

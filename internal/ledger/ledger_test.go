@@ -144,6 +144,25 @@ func TestFlattenMetrics(t *testing.T) {
 	}
 }
 
+// TestNewRecord: metrics flatten, extras merge over them (also without
+// a snapshot), and a zero hash stays empty.
+func TestNewRecord(t *testing.T) {
+	col := obs.New()
+	col.Counter("faultsim.detected").Add(3)
+	r := NewRecord("s27", 0xabc, col.Snapshot(), map[string]float64{"coverage": 0.5})
+	if r.Circuit != "s27" || r.Hash != "0000000000000abc" ||
+		r.Metrics["counters.faultsim.detected"] != 3 || r.Metrics["coverage"] != 0.5 {
+		t.Errorf("record = %+v", r)
+	}
+	bare := NewRecord("", 0, nil, map[string]float64{"coverage": 1})
+	if bare.Hash != "" || len(bare.Metrics) != 1 || bare.Metrics["coverage"] != 1 {
+		t.Errorf("snapshot-less record = %+v", bare)
+	}
+	if NewRecord("", 0, nil, nil).Metrics != nil {
+		t.Error("a record with nothing to carry has a metric map")
+	}
+}
+
 // TestFlattenLabelsArraysByCircuit: array elements take their key from
 // a "circuit" (or "name") field, and only numeric leaves survive.
 func TestFlattenLabelsArraysByCircuit(t *testing.T) {

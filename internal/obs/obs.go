@@ -21,7 +21,8 @@
 // and per-event cost when disabled is a predictable nil-receiver branch.
 // Batch-level call sites (one Add per 63-fault batch, not per gate
 // evaluation) keep even the enabled cost out of the inner loops; the
-// root-package BenchmarkObsOverhead pins both properties.
+// root-package allocation guard TestObsDisabledIsFree pins both
+// properties.
 //
 // A Collector is safe for concurrent use: counters and histograms are
 // atomic, and the phase/pool bookkeeping takes a mutex on the (cold)
@@ -30,7 +31,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"sync"
@@ -45,9 +45,6 @@ import (
 // the disabled one.
 type Collector struct {
 	start time.Time // monotonic run origin
-
-	traceMu sync.Mutex
-	trace   io.Writer
 
 	jr atomic.Pointer[journal.Recorder]
 
@@ -94,31 +91,6 @@ func New() *Collector {
 // nil collector).
 func (c *Collector) Enabled() bool { return c != nil }
 
-// SetTrace directs live phase-tracing output (one line per phase start
-// and end, stamped with the offset from the collector's origin) to w.
-// Pass nil to disable. No-op on the nil collector.
-func (c *Collector) SetTrace(w io.Writer) {
-	if c == nil {
-		return
-	}
-	c.traceMu.Lock()
-	c.trace = w
-	c.traceMu.Unlock()
-}
-
-// Tracef writes one stamped line to the trace writer, if any.
-func (c *Collector) Tracef(format string, args ...any) {
-	if c == nil {
-		return
-	}
-	c.traceMu.Lock()
-	if c.trace != nil {
-		fmt.Fprintf(c.trace, "[%10.4fs] %s\n",
-			time.Since(c.start).Seconds(), fmt.Sprintf(format, args...))
-	}
-	c.traceMu.Unlock()
-}
-
 // SetJournal attaches a flight-recorder journal: phase spans recorded
 // through this collector are mirrored into it as events, and
 // instrumented layers reach it through Journal() for their own event
@@ -144,6 +116,16 @@ func (c *Collector) Journal() *journal.Recorder {
 		return nil
 	}
 	return c.jr.Load()
+}
+
+// Notef records one formatted annotation (a phase's summary line) as a
+// journal note, where -progress, -tracefile and the daemon's event
+// stream show it. It does nothing, formatting included, when no
+// journal is attached or on the nil collector.
+func (c *Collector) Notef(format string, args ...any) {
+	if rec := c.Journal(); rec != nil {
+		rec.Emit(journal.Note(fmt.Sprintf(format, args...)))
+	}
 }
 
 // Counter returns the named counter, creating it on first use. Returns
@@ -213,7 +195,6 @@ func (c *Collector) Phase(name string) *Span {
 	idx := len(c.phases)
 	c.phases = append(c.phases, phase{name: name, start: time.Since(c.start), open: true})
 	c.mu.Unlock()
-	c.Tracef("phase %s: start", name)
 	c.Journal().Emit(journal.PhaseBegin(name))
 	return &Span{c: c, idx: idx, t0: time.Now()}
 }
@@ -242,17 +223,10 @@ func (s *Span) End() time.Duration {
 	s.c.mu.Lock()
 	s.c.phases[s.idx].wall = d
 	s.c.phases[s.idx].open = false
+	name := s.c.phases[s.idx].name
 	s.c.mu.Unlock()
-	name := s.c.phaseName(s.idx)
-	s.c.Tracef("phase %s: end (%s)", name, d.Round(time.Microsecond))
 	s.c.Journal().Emit(journal.PhaseEnd(name, d))
 	return d
-}
-
-func (c *Collector) phaseName(idx int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.phases[idx].name
 }
 
 // RecordPool merges one worker-pool invocation into the named pool's

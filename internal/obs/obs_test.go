@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 func TestNilCollectorIsValidSink(t *testing.T) {
@@ -17,8 +19,7 @@ func TestNilCollectorIsValidSink(t *testing.T) {
 		t.Fatal("nil collector must report disabled")
 	}
 	// Every operation must be a no-op, not a panic.
-	c.SetTrace(nil)
-	c.Tracef("ignored %d", 1)
+	c.Notef("ignored %d", 1)
 	ctr := c.Counter("x")
 	ctr.Add(5)
 	ctr.Inc()
@@ -188,17 +189,19 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestTraceOutput(t *testing.T) {
+// TestNotef: a note reaches the journal as exactly one KindNote event
+// when a recorder is attached, and costs nothing without one.
+func TestNotef(t *testing.T) {
 	c := New()
-	var b strings.Builder
-	c.SetTrace(&b)
-	c.Phase("screen").End()
-	c.Tracef("custom %s", "line")
-	out := b.String()
-	for _, want := range []string{"phase screen: start", "phase screen: end", "custom line"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace output missing %q:\n%s", want, out)
-		}
+	if n := testing.AllocsPerRun(100, func() { c.Notef("ignored %s", "x") }); n != 0 {
+		t.Errorf("Notef without a journal allocates %v per call, want 0", n)
+	}
+	rec := journal.New(0)
+	c.SetJournal(rec)
+	c.Notef("screen: %d faults", 12)
+	ev := rec.Snapshot()
+	if len(ev) != 1 || ev[0].Kind != journal.KindNote || ev[0].Arg != "screen: 12 faults" {
+		t.Fatalf("journal after Notef = %+v, want one note %q", ev, "screen: 12 faults")
 	}
 }
 

@@ -110,19 +110,13 @@ func newJob(parent context.Context, seq int64, sp Spec) *Job {
 	// caller's span — and roots a fresh trace otherwise. The spec is
 	// re-stamped with the job's own context, so the executor's unit
 	// spans (and any future remote shard) parent to the job span.
-	var tctx trace.Context
-	var tparent trace.SpanID
-	if pc, ok := sp.TraceContext(); ok {
-		tctx = trace.Context{Trace: pc.Trace, Span: trace.NewSpanID(), Flags: pc.Flags | trace.FlagSampled}
-		tparent = pc.Span
-	} else {
-		tctx = trace.NewContext()
-	}
+	caller, _ := sp.TraceContext()
+	tctx := caller.Child()
 	sp.TraceParent = tctx.Traceparent()
 	ctx, cancel := context.WithCancel(parent)
 	j := &Job{
 		tctx:      tctx,
-		tparent:   tparent,
+		tparent:   caller.Span,
 		id:        fmt.Sprintf("j%06d", seq),
 		seq:       seq,
 		spec:      sp,
@@ -134,7 +128,7 @@ func newJob(parent context.Context, seq int64, sp Spec) *Job {
 		index:     -1,
 		status:    StatusQueued,
 	}
-	j.rec.SetObserver(func(journal.Event) { j.hub.bump() })
+	j.rec.Subscribe(func(journal.Event) { j.hub.bump() })
 	return j
 }
 
@@ -188,31 +182,17 @@ func (j *Job) Trace(runID string) trace.Trace {
 	hash := j.hash
 	finished := j.finished
 	j.mu.Unlock()
-	endNS := j.rec.Elapsed().Nanoseconds()
+	endNS := int64(-1) // live: the recorder's elapsed offset
 	if status.Terminal() && !finished.IsZero() {
 		endNS = finished.Sub(j.rec.Origin()).Nanoseconds()
 	}
-	spans := trace.Assemble(j.tctx, j.tparent, "job "+j.id, j.rec.Snapshot(), endNS)
-	res := []trace.Attr{
-		{Key: "service.name", Value: journal.TraceProcessName},
-		{Key: "run_id", Value: runID},
-		{Key: "job_id", Value: j.id},
-		{Key: "kind", Value: j.spec.Kind},
-		{Key: "circuit", Value: j.spec.Circuit},
-		{Key: "eval", Value: j.spec.Eval},
-		{Key: "status", Value: string(status)},
-	}
-	if hash != 0 {
-		res = append(res, trace.Attr{Key: "structural_hash", Value: fmt.Sprintf("%016x", hash)})
-	}
-	res = append(res, trace.Attr{
-		Key: "journal.dropped_events", Value: fmt.Sprintf("%d", j.rec.Dropped())})
-	return trace.Trace{
-		Ctx: j.tctx, Parent: j.tparent,
-		OriginNS: j.rec.Origin().UnixNano(),
-		Resource: res,
-		Spans:    spans,
-	}
+	return trace.FromRecorder(j.rec, j.tctx, j.tparent, "job "+j.id, endNS, hash,
+		trace.Attr{Key: "run_id", Value: runID},
+		trace.Attr{Key: "job_id", Value: j.id},
+		trace.Attr{Key: "kind", Value: j.spec.Kind},
+		trace.Attr{Key: "circuit", Value: j.spec.Circuit},
+		trace.Attr{Key: "eval", Value: j.spec.Eval},
+		trace.Attr{Key: "status", Value: string(status)})
 }
 
 // View is the JSON shape of a job on the status endpoints. Started and

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -341,16 +340,14 @@ func (s *Server) runJob(j *Job) {
 	j.tracker = tracker
 	j.mu.Unlock()
 	// Unit transitions wake both the job's own SSE stream and the
-	// server-wide live stream; journal events keep waking the job stream
-	// and double as the tracker's progress heartbeat.
+	// server-wide live stream; journal events (which keep waking the job
+	// stream through its own subscription) are the tracker's progress
+	// heartbeat while the job runs.
 	tracker.SetOnChange(func() {
 		j.hub.bump()
 		s.liveHub.bump()
 	})
-	j.rec.SetObserver(func(e journal.Event) {
-		tracker.Observe(e)
-		j.hub.bump()
-	})
+	untrack := j.rec.Subscribe(tracker.Observe)
 	s.watchdog.Register(tracker)
 	defer s.watchdog.Unregister(tracker)
 	j.hub.bump()
@@ -362,6 +359,7 @@ func (s *Server) runJob(j *Job) {
 	col := obs.New()
 	col.SetJournal(j.rec)
 	res, err := s.execute(task.WithTracker(j.ctx, tracker), j, tracker, col)
+	untrack()
 
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -451,15 +449,9 @@ func (s *Server) record(j *Job, m *obs.Metrics, res *task.Result) {
 	if res != nil {
 		circuit, hash, extras = res.Circuit, res.Hash, res.Extras
 	}
-	flat := ledger.FlattenMetrics(m)
-	if flat == nil && len(extras) > 0 {
-		flat = make(map[string]float64, len(extras))
-	}
-	for k, v := range extras {
-		flat[k] = v
-	}
+	rec := ledger.NewRecord(circuit, hash, m, extras)
 	j.mu.Lock()
-	meta := &ledger.ServerMeta{
+	rec.Server = &ledger.ServerMeta{
 		JobID:    j.id,
 		Kind:     j.spec.Kind,
 		Priority: j.spec.Priority,
@@ -475,9 +467,5 @@ func (s *Server) record(j *Job, m *obs.Metrics, res *task.Result) {
 		wall = 0
 	}
 	j.mu.Unlock()
-	rec := ledger.Record{Circuit: circuit, Metrics: flat, Server: meta}
-	if hash != 0 {
-		rec.Hash = ledger.HashString(hash)
-	}
 	_ = s.sess.AppendRun(rec, exit, wall)
 }

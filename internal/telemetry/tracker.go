@@ -22,7 +22,7 @@
 //
 // Everything is cheap when unused: a nil *RunTracker is a valid no-op
 // tracker, the discard logger drops records before formatting, and the
-// journal observer does constant work per event under one short mutex.
+// journal subscriber does constant work per event under one short mutex.
 package telemetry
 
 import (
@@ -112,7 +112,7 @@ type Info struct {
 
 // RunTracker tracks every task.Unit of one run. It implements
 // task.Tracker (thread it with task.WithTracker) and consumes the
-// run's journal events via Observe (attach it to the run's recorder),
+// run's journal events via Observe (subscribe it to the run's recorder),
 // which doubles as the per-unit progress heartbeat the watchdog checks.
 // A nil *RunTracker is a valid no-op tracker. Safe for concurrent use.
 type RunTracker struct {
@@ -279,8 +279,8 @@ func (t *RunTracker) UnitFinished(u task.Unit, p *task.Partial, err error) {
 // Observe consumes one journal event as the current unit's progress
 // heartbeat: pool batches and ATPG attempts advance the faults-done
 // estimate, detections advance the live detection count, and any event
-// clears a stall flag (the unit provably moved). Attach it to the run's
-// recorder (chain it with other observers as needed); it does constant
+// clears a stall flag (the unit provably moved). Subscribe it to the
+// run's recorder (journal.Recorder.Subscribe); it does constant
 // work under one short mutex, so it is safe on the hot emit path.
 func (t *RunTracker) Observe(e journal.Event) {
 	if t == nil {

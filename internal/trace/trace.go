@@ -30,6 +30,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/journal"
 )
@@ -86,6 +87,16 @@ func NewContext() Context {
 	mustRand(c.Span[:])
 	c.Flags = FlagSampled
 	return c
+}
+
+// Child is a run's join-or-mint step: a context under c (same trace,
+// fresh span, c's flags plus FlagSampled), or a fresh root when c is
+// invalid — the zero Context of a failed parse included.
+func (c Context) Child() Context {
+	if !c.Valid() {
+		return NewContext()
+	}
+	return Context{Trace: c.Trace, Span: NewSpanID(), Flags: c.Flags | FlagSampled}
 }
 
 // NewSpanID mints a fresh random span ID, used when a run joins an
@@ -316,6 +327,34 @@ func Assemble(ctx Context, parent SpanID, rootName string, events []journal.Even
 	}
 	closeAbove(0, endNS)
 	return spans
+}
+
+// FromRecorder builds one run's exported trace: Assemble's tree over
+// rec's events under ctx, placed at rec's origin (now for a nil rec)
+// and ending at endNS (rec's elapsed offset when negative). The
+// resource is service.name, the caller's attrs, the structural hash
+// when nonzero and rec's dropped-event count, so truncation shows.
+func FromRecorder(rec *journal.Recorder, ctx Context, parent SpanID, rootName string, endNS int64, hash uint64, attrs ...Attr) Trace {
+	origin := rec.Origin()
+	if rec == nil {
+		origin = time.Now()
+	}
+	if endNS < 0 {
+		endNS = rec.Elapsed().Nanoseconds()
+	}
+	res := make([]Attr, 0, len(attrs)+3)
+	res = append(res, Attr{"service.name", journal.TraceProcessName})
+	res = append(res, attrs...)
+	if hash != 0 {
+		res = append(res, Attr{"structural_hash", fmt.Sprintf("%016x", hash)})
+	}
+	res = append(res, Attr{"journal.dropped_events", strconv.FormatInt(rec.Dropped(), 10)})
+	return Trace{
+		Ctx: ctx, Parent: parent,
+		OriginNS: origin.UnixNano(),
+		Resource: res,
+		Spans:    Assemble(ctx, parent, rootName, rec.Snapshot(), endNS),
+	}
 }
 
 // openIndex finds the topmost open span of the given kind and name on

@@ -83,6 +83,36 @@ func TestNewContext(t *testing.T) {
 	}
 }
 
+// TestContextChild: a valid parent is joined (same trace, fresh span,
+// flags kept plus sampled); an invalid one roots a fresh trace.
+func TestContextChild(t *testing.T) {
+	parent := mustParse(t, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	cases := []struct {
+		name      string
+		in        Context
+		joins     bool
+		wantFlags byte
+	}{
+		{"sampled parent", parent, true, 0x01},
+		{"unsampled parent", Context{Trace: parent.Trace, Span: parent.Span}, true, 0x01},
+		{"parent with other flags", Context{Trace: parent.Trace, Span: parent.Span, Flags: 0x02}, true, 0x03},
+		{"zero context", Context{}, false, FlagSampled},
+		{"trace without span", Context{Trace: parent.Trace, Flags: 0x01}, false, FlagSampled},
+	}
+	for _, c := range cases {
+		got := c.in.Child()
+		if !got.Valid() || got.Flags != c.wantFlags {
+			t.Errorf("%s: Child() = %+v, want a valid context with flags %02x", c.name, got, c.wantFlags)
+		}
+		if got.Span == c.in.Span {
+			t.Errorf("%s: Child() kept the parent's span ID", c.name)
+		}
+		if joined := got.Trace == c.in.Trace; joined != c.joins {
+			t.Errorf("%s: Child() joined the parent's trace = %v, want %v", c.name, joined, c.joins)
+		}
+	}
+}
+
 // unitTimeline is a two-unit sharded run: unit 0 with a closed phase
 // holding one pool item and one ATPG attempt, unit 1 canceled inside
 // an open phase.
@@ -97,6 +127,37 @@ func unitTimeline() []journal.Event {
 		{Kind: journal.KindUnitEnd, A: 0, B: 2, C: 0, D: 63, TNS: 1_000, DurNS: 100_000},
 		{Kind: journal.KindUnitBegin, A: 1, B: 2, C: 63, D: 126, TNS: 110_000},
 		{Kind: journal.KindPhaseBegin, Arg: "faultsim.seq", TNS: 111_000},
+	}
+}
+
+// TestFromRecorder: the recorder's events, origin and dropped count and
+// the caller's attributes land in one trace, resource attributes in
+// their fixed order.
+func TestFromRecorder(t *testing.T) {
+	ctx := mustParse(t, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	rec := journal.New(3)
+	for _, e := range unitTimeline()[:5] {
+		rec.Emit(e)
+	}
+	tr := FromRecorder(rec, ctx, SpanID{7: 1}, "cli", -1, 0xabc, Attr{"run_id", "r1"})
+	want := []Attr{
+		{"service.name", journal.TraceProcessName}, {"run_id", "r1"},
+		{"structural_hash", "0000000000000abc"}, {"journal.dropped_events", "2"},
+	}
+	if !reflect.DeepEqual(tr.Resource, want) {
+		t.Errorf("resource = %v, want %v", tr.Resource, want)
+	}
+	if tr.OriginNS != rec.Origin().UnixNano() || tr.Ctx != ctx || tr.Parent != (SpanID{7: 1}) {
+		t.Errorf("trace identity = %+v", tr)
+	}
+	if len(tr.Spans) != 4 || tr.Spans[0].Name != "cli" { // root, unit 0, phase, pool
+		t.Errorf("spans = %+v", tr.Spans)
+	}
+
+	bare := FromRecorder(nil, ctx, SpanID{}, "cli", -1, 0)
+	if len(bare.Spans) != 1 || bare.OriginNS == 0 ||
+		bare.Resource[len(bare.Resource)-1] != (Attr{"journal.dropped_events", "0"}) {
+		t.Errorf("nil-recorder trace = %+v", bare)
 	}
 }
 

@@ -32,7 +32,8 @@ const maxEnabledExtraAllocs = 64
 // TestObsDisabledIsFree pins the observability layer's off-tier
 // contract: disabled instrumentation (the nil collector, the library
 // default) costs the hot paths nothing but nil checks, and an enabled
-// collector without a journal pays once per run, never per batch.
+// collector without a journal pays once per run, never per batch. A
+// recorder's Emit allocates nothing even with live subscribers.
 // Allocation counts are deterministic where wall times are not, so the
 // contract holds on any hardware. The CPU-time view of the same tiers
 // is BenchmarkObsOverhead* under benchstat.
@@ -58,6 +59,21 @@ func TestObsDisabledIsFree(t *testing.T) {
 			if n := testing.AllocsPerRun(100, s.call); n != 0 {
 				t.Errorf("nil %s allocates %v per call, want 0", s.name, n)
 			}
+		}
+	})
+
+	t.Run("subscribed Emit allocates nothing", func(t *testing.T) {
+		rec := journal.New(0)
+		var first, second int
+		rec.Subscribe(func(journal.Event) { first++ })
+		rec.Subscribe(func(journal.Event) { second++ })
+		ev := journal.Batch("guard", 0, 1, 2, time.Millisecond)
+		rec.Emit(ev) // allocate the first chunk outside the measurement
+		if n := testing.AllocsPerRun(100, func() { rec.Emit(ev) }); n != 0 {
+			t.Errorf("Emit with two subscribers allocates %v per call, want 0", n)
+		}
+		if first == 0 || first != second {
+			t.Errorf("subscribers saw %d and %d events, want the same nonzero count", first, second)
 		}
 	})
 
