@@ -156,6 +156,24 @@ func (c *Circuit) SetFFInput(ff, d SignalID) error {
 	return nil
 }
 
+// SetFanin rewires input pin pin of signal g (a gate, or a flip-flop's
+// D pin 0) to read signal src.
+func (c *Circuit) SetFanin(g SignalID, pin int, src SignalID) error {
+	if !c.valid(g) || c.Signals[g].Kind == KindInput {
+		return fmt.Errorf("netlist: SetFanin: %d has no fanin", g)
+	}
+	if pin < 0 || pin >= len(c.Signals[g].Fanin) {
+		return fmt.Errorf("netlist: SetFanin: %s has no pin %d", c.Signals[g].Name, pin)
+	}
+	if !c.valid(src) {
+		return fmt.Errorf("netlist: SetFanin: invalid source signal %d", src)
+	}
+	c.Signals[g].Fanin[pin] = src
+	c.finalized = false
+	c.structValid.Store(false)
+	return nil
+}
+
 // MarkOutput declares signal s as a primary output.
 func (c *Circuit) MarkOutput(s SignalID) error {
 	if !c.valid(s) {
@@ -203,14 +221,18 @@ func (c *Circuit) NumGates() int {
 // Finalize validates the circuit and computes the derived structures
 // (input/FF lists, fanouts, levels, topological order). It must be called
 // after construction or mutation and before simulation or traversal.
+//
+// It runs in time linear in signals plus edges. Every fanout list is a
+// window of one shared backing array, ordered by consumer ID (a consumer
+// reading a signal on two pins appears twice) and capacity-capped, so
+// appending to one list never writes into its neighbour.
 func (c *Circuit) Finalize() error {
 	n := len(c.Signals)
 	c.Inputs = c.Inputs[:0]
 	c.FFs = c.FFs[:0]
-	c.Fanouts = make([][]SignalID, n)
 	c.Level = make([]int, n)
-	c.Order = c.Order[:0]
 
+	edges := 0
 	for id := SignalID(0); int(id) < n; id++ {
 		s := &c.Signals[id]
 		switch s.Kind {
@@ -232,11 +254,39 @@ func (c *Circuit) Finalize() error {
 				return fmt.Errorf("netlist: signal %q: invalid fanin", s.Name)
 			}
 		}
+		edges += len(s.Fanin)
 	}
 	for _, o := range c.Outputs {
 		if !c.valid(o) {
 			return fmt.Errorf("netlist: invalid primary output %d", o)
 		}
+	}
+
+	// Fanouts: count each signal's consumers, lay the lists out back to
+	// back, then fill them in consumer-ID order. start[s] ends up as the
+	// end of s's window, which is where s+1's begins.
+	start := make([]int, n+1)
+	for i := range c.Signals {
+		for _, f := range c.Signals[i].Fanin {
+			start[f+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	all := make([]SignalID, edges)
+	for id := SignalID(0); int(id) < n; id++ {
+		for _, f := range c.Signals[id].Fanin {
+			all[start[f]] = id
+			start[f]++
+		}
+	}
+	c.Fanouts = make([][]SignalID, n)
+	lo := 0
+	for i := range c.Fanouts {
+		hi := start[i]
+		c.Fanouts[i] = all[lo:hi:hi]
+		lo = hi
 	}
 
 	// Levelize gates with Kahn's algorithm over combinational edges only
@@ -245,10 +295,11 @@ func (c *Circuit) Finalize() error {
 	indeg := make([]int, n)
 	for id := SignalID(0); int(id) < n; id++ {
 		s := &c.Signals[id]
-		for pin, f := range s.Fanin {
-			c.Fanouts[f] = append(c.Fanouts[f], id)
-			_ = pin
-			if s.Kind == KindGate && c.Signals[f].Kind == KindGate {
+		if s.Kind != KindGate {
+			continue
+		}
+		for _, f := range s.Fanin {
+			if c.Signals[f].Kind == KindGate {
 				indeg[id]++
 			}
 		}
@@ -259,11 +310,9 @@ func (c *Circuit) Finalize() error {
 			queue = append(queue, id)
 		}
 	}
-	processed := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		processed++
+	maxLevel := 0
+	for head := 0; head < len(queue); head++ {
+		id := queue[head]
 		lvl := 0
 		for _, f := range c.Signals[id].Fanin {
 			if l := c.Level[f]; l >= lvl {
@@ -271,7 +320,9 @@ func (c *Circuit) Finalize() error {
 			}
 		}
 		c.Level[id] = lvl + 1
-		c.Order = append(c.Order, id)
+		if lvl+1 > maxLevel {
+			maxLevel = lvl + 1
+		}
 		for _, fo := range c.Fanouts[id] {
 			if c.Signals[fo].Kind == KindGate {
 				indeg[fo]--
@@ -281,18 +332,30 @@ func (c *Circuit) Finalize() error {
 			}
 		}
 	}
-	if processed != c.NumGates() {
+	if len(queue) != c.NumGates() {
 		return fmt.Errorf("netlist: %s: combinational cycle detected", c.Name)
 	}
-	// Order is already topological; make it deterministic level order for
-	// reproducible traversals.
-	sort.SliceStable(c.Order, func(i, j int) bool {
-		a, b := c.Order[i], c.Order[j]
-		if c.Level[a] != c.Level[b] {
-			return c.Level[a] < c.Level[b]
+
+	// Order gates by (level, ID) for reproducible traversals: a counting
+	// sort over levels, filled in ID order.
+	at := make([]int, maxLevel+2)
+	for _, id := range queue {
+		at[c.Level[id]+1]++
+	}
+	for l := 1; l < len(at); l++ {
+		at[l] += at[l-1]
+	}
+	if cap(c.Order) < len(queue) {
+		c.Order = make([]SignalID, len(queue))
+	}
+	c.Order = c.Order[:len(queue)]
+	for id := SignalID(0); int(id) < n; id++ {
+		if c.Signals[id].Kind == KindGate {
+			l := c.Level[id]
+			c.Order[at[l]] = id
+			at[l]++
 		}
-		return a < b
-	})
+	}
 	c.finalized = true
 	return nil
 }

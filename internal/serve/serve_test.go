@@ -526,6 +526,8 @@ func TestValidation(t *testing.T) {
 		{Kind: serve.KindFaultSim, Circuit: "s27", Cycles: task.DefaultsFor(task.KindFaultSim).MaxCycles + 1},
 		{Kind: serve.KindFaultSim, Circuit: "s27", Cycles: 2000000000},
 		{Kind: serve.KindFaultSim, Circuit: "s27", Eval: "event"},
+		// Inside the body cap, past the inline netlist limit.
+		{Kind: serve.KindScreen, Circuit: "big", Bench: strings.Repeat("#", task.DefaultsFor(task.KindScreen).MaxBenchBytes+1)},
 	} {
 		body, _ := json.Marshal(sp)
 		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))

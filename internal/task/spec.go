@@ -177,11 +177,16 @@ type Defaults struct {
 	// cycles × inputs, so one spec must not be able to ask for an
 	// unbounded sequence.
 	MaxCycles int
+	// MaxBenchBytes is the largest inline .bench text Normalize accepts.
+	// The largest suite circuit (s38417) writes ~0.75 MB; the limit sits
+	// below the daemon's 4 MiB body cap, so an oversized netlist inside
+	// an admitted body is a typed 400, not a parse of unbounded size.
+	MaxBenchBytes int
 }
 
 // DefaultsFor returns the option defaults for a job kind.
 func DefaultsFor(kind string) Defaults {
-	d := Defaults{Scale: 1, Seed: 1, Eval: "auto", Cycles: 500, MaxWorkers: 256, MaxCycles: 1 << 16}
+	d := Defaults{Scale: 1, Seed: 1, Eval: "auto", Cycles: 500, MaxWorkers: 256, MaxCycles: 1 << 16, MaxBenchBytes: 3 << 20}
 	switch kind {
 	case KindFaultSim, KindDiagnose:
 		d.Scale = 0.1
@@ -218,6 +223,10 @@ func (sp *Spec) Normalize() error {
 	default:
 		return fmt.Errorf("task: unknown kind %q (want flow, screen, atpg, faultsim or diagnose)", sp.Kind)
 	}
+	d := DefaultsFor(sp.Kind)
+	if len(sp.Bench) > d.MaxBenchBytes {
+		return &LimitError{Field: "bench", Value: len(sp.Bench), Max: d.MaxBenchBytes}
+	}
 	if sp.Bench == "" {
 		if sp.Circuit == "" {
 			return fmt.Errorf("task: spec missing circuit")
@@ -231,7 +240,6 @@ func (sp *Spec) Normalize() error {
 	if sp.Scale < 0 || sp.Scale > 1 {
 		return fmt.Errorf("task: scale %v out of range (0,1]", sp.Scale)
 	}
-	d := DefaultsFor(sp.Kind)
 	if sp.Eval == "" {
 		sp.Eval = d.Eval
 	}

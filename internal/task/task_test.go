@@ -328,6 +328,30 @@ func TestNormalizeCyclesLimit(t *testing.T) {
 	}
 }
 
+// TestNormalizeBenchLimit: inline .bench text up to the DefaultsFor
+// limit is accepted; one byte more is a *LimitError naming the field.
+func TestNormalizeBenchLimit(t *testing.T) {
+	s27 := "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n"
+	for _, kind := range Kinds() {
+		max := DefaultsFor(kind).MaxBenchBytes
+		if max <= 0 {
+			t.Fatalf("%s: MaxBenchBytes = %d, want a positive limit", kind, max)
+		}
+		pad := func(n int) string { return s27 + strings.Repeat("#", n-len(s27)) }
+		ok := Spec{Kind: kind, Bench: pad(max)}
+		if err := ok.Normalize(); err != nil {
+			t.Errorf("%s: bench of %d bytes rejected: %v", kind, max, err)
+		}
+		over := Spec{Kind: kind, Bench: pad(max + 1)}
+		var le *LimitError
+		if err := over.Normalize(); !errors.As(err, &le) {
+			t.Errorf("%s: bench of %d bytes: err = %v, want *LimitError", kind, max+1, err)
+		} else if le.Field != "bench" || le.Value != max+1 || le.Max != max {
+			t.Errorf("%s: LimitError = %+v", kind, le)
+		}
+	}
+}
+
 // TestTraceParentNormalize: a spec's traceparent is validated and
 // canonicalized (lowercase hex, version 00) by Normalize, parsed back
 // by TraceContext, and rejected when malformed.

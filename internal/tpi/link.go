@@ -38,40 +38,84 @@ func (b *builder) tryFunctionalLink(q, ff netlist.SignalID) (scan.Segment, bool)
 // target by depth-first search, shortest alternatives first. Candidate
 // path nets must currently be X in scan mode (definite nets cannot
 // carry shift data) and must not belong to an established segment.
+//
+// A branch is entered only if target is still within reach of it in
+// the depth left, by the backward distance distancesTo measures over
+// candidate nets. That distance ignores only the no-revisit rule, so
+// it never prunes a branch that holds a path: the paths found and their
+// order are those of the unpruned search.
 func (b *builder) enumeratePaths(q, target netlist.SignalID) [][]netlist.SignalID {
+	if !b.pathCandidate(target) {
+		return nil
+	}
+	b.distancesTo(target)
+	defer b.clearDistances()
+
 	var paths [][]netlist.SignalID
 	var cur []netlist.SignalID
-	onCur := map[netlist.SignalID]bool{q: true}
-
 	var dfs func(sig netlist.SignalID, depth int)
 	dfs = func(sig netlist.SignalID, depth int) {
-		if len(paths) >= b.opts.MaxPathsTried || depth > b.opts.MaxPathLen {
+		if depth > b.opts.MaxPathLen {
 			return
 		}
-		for _, fo := range b.c.Fanouts[sig] {
+		for _, fo := range b.fanouts[sig] {
 			if len(paths) >= b.opts.MaxPathsTried {
 				return
 			}
-			if !b.c.IsGate(fo) || onCur[fo] || b.protected[fo] || b.val(fo) != logic.X {
+			if fo == target {
+				cur = append(cur, fo)
+				paths = append(paths, append([]netlist.SignalID(nil), cur...))
+				cur = cur[:len(cur)-1]
 				continue
 			}
-			op := b.c.Signals[fo].Op
-			if op == logic.OpConst0 || op == logic.OpConst1 {
+			// dist-1 more gates reach target from fo, which sits at depth.
+			if d := int(b.dist[fo]); d == 0 || depth+d-1 > b.opts.MaxPathLen || b.onPath[fo] {
 				continue
 			}
 			cur = append(cur, fo)
-			if fo == target {
-				paths = append(paths, append([]netlist.SignalID(nil), cur...))
-			} else {
-				onCur[fo] = true
-				dfs(fo, depth+1)
-				delete(onCur, fo)
-			}
+			b.onPath[fo] = true
+			dfs(fo, depth+1)
+			b.onPath[fo] = false
 			cur = cur[:len(cur)-1]
 		}
 	}
 	dfs(q, 1)
 	return paths
+}
+
+// pathCandidate reports whether net s may lie on a new segment's path:
+// a gate, X in scan mode (which rules out constant gates) and on no
+// established segment.
+func (b *builder) pathCandidate(s netlist.SignalID) bool {
+	return b.c.IsGate(s) && !b.protected[s] && b.val(s) == logic.X
+}
+
+// distancesTo sets dist for every candidate net with a candidate path
+// to target short enough to fit in a segment: 1 for target itself, one
+// more per gate before it.
+func (b *builder) distancesTo(target netlist.SignalID) {
+	b.dist[target] = 1
+	b.reached = append(b.reached[:0], target)
+	for i := 0; i < len(b.reached); i++ {
+		s := b.reached[i]
+		d := b.dist[s]
+		if int(d) >= b.opts.MaxPathLen {
+			continue
+		}
+		for _, f := range b.c.Signals[s].Fanin {
+			if b.dist[f] == 0 && b.pathCandidate(f) {
+				b.dist[f] = d + 1
+				b.reached = append(b.reached, f)
+			}
+		}
+	}
+}
+
+func (b *builder) clearDistances() {
+	for _, s := range b.reached {
+		b.dist[s] = 0
+	}
+	b.reached = b.reached[:0]
 }
 
 // trySensitize attempts to force every side input of the path to a
@@ -157,12 +201,6 @@ func (b *builder) trySensitize(q, ff netlist.SignalID, path []netlist.SignalID) 
 	}
 	for _, tp := range planned {
 		if _, err := b.insertTestPoint(tp); err != nil {
-			rollback()
-			return scan.Segment{}, false
-		}
-	}
-	if len(planned) > 0 {
-		if err := b.refresh(); err != nil {
 			rollback()
 			return scan.Segment{}, false
 		}
@@ -326,14 +364,16 @@ func (b *builder) insertTestPoint(tp plannedTP) (netlist.SignalID, error) {
 	var g netlist.SignalID
 	var err error
 	if tp.force == logic.One {
-		g, err = b.c.AddGate(name, logic.OpOr, net, b.scanMode)
+		g, err = b.addGate(name, logic.OpOr, net, b.scanMode)
 	} else {
-		g, err = b.c.AddGate(name, logic.OpAnd, net, b.nsm)
+		g, err = b.addGate(name, logic.OpAnd, net, b.nsm)
 	}
 	if err != nil {
 		return netlist.None, err
 	}
-	b.c.Signals[tp.gate].Fanin[tp.pin] = g
+	if err := b.rewire(tp.gate, tp.pin, g); err != nil {
+		return netlist.None, err
+	}
 	b.testPoints = append(b.testPoints, g)
 	return g, nil
 }

@@ -17,6 +17,7 @@ package tpi
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -79,7 +80,21 @@ type builder struct {
 	protected   map[netlist.SignalID]bool // on-path nets
 	testPoints  []netlist.SignalID
 
-	eval *sim.Comb // scan-mode constant propagation state
+	// The circuit is finalized once, when the builder starts; every edit
+	// after that keeps these in step itself, so each costs in proportion
+	// to the signals it actually moves. They always equal what a fresh
+	// Finalize and a full scan-mode evaluation would give.
+	inputs  []netlist.SignalID   // primary inputs in declaration order
+	fanouts [][]netlist.SignalID // consumers of each signal, by consumer ID
+	level   []int                // combinational level (PIs and FFs 0)
+	vals    []logic.V            // scan mode: assigned inputs constant, free inputs and FFs X
+
+	// Scratch reset in proportion to what each use touched.
+	queued  []bool               // gate waits in buckets
+	buckets [][]netlist.SignalID // gates to re-evaluate, by level
+	dist    []int32              // 1 + gates from a signal to the path target; 0 = cannot reach it
+	reached []netlist.SignalID   // signals with dist set
+	onPath  []bool               // gate is on the path being extended
 
 	muxCounter int
 	tpCounter  int
@@ -109,26 +124,10 @@ func Insert(orig *netlist.Circuit, opts Options) (*scan.Design, error) {
 	}
 	opts = opts.withDefaults(len(scanSet))
 
-	b := &builder{
-		opts:        opts,
-		c:           orig.Clone(),
-		r:           rand.New(rand.NewSource(opts.Seed)),
-		assignments: make(map[netlist.SignalID]logic.V),
-		reserved:    make(map[netlist.SignalID]bool),
-		protected:   make(map[netlist.SignalID]bool),
-	}
-	var err error
-	if b.scanMode, err = b.c.AddInput("scan_mode"); err != nil {
+	b, err := newBuilder(orig, opts)
+	if err != nil {
 		return nil, err
 	}
-	if b.nsm, err = b.c.AddGate("scan_mode_n", logic.OpNot, b.scanMode); err != nil {
-		return nil, err
-	}
-	b.assignments[b.scanMode] = logic.One
-	if err := b.refresh(); err != nil {
-		return nil, err
-	}
-
 	candidates := b.successorCandidates(orig)
 	chains, err := b.buildChains(candidates, scanSet)
 	if err != nil {
@@ -175,29 +174,198 @@ func Insert(orig *netlist.Circuit, opts Options) (*scan.Design, error) {
 	return d, nil
 }
 
-// refresh re-finalizes the circuit after mutation and recomputes the
-// scan-mode constant propagation (assigned inputs constant, free inputs
-// and flip-flop outputs X).
-func (b *builder) refresh() error {
+// newBuilder clones orig, adds the scan-mode pin (assigned 1) and its
+// inverter, finalizes the clone and evaluates scan mode once in full.
+func newBuilder(orig *netlist.Circuit, opts Options) (*builder, error) {
+	b := &builder{
+		opts:        opts,
+		c:           orig.Clone(),
+		r:           rand.New(rand.NewSource(opts.Seed)),
+		assignments: make(map[netlist.SignalID]logic.V),
+		reserved:    make(map[netlist.SignalID]bool),
+		protected:   make(map[netlist.SignalID]bool),
+	}
+	var err error
+	if b.scanMode, err = b.c.AddInput("scan_mode"); err != nil {
+		return nil, err
+	}
+	if b.nsm, err = b.c.AddGate("scan_mode_n", logic.OpNot, b.scanMode); err != nil {
+		return nil, err
+	}
+	b.assignments[b.scanMode] = logic.One
 	if err := b.c.Finalize(); err != nil {
+		return nil, err
+	}
+	// The final Finalize rebuilds the circuit's own derived slices, so
+	// the builder may take these over and edit them in place.
+	b.inputs = append([]netlist.SignalID(nil), b.c.Inputs...)
+	b.fanouts = b.c.Fanouts
+	b.level = b.c.Level
+	e := sim.NewComb(b.c)
+	e.ClearX()
+	for in, v := range b.assignments {
+		e.Vals[in] = v
+	}
+	e.Eval(nil)
+	b.vals = e.Vals
+	n := len(b.c.Signals)
+	b.queued = make([]bool, n)
+	b.dist = make([]int32, n)
+	b.onPath = make([]bool, n)
+	return b, nil
+}
+
+// added records the bookkeeping of a signal just appended to the
+// circuit: no consumers yet, the given level and scan-mode value.
+func (b *builder) added(level int, v logic.V) {
+	b.fanouts = append(b.fanouts, nil)
+	b.level = append(b.level, level)
+	b.vals = append(b.vals, v)
+	b.queued = append(b.queued, false)
+	b.dist = append(b.dist, 0)
+	b.onPath = append(b.onPath, false)
+}
+
+// addInput declares a free primary input: level 0, X in scan mode.
+func (b *builder) addInput(name string) (netlist.SignalID, error) {
+	id, err := b.c.AddInput(name)
+	if err != nil {
+		return netlist.None, err
+	}
+	b.inputs = append(b.inputs, id)
+	b.added(0, logic.X)
+	return id, nil
+}
+
+// addGate declares a gate over existing signals. Its ID is the largest
+// yet, so appending it keeps every fanout list in consumer-ID order, and
+// nothing reads it yet, so its level and value follow from its fanins.
+func (b *builder) addGate(name string, op logic.Op, fanin ...netlist.SignalID) (netlist.SignalID, error) {
+	id, err := b.c.AddGate(name, op, fanin...)
+	if err != nil {
+		return netlist.None, err
+	}
+	lvl := 0
+	in := make([]logic.V, len(fanin))
+	for i, f := range fanin {
+		b.fanouts[f] = append(b.fanouts[f], id)
+		lvl = max(lvl, b.level[f])
+		in[i] = b.vals[f]
+	}
+	b.added(lvl+1, op.Eval(in))
+	return id, nil
+}
+
+// rewire points pin pin of g at src. g leaves the old source's fanout
+// list and joins src's at its consumer-ID place. A flip-flop's level
+// and scan-mode value do not depend on its D pin; a gate's level is
+// raised through its fanout as far as it moves, and its value change
+// is propagated.
+func (b *builder) rewire(g netlist.SignalID, pin int, src netlist.SignalID) error {
+	old := b.c.Signals[g].Fanin[pin]
+	if err := b.c.SetFanin(g, pin, src); err != nil {
 		return err
 	}
-	b.eval = sim.NewComb(b.c)
-	b.propagate()
+	fo := b.fanouts[old]
+	i := slices.Index(fo, g)
+	b.fanouts[old] = slices.Delete(fo, i, i+1)
+	at, _ := slices.BinarySearch(b.fanouts[src], g)
+	b.fanouts[src] = slices.Insert(b.fanouts[src], at, g)
+	if !b.c.IsGate(g) {
+		return nil
+	}
+	b.relevel(g)
+	b.schedule(g)
+	b.settle()
 	return nil
 }
 
-func (b *builder) propagate() {
-	b.eval.ClearX()
-	for _, in := range b.c.Inputs {
-		if v, ok := b.assignments[in]; ok {
-			b.eval.Vals[in] = v
+// relevel recomputes g's level from its fanins and carries any change
+// through its gate fanout.
+func (b *builder) relevel(g netlist.SignalID) {
+	stack := []netlist.SignalID{g}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		lvl := 0
+		for _, f := range b.c.Signals[s].Fanin {
+			lvl = max(lvl, b.level[f])
+		}
+		if lvl+1 == b.level[s] {
+			continue
+		}
+		b.level[s] = lvl + 1
+		for _, fo := range b.fanouts[s] {
+			if b.c.IsGate(fo) {
+				stack = append(stack, fo)
+			}
 		}
 	}
-	b.eval.Eval(nil)
 }
 
-func (b *builder) val(s netlist.SignalID) logic.V { return b.eval.Vals[s] }
+// schedule queues gate g for re-evaluation.
+func (b *builder) schedule(g netlist.SignalID) {
+	if b.queued[g] {
+		return
+	}
+	b.queued[g] = true
+	l := b.level[g]
+	for len(b.buckets) <= l {
+		b.buckets = append(b.buckets, nil)
+	}
+	b.buckets[l] = append(b.buckets[l], g)
+}
+
+// settle re-evaluates the queued gates level by level. A gate whose
+// value changes queues its gate consumers, which sit at higher levels,
+// so every gate is evaluated after all of its changed fanins.
+func (b *builder) settle() {
+	var buf [8]logic.V
+	for l := 0; l < len(b.buckets); l++ {
+		for i := 0; i < len(b.buckets[l]); i++ {
+			g := b.buckets[l][i]
+			b.queued[g] = false
+			s := &b.c.Signals[g]
+			in := buf[:0]
+			for _, f := range s.Fanin {
+				in = append(in, b.vals[f])
+			}
+			if v := s.Op.Eval(in); v != b.vals[g] {
+				b.vals[g] = v
+				for _, fo := range b.fanouts[g] {
+					if b.c.IsGate(fo) {
+						b.schedule(fo)
+					}
+				}
+			}
+		}
+		b.buckets[l] = b.buckets[l][:0]
+	}
+}
+
+// propagate brings the scan-mode values in step with b.assignments
+// (assigned inputs constant, the rest X), re-evaluating only the gates
+// downstream of inputs whose value changed.
+func (b *builder) propagate() {
+	for _, in := range b.inputs {
+		v, ok := b.assignments[in]
+		if !ok {
+			v = logic.X
+		}
+		if v == b.vals[in] {
+			continue
+		}
+		b.vals[in] = v
+		for _, fo := range b.fanouts[in] {
+			if b.c.IsGate(fo) {
+				b.schedule(fo)
+			}
+		}
+	}
+	b.settle()
+}
+
+func (b *builder) val(s netlist.SignalID) logic.V { return b.vals[s] }
 
 // successorCandidates finds, per flip-flop, the flip-flops whose D cone
 // its output reaches within MaxPathLen gates — the functional-link
@@ -261,10 +429,11 @@ func (b *builder) buildChains(candidates map[netlist.SignalID][]netlist.SignalID
 	}
 	b.r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
+	cursor := 0 // order[:cursor] is all used
 	nextUnused := func() netlist.SignalID {
-		for _, ff := range order {
-			if !used[ff] {
-				return ff
+		for ; cursor < len(order); cursor++ {
+			if !used[order[cursor]] {
+				return order[cursor]
 			}
 		}
 		return netlist.None
@@ -279,14 +448,11 @@ func (b *builder) buildChains(candidates map[netlist.SignalID][]netlist.SignalID
 		used[start] = true
 		remaining--
 
-		scanIn, err := b.c.AddInput(fmt.Sprintf("scan_in%d", ci))
+		scanIn, err := b.addInput(fmt.Sprintf("scan_in%d", ci))
 		if err != nil {
 			return nil, err
 		}
 		b.reserved[scanIn] = true
-		if err := b.refresh(); err != nil {
-			return nil, err
-		}
 		head, err := b.insertMuxLink(scanIn, start)
 		if err != nil {
 			return nil, err
@@ -335,22 +501,19 @@ func (b *builder) insertMuxLink(src, ff netlist.SignalID) (scan.Segment, error) 
 	oldD := b.c.Signals[ff].Fanin[0]
 	n := b.muxCounter
 	b.muxCounter++
-	andScan, err := b.c.AddGate(fmt.Sprintf("mux%d_s", n), logic.OpAnd, src, b.scanMode)
+	andScan, err := b.addGate(fmt.Sprintf("mux%d_s", n), logic.OpAnd, src, b.scanMode)
 	if err != nil {
 		return scan.Segment{}, err
 	}
-	andFunc, err := b.c.AddGate(fmt.Sprintf("mux%d_f", n), logic.OpAnd, oldD, b.nsm)
+	andFunc, err := b.addGate(fmt.Sprintf("mux%d_f", n), logic.OpAnd, oldD, b.nsm)
 	if err != nil {
 		return scan.Segment{}, err
 	}
-	orG, err := b.c.AddGate(fmt.Sprintf("mux%d_o", n), logic.OpOr, andScan, andFunc)
+	orG, err := b.addGate(fmt.Sprintf("mux%d_o", n), logic.OpOr, andScan, andFunc)
 	if err != nil {
 		return scan.Segment{}, err
 	}
-	if err := b.c.SetFFInput(ff, orG); err != nil {
-		return scan.Segment{}, err
-	}
-	if err := b.refresh(); err != nil {
+	if err := b.rewire(ff, 0, orG); err != nil {
 		return scan.Segment{}, err
 	}
 	b.protected[andScan] = true
