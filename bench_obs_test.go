@@ -18,6 +18,7 @@ package fsct
 // path or vice versa).
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -59,26 +60,26 @@ func BenchmarkObsOverheadScreen(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ScreenFaultsOpt(d, faults, ScreenOptions{Workers: 1})
+			ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{Workers: 1})
 		}
 	})
 	b.Run("on", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ScreenFaultsOpt(d, faults, ScreenOptions{Workers: 1, Obs: NewCollector()})
+			ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{Workers: 1, Obs: NewCollector()})
 		}
 	})
 	b.Run("journal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ScreenFaultsOpt(d, faults, ScreenOptions{Workers: 1, Obs: journalCollector()})
+			ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{Workers: 1, Obs: journalCollector()})
 		}
 	})
 	b.Run("trace", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			traceTier(func(col *Collector) {
-				ScreenFaultsOpt(d, faults, ScreenOptions{Workers: 1, Obs: col})
+				ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{Workers: 1, Obs: col})
 			})
 		}
 	})
@@ -94,26 +95,26 @@ func BenchmarkObsOverheadFaultSim(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 1})
+			faultsim.RunCtx(context.Background(), d.C, seq, faults, faultsim.Options{Workers: 1})
 		}
 	})
 	b.Run("on", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 1, Obs: NewCollector()})
+			faultsim.RunCtx(context.Background(), d.C, seq, faults, faultsim.Options{Workers: 1, Obs: NewCollector()})
 		}
 	})
 	b.Run("journal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 1, Obs: journalCollector()})
+			faultsim.RunCtx(context.Background(), d.C, seq, faults, faultsim.Options{Workers: 1, Obs: journalCollector()})
 		}
 	})
 	b.Run("trace", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			traceTier(func(col *Collector) {
-				faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 1, Obs: col})
+				faultsim.RunCtx(context.Background(), d.C, seq, faults, faultsim.Options{Workers: 1, Obs: col})
 			})
 		}
 	})
@@ -128,7 +129,7 @@ func BenchmarkObsOverheadFlow(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunFlow(d, FlowParams{Workers: 1}); err != nil {
+			if _, err := RunFlowCtx(context.Background(), d, FlowParams{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -136,7 +137,7 @@ func BenchmarkObsOverheadFlow(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunFlow(d, FlowParams{Workers: 1, Obs: NewCollector()}); err != nil {
+			if _, err := RunFlowCtx(context.Background(), d, FlowParams{Workers: 1, Obs: NewCollector()}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -144,7 +145,7 @@ func BenchmarkObsOverheadFlow(b *testing.B) {
 	b.Run("journal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunFlow(d, FlowParams{Workers: 1, Obs: journalCollector()}); err != nil {
+			if _, err := RunFlowCtx(context.Background(), d, FlowParams{Workers: 1, Obs: journalCollector()}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -153,7 +154,7 @@ func BenchmarkObsOverheadFlow(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			traceTier(func(col *Collector) {
-				if _, err := RunFlow(d, FlowParams{Workers: 1, Obs: col}); err != nil {
+				if _, err := RunFlowCtx(context.Background(), d, FlowParams{Workers: 1, Obs: col}); err != nil {
 					b.Fatal(err)
 				}
 			})

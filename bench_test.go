@@ -11,6 +11,7 @@ package fsct
 // the reproduction target (the paper ran on a SPARCstation 4).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -72,7 +73,8 @@ func BenchmarkTable2Screening(b *testing.B) {
 			var easy, hard int
 			for i := 0; i < b.N; i++ {
 				easy, hard = 0, 0
-				for _, s := range ScreenFaults(d, faults) {
+				screened, _ := ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{})
+				for _, s := range screened {
 					switch s.Cat {
 					case CatEasy:
 						easy++
@@ -99,7 +101,7 @@ func BenchmarkTable3Flow(b *testing.B) {
 			var rep *Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = RunFlow(d, FlowParams{})
+				rep, err = RunFlowCtx(context.Background(), d, FlowParams{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +121,7 @@ func BenchmarkFig5Profile(b *testing.B) {
 	var rep *Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = RunFlow(d, FlowParams{})
+		rep, err = RunFlowCtx(context.Background(), d, FlowParams{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +158,8 @@ func BenchmarkScaleStability(b *testing.B) {
 				}
 				faults := CollapsedFaults(d.C)
 				e, h := 0, 0
-				for _, s := range ScreenFaults(d, faults) {
+				screened, _ := ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{})
+				for _, s := range screened {
 					switch s.Cat {
 					case CatEasy:
 						e++
@@ -191,7 +194,7 @@ func BenchmarkAblationDistParams(b *testing.B) {
 			var rep *Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = RunFlow(d, params)
+				rep, err = RunFlowCtx(context.Background(), d, params)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -216,7 +219,8 @@ func BenchmarkAblationOrdering(b *testing.B) {
 					b.Fatal(err)
 				}
 				hard = 0
-				for _, s := range ScreenFaults(d, CollapsedFaults(d.C)) {
+				screened, _ := ScreenFaultsCtx(context.Background(), d, CollapsedFaults(d.C), ScreenOptions{})
+				for _, s := range screened {
 					if s.Cat == CatHard {
 						hard++
 					}
@@ -241,7 +245,7 @@ func BenchmarkAblationChains(b *testing.B) {
 			b.ResetTimer()
 			var rep *Report
 			for i := 0; i < b.N; i++ {
-				rep, err = RunFlow(d, FlowParams{})
+				rep, err = RunFlowCtx(context.Background(), d, FlowParams{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,7 +269,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 			var rep *Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = RunFlow(d, FlowParams{NoCompaction: cfg.off})
+				rep, err = RunFlowCtx(context.Background(), d, FlowParams{NoCompaction: cfg.off})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -346,7 +350,7 @@ func BenchmarkScreen(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ScreenFaultsOpt(d, faults, cfg.opts)
+				ScreenFaultsCtx(context.Background(), d, faults, cfg.opts)
 			}
 		})
 	}
@@ -381,7 +385,7 @@ func BenchmarkFaultSim(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				faultsim.Run(d.C, seq, faults, cfg.opts)
+				faultsim.RunCtx(context.Background(), d.C, seq, faults, cfg.opts)
 			}
 		})
 	}
@@ -398,7 +402,7 @@ func BenchmarkAblationSerialVsParallelFaultSim(b *testing.B) {
 	seq := faultsim.Sequence(d.AlternatingSequence(8))
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			faultsim.Run(d.C, seq, faults, faultsim.Options{})
+			faultsim.RunCtx(context.Background(), d.C, seq, faults, faultsim.Options{})
 		}
 	})
 	b.Run("serial", func(b *testing.B) {
@@ -420,7 +424,7 @@ func BenchmarkAblationSkipStep2(b *testing.B) {
 			var rep *Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = RunFlow(d, FlowParams{SkipStep2: cfg.skip})
+				rep, err = RunFlowCtx(context.Background(), d, FlowParams{SkipStep2: cfg.skip})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,21 +33,6 @@ import (
 	"repro/cmd/internal/obsflags"
 	"repro/cmd/internal/specflags"
 )
-
-// sess is the observability session; every exit goes through exit so
-// Close runs (os.Exit skips defers and -tracefile is written on Close).
-var sess *obsflags.Session
-
-func exit(code int) {
-	if sess != nil {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "chainsim: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 func main() {
 	var (
@@ -60,16 +44,16 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	if sess, err = oflags.Open(); err != nil {
-		fail(err)
+	sess, err := oflags.Open()
+	if err != nil {
+		sess.Fail(err)
 	}
 	defer sess.Close()
 	col := sess.Collector()
 
 	backend, err := fsct.ParseEvalBackend(v.Eval)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -81,22 +65,22 @@ func main() {
 	// drift from the other commands'.
 	sp, err := v.Spec("")
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	c, err := sp.BuildCircuit()
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	d, err := sp.InsertScan(c)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 
 	faults := fsct.CollapsedFaults(d.C)
 	screened, err := fsct.ScreenFaultsCtx(ctx, d, faults,
 		fsct.ScreenOptions{Workers: v.Workers, Obs: col})
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	var easy, hard []fsct.Fault
 	for _, s := range screened {
@@ -117,11 +101,11 @@ func main() {
 	simOpts := fsct.SimOptions{Workers: v.Workers, Eval: backend, Obs: col}
 	easyRes, err := fsct.SimulateFaultsCtx(ctx, d.C, alt, easy, simOpts)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	hardRes, err := fsct.SimulateFaultsCtx(ctx, d.C, alt, hard, simOpts)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	fmt.Printf("  easy faults caught: %d / %d\n", easyRes.NumDetected(), len(easy))
 	fmt.Printf("  hard faults caught: %d / %d  — %d ESCAPE the alternating test\n",
@@ -129,7 +113,7 @@ func main() {
 
 	tdet, ttot, err := fsct.ChainTransitionCoverageCtx(ctx, d, 8, v.Workers)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	fmt.Printf("  bonus: the same test covers %d / %d transition (delay) faults on the chain path\n",
 		tdet, ttot)
@@ -165,14 +149,5 @@ func main() {
 	if oflags.Metrics {
 		fmt.Print(fsct.FormatMetrics(col.Snapshot()))
 	}
-	exit(0)
-}
-
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "chainsim: interrupted")
-	} else {
-		fmt.Fprintf(os.Stderr, "chainsim: %v\n", err)
-	}
-	exit(1)
+	sess.Exit(0)
 }

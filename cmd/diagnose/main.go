@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,21 +36,6 @@ import (
 	"repro/internal/task"
 )
 
-// sess is the observability session; every exit goes through exit so
-// Close runs (os.Exit skips defers and -tracefile is written on Close).
-var sess *obsflags.Session
-
-func exit(code int) {
-	if sess != nil {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "diagnose: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
 func main() {
 	var (
 		v = specflags.Register(flag.CommandLine, fsct.TaskDiagnose,
@@ -62,9 +46,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	if sess, err = oflags.Open(); err != nil {
-		fail(err)
+	sess, err := oflags.Open()
+	if err != nil {
+		sess.Fail(err)
 	}
 	defer sess.Close()
 	col := sess.Collector()
@@ -74,7 +58,7 @@ func main() {
 
 	sp, err := v.Spec("")
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	sess.StampTrace(&sp)
 
@@ -84,21 +68,21 @@ func main() {
 	if *stats {
 		res, rerr := fsct.RunTask(sess.TrackCtx(ctx, sp.Kind, sp.Circuit), sp, nil, col)
 		if rerr != nil {
-			fail(rerr)
+			sess.Fail(rerr)
 		}
 		fmt.Print(res.Output)
 		sess.RecordRun(res.Circuit, res.Hash, col.Snapshot(), res.Extras)
 		if oflags.Metrics {
 			fmt.Print(fsct.FormatMetrics(col.Snapshot()))
 		}
-		exit(0)
+		sess.Exit(0)
 	}
 
 	// -inject shares the task layer's front half (screen + dictionary)
 	// and then plays back the one hidden fault interactively.
 	d, _, affecting, dict, err := task.Diagnosis(ctx, sp, nil, col)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	fmt.Print(task.FormatDiagnoseHeader(d.C.Name, len(affecting)))
 
@@ -111,11 +95,11 @@ func main() {
 		if oflags.Metrics {
 			fmt.Print(fsct.FormatMetrics(col.Snapshot()))
 		}
-		exit(0)
+		sess.Exit(0)
 	}
 
 	if *inject < 0 || *inject >= len(affecting) {
-		fail(fmt.Errorf("-inject out of range [0,%d)", len(affecting)))
+		sess.Fail(fmt.Errorf("-inject out of range [0,%d)", len(affecting)))
 	}
 	hidden := affecting[*inject]
 	fmt.Printf("hidden defect: %s\n", hidden.Describe(d.C))
@@ -138,13 +122,4 @@ func main() {
 			sus.Chain, sus.LoSeg, sus.HiSeg, sus.Category)
 	}
 	done()
-}
-
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "diagnose: interrupted")
-	} else {
-		fmt.Fprintf(os.Stderr, "diagnose: %v\n", err)
-	}
-	exit(1)
 }

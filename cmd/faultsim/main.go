@@ -42,22 +42,6 @@ import (
 	"repro/internal/faultsim"
 )
 
-// sess is the observability session; exit routes every termination
-// through its Close so -tracefile is written even on failure paths
-// (os.Exit skips defers).
-var sess *obsflags.Session
-
-func exit(code int) {
-	if sess != nil {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
 func main() {
 	maxCycles := fsct.TaskDefaultsFor(fsct.TaskFaultSim).MaxCycles
 	var (
@@ -72,15 +56,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	if sess, err = oflags.Open(); err != nil {
-		fail(err)
+	sess, err := oflags.Open()
+	if err != nil {
+		sess.Fail(err)
 	}
 	defer sess.Close()
 
 	sp, err := v.Spec("")
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	sess.StampTrace(&sp)
 	sp.Uncollapsed = *uncollapsed
@@ -88,16 +72,16 @@ func main() {
 	case *seqFile != "":
 		data, ferr := os.ReadFile(*seqFile)
 		if ferr != nil {
-			fail(ferr)
+			sess.Fail(ferr)
 		}
 		sp.Sequence = string(data)
 	case *random > 0:
 		sp.Cycles = *random
 	default:
-		fail(fmt.Errorf("need -seq or -random"))
+		sess.Fail(fmt.Errorf("need -seq or -random"))
 	}
 	if err := sp.Normalize(); err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 
 	// SIGINT cancels the simulation at the next fault batch; the partial
@@ -108,18 +92,18 @@ func main() {
 	if *emit != "" {
 		c, cerr := sp.BuildCircuit()
 		if cerr != nil {
-			fail(cerr)
+			sess.Fail(cerr)
 		}
 		seq, serr := sp.Stimulus(c)
 		if serr != nil {
-			fail(serr)
+			sess.Fail(serr)
 		}
 		f, ferr := os.Create(*emit)
 		if ferr != nil {
-			fail(ferr)
+			sess.Fail(ferr)
 		}
 		if err := faultsim.WriteSequence(f, c, seq); err != nil {
-			fail(err)
+			sess.Fail(err)
 		}
 		f.Close()
 	}
@@ -132,7 +116,7 @@ func main() {
 	runtime.ReadMemStats(&msAfter)
 	interrupted := errors.Is(rerr, context.Canceled)
 	if rerr != nil && !interrupted {
-		fail(rerr)
+		sess.Fail(rerr)
 	}
 	fmt.Print(res.Output)
 	extras := make(map[string]float64, len(res.Extras)+2)
@@ -168,9 +152,9 @@ func main() {
 		}
 	}
 	if interrupted {
-		exit(1)
+		sess.Exit(1)
 	}
-	exit(0)
+	sess.Exit(0)
 }
 
 func bars(n int) string {
@@ -179,9 +163,4 @@ func bars(n int) string {
 		b[i] = '#'
 	}
 	return string(b)
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
-	exit(1)
 }

@@ -62,21 +62,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// sess is the observability session; exit routes every termination
-// through its Close (os.Exit skips defers).
-var sess *obsflags.Session
-
-func exit(code int) {
-	if sess != nil {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fsctd: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
 func main() {
 	var (
 		addr         = flag.String("addr", "localhost:8341", "HTTP listen address")
@@ -89,15 +74,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	if sess, err = oflags.Open(); err != nil {
-		fail(err)
+	sess, err := oflags.Open()
+	if err != nil {
+		sess.Fail(err)
 	}
 	defer sess.Close()
 
 	budget, err := serve.ParseByteSize(*cacheBudget)
 	if err != nil {
-		fail(fmt.Errorf("-cache-budget: %w", err))
+		sess.Fail(fmt.Errorf("-cache-budget: %w", err))
 	}
 
 	srv := serve.New(serve.Config{
@@ -129,17 +114,12 @@ func main() {
 		_ = httpSrv.Shutdown(shCtx)
 		cancel()
 		srv.Close()
-		exit(0)
+		sess.Exit(0)
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
 			srv.Close()
-			fail(err)
+			sess.Fail(err)
 		}
 	}
-	exit(0)
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "fsctd: %v\n", err)
-	exit(1)
+	sess.Exit(0)
 }

@@ -70,25 +70,19 @@ func main() {
 	)
 	flag.Parse()
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "fsctest: "+format+"\n", args...)
-		os.Exit(1)
+	sess, err := oflags.Open()
+	if err != nil {
+		sess.Fail(err)
 	}
-
+	defer sess.Close()
 	if _, err := fsct.ParseEvalBackend(v.Eval); err != nil {
-		fail("%v", err)
+		sess.Fail(err)
 	}
 
 	// SIGINT cancels the flow mid-step; whatever completed is still
 	// reported below, marked interrupted.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	sess, err := oflags.Open()
-	if err != nil {
-		fail("%v", err)
-	}
-	defer sess.Close()
 	if *why != "" {
 		sess.EnsureRecorder() // provenance replays the journal
 	}
@@ -98,17 +92,6 @@ func main() {
 		for _, n := range strings.Split(*circuits, ",") {
 			want[strings.TrimSpace(n)] = true
 		}
-	}
-
-	// exit closes the session (flushing -tracefile and the -ledger
-	// records — os.Exit skips the deferred Close) before terminating.
-	exit := func(code int) {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fsctest: %v\n", err)
-			code = 1
-		}
-		os.Exit(code)
 	}
 
 	interrupted := false
@@ -121,8 +104,7 @@ func main() {
 		col.Notef("run %s (scale %g, seed %d)", p.Name, v.Scale, v.Seed)
 		sp, serr := v.Spec(p.Name)
 		if serr != nil {
-			fmt.Fprintf(os.Stderr, "fsctest: %s: %v\n", p.Name, serr)
-			exit(1)
+			sess.Fail(fmt.Errorf("%s: %w", p.Name, serr))
 		}
 		sess.StampTrace(&sp)
 		// The journal is shared across circuits; remember where this
@@ -132,8 +114,7 @@ func main() {
 		res, err := fsct.RunTask(sess.TrackCtx(ctx, sp.Kind, sp.Circuit), sp, nil, col)
 		canceled := errors.Is(err, context.Canceled)
 		if err != nil && !canceled {
-			fmt.Fprintf(os.Stderr, "fsctest: %s: %v\n", p.Name, err)
-			exit(1)
+			sess.Fail(fmt.Errorf("%s: %w", p.Name, err))
 		}
 		var rep *fsct.Report
 		var d *fsct.Design
@@ -152,8 +133,7 @@ func main() {
 			}
 			prov, werr := explain(d, events, *why)
 			if werr != nil {
-				fmt.Fprintf(os.Stderr, "fsctest: %s: -why: %v\n", p.Name, werr)
-				exit(1)
+				sess.Fail(fmt.Errorf("%s: -why: %w", p.Name, werr))
 			}
 			rep.Provenance = append(rep.Provenance, prov)
 		}
@@ -175,20 +155,19 @@ func main() {
 		}
 	}
 	if len(reports) == 0 {
-		fmt.Fprintln(os.Stderr, "fsctest: no circuits selected")
-		exit(1)
+		sess.Fail(errors.New("no circuits selected"))
 	}
 
 	if oflags.Metrics {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
-			fail("%v", err)
+			sess.Fail(err)
 		}
 		if interrupted {
-			exit(1)
+			sess.Exit(1)
 		}
-		exit(0)
+		sess.Exit(0)
 	}
 
 	if *why != "" {
@@ -215,8 +194,7 @@ func main() {
 		fmt.Println()
 		fmt.Print(fsct.Figure5(pickFig5(reports, *fig5)))
 	default:
-		fmt.Fprintf(os.Stderr, "fsctest: unknown -table %q\n", *table)
-		exit(1)
+		sess.Fail(fmt.Errorf("unknown -table %q", *table))
 	}
 	if *fig5 != "" && *table != "all" {
 		fmt.Println()
@@ -224,9 +202,9 @@ func main() {
 	}
 	if interrupted {
 		fmt.Println("\n(interrupted — tables cover the circuits that completed, plus one partial run)")
-		exit(1)
+		sess.Exit(1)
 	}
-	exit(0)
+	sess.Exit(0)
 }
 
 // explain resolves the -why selector — a fault-list index or the exact

@@ -15,16 +15,16 @@
 //	-logfile     append structured JSON log lines to a file
 //
 // A command calls Register before flag.Parse, Open after it, hands
-// Session.Collector() to whatever it runs, and calls Session.Close
-// before every exit — including error and SIGINT paths, because
-// os.Exit skips deferred calls and both the trace file and the ledger
-// records are written on Close. Commands report per-circuit results
-// with RecordRun and their exit status with SetExit, so interrupted
-// runs land in the ledger with whatever they completed.
+// Session.Collector() to whatever it runs, and ends the process with
+// Session.Exit or Session.Fail — including error and SIGINT paths,
+// because os.Exit skips deferred calls and the trace files and the
+// ledger records are written when Exit closes the session. Commands
+// report per-circuit results with RecordRun, so interrupted runs land
+// in the ledger with whatever they completed and their exit status.
 //
 // The session's flight recorder is the run's only live sink: the
-// -progress renderer and each run's unit tracker subscribe to it on
-// their own, and -tracefile/-otlpfile export what it recorded.
+// -progress renderer subscribes to it, and -tracefile/-otlpfile export
+// what it recorded.
 //
 // Every session also roots a distributed-trace context: a fresh
 // 128-bit trace ID, or — when the TRACEPARENT environment variable
@@ -36,6 +36,7 @@ package obsflags
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -115,8 +116,8 @@ func (f *Flags) setFlags() map[string]string {
 // Session is the process-wide observability state behind the flags:
 // one flight recorder shared by every collector the command creates
 // (per-circuit collectors merge into one timeline), the progress
-// renderer and the current run's tracker subscribed to it, the debug
-// server, and the pending ledger records flushed on Close.
+// renderer subscribed to it, the debug server, and the pending ledger
+// records flushed on Close.
 type Session struct {
 	flags    *Flags
 	recorder *journal.Recorder
@@ -136,7 +137,6 @@ type Session struct {
 	tparent trace.SpanID
 
 	mu         sync.Mutex
-	untrack    func() // detaches the latest TrackCtx tracker
 	runs       []ledger.Record
 	exit       int
 	circuits   []string     // distinct circuits seen by RecordRun
@@ -156,7 +156,7 @@ func (f *Flags) Open() (*Session, error) {
 		filepath.Clean(f.TraceFile) == filepath.Clean(f.OTLPFile) {
 		return nil, fmt.Errorf("-tracefile and -otlpfile name the same path %q: the exporters would overwrite each other (they share events, not a format)", f.TraceFile)
 	}
-	s := &Session{flags: f, start: time.Now(), cli: filepath.Base(os.Args[0])}
+	s := &Session{flags: f, start: time.Now(), cli: cliName()}
 	// Root the run's trace. A valid TRACEPARENT in the environment makes
 	// this invocation a child of the caller's span (CI scripts, make
 	// targets); anything else — unset or malformed — roots a fresh trace,
@@ -299,22 +299,16 @@ func (s *Session) writeOTLP() error {
 
 // TrackCtx installs a unit tracker for the run described by kind and
 // circuit: unit lifecycle transitions land in the session log under
-// correlated run_id/unit_id attributes, and — when the session has a
-// flight recorder — the tracker subscribes to it for its per-unit
-// progress heartbeat, replacing the previous run's tracker. The
-// returned context carries the tracker into task.Execute; pass it to
-// the run.
+// correlated run_id/unit_id attributes. The tracker does not subscribe
+// to the flight recorder: in a CLI nothing reads its live estimate (no
+// watchdog, no live endpoint), so its log lines are its only output.
+// The returned context carries the tracker into task.Execute; pass it
+// to the run.
 func (s *Session) TrackCtx(ctx context.Context, kind, circuit string) context.Context {
 	tr := telemetry.NewRunTracker(telemetry.Info{
 		RunID: s.runID, Kind: kind, Circuit: circuit,
 		TraceID: s.tctx.Trace.String(),
 	}, s.logger)
-	s.mu.Lock()
-	if s.untrack != nil {
-		s.untrack()
-	}
-	s.untrack = s.recorder.Subscribe(tr.Observe)
-	s.mu.Unlock()
 	return task.WithTracker(ctx, tr)
 }
 
@@ -395,14 +389,45 @@ func (s *Session) AppendRun(rec ledger.Record, exit int, wall time.Duration) err
 	return ledger.Append(s.flags.Ledger, rec)
 }
 
-// SetExit declares the status the process is about to exit with, for
-// the ledger records Close flushes. Call it before Close on every exit
-// path (the CLIs route both through their exit helper).
-func (s *Session) SetExit(code int) {
+// setExit declares the status the process is about to exit with, for
+// the ledger records Close flushes. Exit calls it before Close.
+func (s *Session) setExit(code int) {
 	s.mu.Lock()
 	s.exit = code
 	s.mu.Unlock()
 }
+
+// Exit ends the process with code through the session: it records code
+// for the ledger (setExit) and closes the session, so -tracefile,
+// -otlpfile, -memprofile and the -ledger records are written even
+// though os.Exit skips deferred calls. A Close error is printed and
+// makes the code 1. The nil session (Open failed) only exits. Every
+// CLI exit path goes through Exit or Fail.
+func (s *Session) Exit(code int) {
+	if s != nil {
+		s.setExit(code)
+		if err := s.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", cliName(), err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// Fail prints err on stderr under the command's name ("interrupted"
+// when err is a context cancellation) and exits 1 through Exit.
+func (s *Session) Fail(err error) {
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintf(os.Stderr, "%s: interrupted\n", cliName())
+	} else {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", cliName(), err)
+	}
+	s.Exit(1)
+}
+
+// cliName is the command's name as invoked, the prefix of its error
+// lines and the CLI field of its ledger records.
+func cliName() string { return filepath.Base(os.Args[0]) }
 
 // Close flushes the session's sinks: the live progress line is
 // terminated, the journal is exported to -tracefile and the assembled
@@ -410,7 +435,7 @@ func (s *Session) SetExit(code int) {
 // run records are appended to -ledger (also on interrupted runs — the
 // partial history is exactly what a SIGINT investigation wants). Safe
 // to call more than once; every exit path must reach it because
-// os.Exit skips defers.
+// os.Exit skips defers, which is why CLIs exit through Exit.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.progress.Flush()

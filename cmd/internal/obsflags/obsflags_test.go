@@ -2,10 +2,13 @@ package obsflags
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/journal"
@@ -32,7 +35,7 @@ func open(t *testing.T, args ...string) *Session {
 }
 
 // TestCloseTwiceNoRecorder pins the SIGINT double-close hazard: every
-// CLI closes the session both from its exit helper and from a deferred
+// CLI closes the session both from Session.Exit and from a deferred
 // call, usually with no recorder or sink attached at all. Both closes
 // must be safe no-ops returning the same (nil) error.
 func TestCloseTwiceNoRecorder(t *testing.T) {
@@ -89,24 +92,70 @@ func TestRegisterFlagSurface(t *testing.T) {
 	}
 }
 
-// TestTrackCtxReplacesTracker: each TrackCtx subscribes its tracker to
-// the session recorder and detaches the previous run's.
-func TestTrackCtxReplacesTracker(t *testing.T) {
-	s := open(t, "-tracefile", filepath.Join(t.TempDir(), "trace.json"))
-	defer s.Close()
-	track := func(circuit string) *telemetry.RunTracker {
-		tr := task.TrackerFrom(s.TrackCtx(context.Background(), task.KindFaultSim, circuit)).(*telemetry.RunTracker)
-		tr.UnitStarted(task.Unit{Spec: task.Spec{Kind: task.KindFaultSim, Circuit: circuit}, Count: 1, Hi: -1})
-		return tr
-	}
-	first := track("a")
-	second := track("b")
+// TestTrackCtxTrackerLogsOnly: a CLI's unit tracker does not subscribe
+// to the session recorder (nothing in a CLI reads its live estimate),
+// and its unit lifecycle lines still reach the session log.
+func TestTrackCtxTrackerLogsOnly(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "run.log")
+	s := open(t, "-tracefile", filepath.Join(t.TempDir(), "trace.json"), "-logfile", logPath)
+	tr := task.TrackerFrom(s.TrackCtx(context.Background(), task.KindFaultSim, "a")).(*telemetry.RunTracker)
+	u := task.Unit{Spec: task.Spec{Kind: task.KindFaultSim, Circuit: "a"}, Count: 1, Hi: -1}
+	tr.UnitStarted(u)
 	s.Recorder().Emit(journal.Detect(1, 5))
-	if d := first.Snapshot().Detected; d != 0 {
-		t.Errorf("the previous run's tracker saw %d detections, want 0", d)
+	if d := tr.Snapshot().Detected; d != 0 {
+		t.Errorf("the CLI tracker counted %d journal detections, want 0 (no subscription)", d)
 	}
-	if d := second.Snapshot().Detected; d != 1 {
-		t.Errorf("the current run's tracker saw %d detections, want 1", d)
+	tr.UnitFinished(u, nil, nil)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range []string{`"msg":"unit started"`, `"msg":"unit finished"`} {
+		if !strings.Contains(string(log), msg) {
+			t.Errorf("session log lacks %s:\n%s", msg, log)
+		}
+	}
+}
+
+// TestFailAfterOpenAppendsLedger: a CLI that fails after Open (say, its
+// -metrics JSON does not encode) still closes the session on the way
+// out, so the run's ledger record lands with exit 1. Fail ends the
+// process, so the test re-runs itself as a child that fails.
+func TestFailAfterOpenAppendsLedger(t *testing.T) {
+	const childEnv = "OBSFLAGS_FAIL_LEDGER"
+	if path := os.Getenv(childEnv); path != "" {
+		fs := flag.NewFlagSet("child", flag.ContinueOnError)
+		f := Register(fs)
+		if err := fs.Parse([]string{"-ledger", path}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Fail(errors.New("encode failed"))
+		return
+	}
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFailAfterOpenAppendsLedger$")
+	cmd.Env = append(os.Environ(), childEnv+"="+path)
+	out, err := cmd.CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("child exited with %v, want status 1:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), ": encode failed") {
+		t.Errorf("child stderr lacks the failure:\n%s", out)
+	}
+	recs, err := ledger.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Exit != 1 {
+		t.Fatalf("ledger holds %+v, want one record with exit 1", recs)
 	}
 }
 
@@ -131,7 +180,7 @@ func TestLedgerFlushOnClose(t *testing.T) {
 	col.Counter("screen.easy").Add(5)
 	s.RecordRun("s27", 0xabc, col.Snapshot(), map[string]float64{"coverage": 98.5})
 	s.RecordRun("s1423", 0xdef, col.Snapshot(), nil)
-	s.SetExit(1)
+	s.setExit(1)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -169,7 +218,7 @@ func TestLedgerFlushOnClose(t *testing.T) {
 func TestLedgerBareRecordOnEmptyRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	s := open(t, "-ledger", path)
-	s.SetExit(1)
+	s.setExit(1)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -50,29 +50,13 @@ var (
 
 func atoi(s string) int { n, _ := strconv.Atoi(s); return n }
 
-// sess is the observability session; every exit goes through exit so
-// Close runs (os.Exit skips defers and -tracefile is written on Close).
-var sess *obsflags.Session
-
-func exit(code int) {
-	if sess != nil {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "mktables: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
 func main() {
 	oflags := obsflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	var err error
-	if sess, err = oflags.Open(); err != nil {
-		fmt.Fprintf(os.Stderr, "mktables: %v\n", err)
-		exit(1)
+	sess, err := oflags.Open()
+	if err != nil {
+		sess.Fail(err)
 	}
 	defer sess.Close()
 	col := sess.Collector()
@@ -85,13 +69,11 @@ func main() {
 	var cur *row
 	for _, f := range flag.Args() {
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "mktables: interrupted")
-			exit(1)
+			sess.Fail(ctx.Err())
 		}
 		fh, err := os.Open(f)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mktables: %v\n", err)
-			exit(1)
+			sess.Fail(err)
 		}
 		sc := bufio.NewScanner(fh)
 		for sc.Scan() {
@@ -111,8 +93,7 @@ func main() {
 			}
 		}
 		if err := sc.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "mktables: %s: %v\n", f, err)
-			exit(1)
+			sess.Fail(fmt.Errorf("%s: %w", f, err))
 		}
 		fh.Close()
 	}
@@ -166,5 +147,5 @@ func main() {
 		// stderr: stdout is the tables artifact pasted into EXPERIMENTS.md.
 		fmt.Fprint(os.Stderr, fsct.FormatMetrics(col.Snapshot()))
 	}
-	exit(0)
+	sess.Exit(0)
 }

@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,21 +29,6 @@ import (
 	"repro/cmd/internal/obsflags"
 	"repro/cmd/internal/specflags"
 )
-
-// sess is the observability session; every exit goes through exit so
-// Close runs (os.Exit skips defers and -tracefile is written on Close).
-var sess *obsflags.Session
-
-func exit(code int) {
-	if sess != nil {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "scaninsert: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 func main() {
 	var (
@@ -57,9 +41,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var serr error
-	if sess, serr = oflags.Open(); serr != nil {
-		fail(serr)
+	sess, serr := oflags.Open()
+	if serr != nil {
+		sess.Fail(serr)
 	}
 	defer sess.Close()
 
@@ -68,16 +52,16 @@ func main() {
 
 	sp, err := v.Spec("")
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	sess.StampTrace(&sp)
 	c, err := sp.BuildCircuit()
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	d, err := sp.InsertScan(c)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 
 	st := d.C.Stat()
@@ -112,7 +96,7 @@ func main() {
 		// report line here is scaninsert's own composition-flavored one.
 		res, rerr := fsct.RunTask(sess.TrackCtx(ctx, sp.Kind, sp.Circuit), sp, nil, col)
 		if rerr != nil {
-			fail(rerr)
+			sess.Fail(rerr)
 		}
 		fmt.Printf("screening: %d faults, %d easy, %d hard (%.1f%% affect the chain)\n",
 			res.Faults, res.Easy, res.Hard, 100*float64(res.Easy+res.Hard)/float64(res.Faults))
@@ -150,22 +134,13 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fail(err)
+			sess.Fail(err)
 		}
 		if err := fsct.WriteBench(f, d.C); err != nil {
-			fail(err)
+			sess.Fail(err)
 		}
 		f.Close()
 		fmt.Printf("\nscan-mode circuit written to %s\n", *out)
 	}
-	exit(0)
-}
-
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "scaninsert: interrupted")
-	} else {
-		fmt.Fprintf(os.Stderr, "scaninsert: %v\n", err)
-	}
-	exit(1)
+	sess.Exit(0)
 }

@@ -27,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"repro"
 	"repro/cmd/internal/obsflags"
@@ -35,21 +34,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
-
-// sess is the observability session; every exit goes through exit so
-// Close runs (os.Exit skips defers and -tracefile is written on Close).
-var sess *obsflags.Session
-
-func exit(code int) {
-	if sess != nil {
-		sess.SetExit(code)
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "testability: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 func main() {
 	var (
@@ -61,9 +45,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var serr error
-	if sess, serr = oflags.Open(); serr != nil {
-		fail(serr)
+	sess, serr := oflags.Open()
+	if serr != nil {
+		sess.Fail(serr)
 	}
 	defer sess.Close()
 	col := sess.Collector()
@@ -71,11 +55,11 @@ func main() {
 	load := col.Phase("load")
 	sp, err := v.Spec("")
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	c, err := sp.BuildCircuit()
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	load.End()
 
@@ -84,7 +68,7 @@ func main() {
 		insert := col.Phase("insert")
 		d, err := sp.InsertScan(c)
 		if err != nil {
-			fail(err)
+			sess.Fail(err)
 		}
 		insert.End()
 		c = d.C
@@ -97,7 +81,7 @@ func main() {
 	scoap := col.Phase("scoap")
 	ta, mc, err := fsct.AnalyzeTestability(c, fixed)
 	if err != nil {
-		fail(err)
+		sess.Fail(err)
 	}
 	scoap.End()
 
@@ -155,7 +139,7 @@ func main() {
 	if oflags.Metrics {
 		fmt.Print(fsct.FormatMetrics(col.Snapshot()))
 	}
-	exit(0)
+	sess.Exit(0)
 }
 
 func min64(a, b int64) int64 {
@@ -170,9 +154,4 @@ func fmtCost(v int64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%d", v)
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "testability: %v\n", err)
-	exit(1)
 }

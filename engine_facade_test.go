@@ -51,7 +51,7 @@ func TestRunFlowCtxPartialReport(t *testing.T) {
 	if _, serr := ScreenFaultsCtx(ctx, d, CollapsedFaults(d.C), ScreenOptions{}); !errors.Is(serr, context.Canceled) {
 		t.Errorf("ScreenFaultsCtx err = %v", serr)
 	}
-	if _, derr := BuildDictionaryCtx(ctx, d, CollapsedFaults(d.C)[:5], 1, 1); !errors.Is(derr, context.Canceled) {
+	if _, derr := BuildDictionaryCtx(ctx, d, CollapsedFaults(d.C)[:5], 1, 1, nil); !errors.Is(derr, context.Canceled) {
 		t.Errorf("BuildDictionaryCtx err = %v", derr)
 	}
 	if _, _, terr := ChainTransitionCoverageCtx(ctx, d, 8, 1); !errors.Is(terr, context.Canceled) {
@@ -72,7 +72,7 @@ func TestEvalBackendsAgreeViaFacade(t *testing.T) {
 	seq := Sequence(d.AlternatingSequence(8))
 	var ref *SimResult
 	for _, b := range []EvalBackend{EvalCompiled, EvalHybrid} {
-		res := SimulateFaultsOpt(d.C, seq, faults, SimOptions{Eval: b})
+		res, _ := SimulateFaultsCtx(context.Background(), d.C, seq, faults, SimOptions{Eval: b})
 		if ref == nil {
 			ref = res
 			continue

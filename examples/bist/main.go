@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,11 @@ func main() {
 	}
 
 	var affecting []fault.Fault
-	for _, s := range fsct.ScreenFaults(design, fsct.CollapsedFaults(design.C)) {
+	screened, err := fsct.ScreenFaultsCtx(context.Background(), design, fsct.CollapsedFaults(design.C), fsct.ScreenOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, s := range screened {
 		if s.Cat != fsct.CatUnaffecting {
 			affecting = append(affecting, s.Fault)
 		}
@@ -39,7 +44,10 @@ func main() {
 	fmt.Printf("golden signature: %08x\n\n", golden)
 
 	alt := fsct.Sequence(design.AlternatingSequence(8))
-	altRes := fsct.SimulateFaults(design.C, alt, affecting)
+	altRes, err := fsct.SimulateFaultsCtx(context.Background(), design.C, alt, affecting, fsct.SimOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-34s %8s\n", "method", "detected")
 	fmt.Printf("%-34s %8d\n", "alternating shift + compare", altRes.NumDetected())

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,11 @@ func main() {
 	// Candidate faults: everything the screening says can touch a chain.
 	all := fsct.CollapsedFaults(design.C)
 	var affecting []fault.Fault
-	for _, s := range fsct.ScreenFaults(design, all) {
+	screened, err := fsct.ScreenFaultsCtx(context.Background(), design, all, fsct.ScreenOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, s := range screened {
 		if s.Cat != fsct.CatUnaffecting {
 			affecting = append(affecting, s.Fault)
 		}
@@ -32,7 +37,10 @@ func main() {
 	fmt.Printf("circuit %s: %d candidate chain faults in the dictionary\n",
 		design.C.Name, len(affecting))
 
-	dict := diagnose.Build(design, affecting, diagnose.DefaultSequences(design, 99))
+	dict, err := diagnose.BuildCtx(context.Background(), design, affecting, diagnose.DefaultSequences(design, 99), 1, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The "silicon": pick a hidden fault the dictionary does not know we
 	// chose, then diagnose it from responses alone.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,10 @@ func main() {
 	}
 
 	faults := fsct.CollapsedFaults(design.C)
-	screened := fsct.ScreenFaults(design, faults)
+	screened, err := fsct.ScreenFaultsCtx(context.Background(), design, faults, fsct.ScreenOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var hard []fsct.Fault
 	for _, s := range screened {
 		if s.Cat == fsct.CatHard {
@@ -33,7 +37,10 @@ func main() {
 
 	// Fault-simulate the alternating shift test over the hard faults.
 	alt := fsct.Sequence(design.AlternatingSequence(8))
-	res := fsct.SimulateFaults(design.C, alt, hard)
+	res, err := fsct.SimulateFaultsCtx(context.Background(), design.C, alt, hard, fsct.SimOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	escapes := res.Undetected()
 	if len(escapes) == 0 {
 		fmt.Println("no hard fault escapes the alternating test on this seed;")
@@ -48,7 +55,7 @@ func main() {
 	fmt.Printf("pattern the test cannot distinguish from the good one).\n")
 
 	// Now run the real flow and verify the victim is handled.
-	report, err := fsct.RunFlow(design, fsct.FlowParams{})
+	report, err := fsct.RunFlowCtx(context.Background(), design, fsct.FlowParams{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report, err := fsct.RunFlow(design, fsct.FlowParams{})
+		report, err := fsct.RunFlowCtx(context.Background(), design, fsct.FlowParams{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 
 	// Run the flow: screening, alternating sequence, combinational ATPG
 	// with sequential fault simulation, grouped sequential ATPG.
-	report, err := fsct.RunFlow(design, fsct.FlowParams{})
+	report, err := fsct.RunFlowCtx(context.Background(), design, fsct.FlowParams{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package fsct
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -42,12 +43,13 @@ func TestFacadeDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	var affecting []Fault
-	for _, s := range ScreenFaults(d, CollapsedFaults(d.C)) {
+	screened, _ := ScreenFaultsCtx(context.Background(), d, CollapsedFaults(d.C), ScreenOptions{})
+	for _, s := range screened {
 		if s.Cat != CatUnaffecting {
 			affecting = append(affecting, s.Fault)
 		}
 	}
-	dict := BuildDictionary(d, affecting, 5)
+	dict, _ := BuildDictionaryCtx(context.Background(), d, affecting, 5, 1, nil)
 	if dict.GoodSignature() == 0 {
 		t.Error("good signature is zero")
 	}

@@ -17,7 +17,7 @@
 //
 //	c := fsct.GenerateCircuit(fsct.MustProfile("s5378").Scale(0.1), 1)
 //	d, _ := fsct.InsertScan(c, fsct.ScanOptions{NumChains: 2})
-//	rep, _ := fsct.RunFlow(d, fsct.FlowParams{})
+//	rep, _ := fsct.RunFlowCtx(context.Background(), d, fsct.FlowParams{})
 //	fmt.Println(fsct.FormatReport(rep))
 package fsct
 
@@ -167,14 +167,11 @@ func SelectPartialScan(c *Circuit, minFraction float64) []netlist.SignalID {
 	return tpi.SelectPartialScan(c, minFraction)
 }
 
-// RunFlow executes the paper's three-step methodology on a scan design.
-func RunFlow(d *Design, p FlowParams) (*Report, error) { return core.Run(d, p) }
-
-// RunFlowCtx is RunFlow with cooperative cancellation: when ctx fires
-// the flow stops at the next fault-batch or ATPG-backtrack boundary and
-// returns the partially filled report together with an error wrapping
-// ctx.Err(). Use the report's populated phases; treat the rest as not
-// run.
+// RunFlowCtx executes the paper's three-step methodology on a scan
+// design. When ctx fires the flow stops at the next fault-batch or
+// ATPG-backtrack boundary and returns the partially filled report
+// together with an error wrapping ctx.Err(). Use the report's populated
+// phases; treat the rest as not run.
 func RunFlowCtx(ctx context.Context, d *Design, p FlowParams) (*Report, error) {
 	return core.RunCtx(ctx, d, p)
 }
@@ -188,45 +185,28 @@ func CollapsedFaults(c *Circuit) []Fault { return fault.Collapsed(c) }
 // per-fault counting semantics — reports use CollapsedFaults).
 func DominanceFaults(c *Circuit) []Fault { return fault.Dominance(c) }
 
-// ScreenFaults runs the forward-implication screening (paper Section 3)
-// of the given faults against a scan design with default options
-// (compiled evaluator, GOMAXPROCS workers).
-func ScreenFaults(d *Design, faults []Fault) []Screened { return core.Screen(d, faults) }
-
 // ScreenOptions tunes the screening engine (worker count, artifact
-// cache, metrics collector).
+// cache, metrics collector). The zero value selects GOMAXPROCS workers
+// and the shared artifact cache.
 type ScreenOptions = core.ScreenOptions
 
-// ScreenFaultsOpt is ScreenFaults with explicit execution options.
-func ScreenFaultsOpt(d *Design, faults []Fault, opts ScreenOptions) []Screened {
-	return core.ScreenOpt(d, faults, opts)
-}
-
-// ScreenFaultsCtx is ScreenFaultsOpt with cooperative cancellation;
+// ScreenFaultsCtx runs the forward-implication screening (paper
+// Section 3) of the given faults against a scan design. When ctx fires,
 // faults whose batch never ran keep the unaffecting default in the
 // partial result.
 func ScreenFaultsCtx(ctx context.Context, d *Design, faults []Fault, opts ScreenOptions) ([]Screened, error) {
-	return core.ScreenOptCtx(ctx, d, faults, opts)
+	return core.ScreenCtx(ctx, d, faults, opts)
 }
 
 // SimOptions tunes a fault-simulation run (initial state, early stop,
-// worker count, evaluator backend).
+// worker count, evaluator backend). The zero value selects GOMAXPROCS
+// workers and the Auto backend.
 type SimOptions = faultsim.Options
 
-// SimulateFaults fault-simulates a test sequence against every fault (63
-// faulty machines per packed pass) and reports first-detection cycles.
-func SimulateFaults(c *Circuit, seq Sequence, faults []Fault) *SimResult {
-	return faultsim.Run(c, seq, faults, faultsim.Options{})
-}
-
-// SimulateFaultsOpt is SimulateFaults with explicit execution options.
-func SimulateFaultsOpt(c *Circuit, seq Sequence, faults []Fault, opts SimOptions) *SimResult {
-	return faultsim.Run(c, seq, faults, opts)
-}
-
-// SimulateFaultsCtx is SimulateFaultsOpt with cooperative cancellation;
-// detections recorded before the cancel are valid in the partial
-// result, the remaining faults stay undetected.
+// SimulateFaultsCtx fault-simulates a test sequence against every fault
+// (63 faulty machines per packed pass) and reports first-detection
+// cycles. When ctx fires, detections recorded before the cancel are
+// valid in the partial result and the remaining faults stay undetected.
 func SimulateFaultsCtx(ctx context.Context, c *Circuit, seq Sequence, faults []Fault, opts SimOptions) (*SimResult, error) {
 	return faultsim.RunCtx(ctx, c, seq, faults, opts)
 }
@@ -251,57 +231,29 @@ func WriteVerilog(w io.Writer, c *Circuit) error { return bench.WriteVerilog(w, 
 // diagnosis.
 type Dictionary = diagnose.Dictionary
 
-// BuildDictionary simulates the candidate faults against the default
-// diagnostic sequences and indexes their response signatures.
-func BuildDictionary(d *Design, faults []Fault, seed uint64) *Dictionary {
-	return diagnose.Build(d, faults, diagnose.DefaultSequences(d, seed))
-}
-
-// BuildDictionaryOpt is BuildDictionary with the 63-fault simulation
-// batches sharded across workers goroutines (0 = GOMAXPROCS); the
-// dictionary is identical at any width.
-func BuildDictionaryOpt(d *Design, faults []Fault, seed uint64, workers int) *Dictionary {
-	return diagnose.BuildOpt(d, faults, diagnose.DefaultSequences(d, seed), workers)
-}
-
-// BuildDictionaryCtx is BuildDictionaryOpt with cooperative
-// cancellation; discard the dictionary when the error is non-nil.
-func BuildDictionaryCtx(ctx context.Context, d *Design, faults []Fault, seed uint64, workers int) (*Dictionary, error) {
-	return diagnose.BuildOptCtx(ctx, d, faults, diagnose.DefaultSequences(d, seed), workers)
-}
-
-// BuildDictionaryObs is BuildDictionaryCtx instrumented through col:
-// the build runs under a "dictionary" phase, its worker pool reports
+// BuildDictionaryCtx simulates the candidate faults against the default
+// diagnostic sequences and indexes their response signatures, with the
+// 63-fault simulation batches sharded across workers goroutines (0 =
+// GOMAXPROCS); the dictionary is identical at any width. The build runs
+// under a "dictionary" phase of col, its worker pool reports
 // utilization as the "diagnose" pool, and with a journal attached both
-// emit flight-recorder events. A nil collector makes it identical to
-// BuildDictionaryCtx.
-func BuildDictionaryObs(ctx context.Context, d *Design, faults []Fault, seed uint64, workers int, col *Collector) (*Dictionary, error) {
+// emit flight-recorder events; col may be nil. Discard the dictionary
+// when the error is non-nil.
+func BuildDictionaryCtx(ctx context.Context, d *Design, faults []Fault, seed uint64, workers int, col *Collector) (*Dictionary, error) {
 	sp := col.Phase("dictionary")
 	defer sp.End()
-	return diagnose.BuildObsCtx(ctx, d, faults, diagnose.DefaultSequences(d, seed), workers, col)
+	return diagnose.BuildCtx(ctx, d, faults, diagnose.DefaultSequences(d, seed), workers, col)
 }
 
 // ChainNets returns every on-path net of the design's chains.
 func ChainNets(d *Design) []SignalID { return core.ChainNets(d) }
 
-// ChainTransitionCoverage measures how the alternating shift test
+// ChainTransitionCoverageCtx measures how the alternating shift test
 // doubles as a two-pattern (transition fault) test for the chain links:
-// detections over slow-to-rise/slow-to-fall faults on every on-path net.
-func ChainTransitionCoverage(d *Design, extraCycles int) (detected, total int) {
-	detected, total, _ = core.ChainTransitionCoverage(d, extraCycles)
-	return detected, total
-}
-
-// ChainTransitionCoverageOpt is ChainTransitionCoverage with the fault
-// axis sharded across workers goroutines (0 = GOMAXPROCS, 1 = serial).
-func ChainTransitionCoverageOpt(d *Design, extraCycles, workers int) (detected, total int) {
-	detected, total, _ = core.ChainTransitionCoverageOpt(d, extraCycles, workers)
-	return detected, total
-}
-
-// ChainTransitionCoverageCtx is ChainTransitionCoverageOpt with
-// cooperative cancellation; unsimulated faults count as undetected in
-// the partial result.
+// detections over slow-to-rise/slow-to-fall faults on every on-path
+// net, with the fault axis sharded across workers goroutines (0 =
+// GOMAXPROCS, 1 = serial). When ctx fires, unsimulated faults count as
+// undetected in the partial result.
 func ChainTransitionCoverageCtx(ctx context.Context, d *Design, extraCycles, workers int) (detected, total int, err error) {
 	detected, total, _, err = core.ChainTransitionCoverageCtx(ctx, d, extraCycles, workers)
 	return detected, total, err
@@ -417,14 +369,9 @@ type Experiment struct {
 	Flow    FlowParams
 }
 
-// Run generates the circuit, inserts scan, and executes the flow.
-func (e Experiment) Run() (*Report, *Design, error) {
-	return e.RunCtx(nil)
-}
-
-// RunCtx is Run with cooperative cancellation: on cancel the partial
-// report (possibly nil when the flow never started) is returned with
-// the design and an error wrapping ctx.Err().
+// RunCtx generates the circuit, inserts scan, and executes the flow.
+// On cancel the partial report (possibly nil when the flow never
+// started) is returned with the design and an error wrapping ctx.Err().
 func (e Experiment) RunCtx(ctx context.Context) (*Report, *Design, error) {
 	p := e.Profile
 	if e.Scale > 0 && e.Scale < 1 {

@@ -2,6 +2,7 @@ package fsct
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func smallReport(t *testing.T, name string, chains int, seed int64) *Report {
 		Scale:   0.04,
 		Chains:  chains,
 		Seed:    seed,
-	}.Run()
+	}.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestScreenAndSimulateFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := CollapsedFaults(d.C)
-	scr := ScreenFaults(d, faults)
+	scr, _ := ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{})
 	if len(scr) != len(faults) {
 		t.Fatal("screening lost faults")
 	}
@@ -136,7 +137,7 @@ func TestScreenAndSimulateFacade(t *testing.T) {
 	if len(easy) == 0 {
 		t.Fatal("no easy faults")
 	}
-	res := SimulateFaults(d.C, Sequence(d.AlternatingSequence(8)), easy)
+	res, _ := SimulateFaultsCtx(context.Background(), d.C, Sequence(d.AlternatingSequence(8)), easy, SimOptions{})
 	if res.NumDetected() == 0 {
 		t.Error("alternating sequence detected nothing")
 	}
@@ -151,7 +152,7 @@ func TestReproductionShape(t *testing.T) {
 	}
 	var totalFaults, affecting, hard, undetected int
 	for _, p := range Suite()[:6] { // the six smaller circuits keep this fast
-		rep, _, err := Experiment{Profile: p, Scale: 0.05, Seed: 1}.Run()
+		rep, _, err := Experiment{Profile: p, Scale: 0.05, Seed: 1}.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package fsct
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/bist"
@@ -22,7 +23,7 @@ func TestAllSystems(t *testing.T) {
 	}
 
 	// The paper's flow.
-	report, err := RunFlow(design, FlowParams{})
+	report, err := RunFlowCtx(context.Background(), design, FlowParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +37,15 @@ func TestAllSystems(t *testing.T) {
 	}
 
 	// Transition (delay) coverage of the chain links.
-	tdet, ttot := ChainTransitionCoverage(design, 12)
+	tdet, ttot, _ := ChainTransitionCoverageCtx(context.Background(), design, 12, 1)
 	if ttot == 0 || float64(tdet) < 0.8*float64(ttot) {
 		t.Errorf("transition coverage %d/%d", tdet, ttot)
 	}
 
 	// BIST signature self-test over the affecting faults.
 	var affecting []Fault
-	for _, s := range ScreenFaults(design, CollapsedFaults(design.C)) {
+	screened, _ := ScreenFaultsCtx(context.Background(), design, CollapsedFaults(design.C), ScreenOptions{})
+	for _, s := range screened {
 		if s.Cat != CatUnaffecting {
 			affecting = append(affecting, s.Fault)
 		}
@@ -60,7 +62,7 @@ func TestAllSystems(t *testing.T) {
 	}
 
 	// Diagnosis round trip on a handful of faults.
-	dict := BuildDictionary(design, affecting, 17)
+	dict, _ := BuildDictionaryCtx(context.Background(), design, affecting, 17, 1, nil)
 	probes := affecting
 	if len(probes) > 12 {
 		probes = probes[:12]

@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -119,7 +120,8 @@ func TestRunDetectsChainFaults(t *testing.T) {
 	d := design(t)
 	all := fault.Collapsed(d.C)
 	var affecting []fault.Fault
-	for _, s := range core.Screen(d, all) {
+	screened, _ := core.ScreenCtx(context.Background(), d, all, core.ScreenOptions{})
+	for _, s := range screened {
 		if s.Cat != core.Cat3 {
 			affecting = append(affecting, s.Fault)
 		}

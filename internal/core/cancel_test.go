@@ -89,7 +89,7 @@ func TestRunCtxCancelledUpFront(t *testing.T) {
 func TestRunCtxCancelMidFlow(t *testing.T) {
 	d := genDesign(t, 300, 24, 2, 8)
 	// An uncancelled reference to know the full budget and expected output.
-	full, err := Run(d, Params{Workers: 2})
+	full, err := RunCtx(context.Background(), d, Params{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestScreenCtxCancel(t *testing.T) {
 	d := genDesign(t, 300, 24, 2, 8)
 	faults := fault.Collapsed(d.C)
 	before := runtime.NumGoroutine()
-	out, err := ScreenOptCtx(cancelledCtx(), d, faults, ScreenOptions{Workers: 4})
+	out, err := ScreenCtx(cancelledCtx(), d, faults, ScreenOptions{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -229,11 +229,11 @@ func TestCancelJournalFlush(t *testing.T) {
 	}
 }
 
-// TestRunCtxNilMatchesRun: a nil context is context.Background — the
-// ctx-free wrappers and the Ctx entry points produce the same report.
+// TestRunCtxNilMatchesRun: a nil context is context.Background — both
+// produce the same report.
 func TestRunCtxNilMatchesRun(t *testing.T) {
 	d := s27Design(t, 1)
-	a, err := Run(d, Params{Engine: engine.Bypass()})
+	a, err := RunCtx(context.Background(), d, Params{Engine: engine.Bypass()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +242,6 @@ func TestRunCtxNilMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(canonicalReport(t, a)) != string(canonicalReport(t, b)) {
-		t.Error("RunCtx(nil) diverged from Run")
+		t.Error("RunCtx(nil) diverged from RunCtx(context.Background())")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/scan"
@@ -29,7 +31,7 @@ func CompactVectors(d *scan.Design, vectors []scan.Vector, faults []fault.Fault)
 	}
 	L := d.MaxChainLen()
 	seq := faultsim.Sequence(d.ConvertVectors(vectors))
-	base := faultsim.Run(d.C, seq, faults, faultsim.Options{})
+	base, _ := faultsim.RunCtx(context.TODO(), d.C, seq, faults, faultsim.Options{})
 	baseDet := base.NumDetected()
 
 	// Attribution: the sequence is [flush | w0 | w1 | … | flush-out];
@@ -59,7 +61,7 @@ func CompactVectors(d *scan.Design, vectors []scan.Vector, faults []fault.Fault)
 	}
 	// Verify.
 	seq2 := faultsim.Sequence(d.ConvertVectors(kept))
-	again := faultsim.Run(d.C, seq2, faults, faultsim.Options{})
+	again, _ := faultsim.RunCtx(context.TODO(), d.C, seq2, faults, faultsim.Options{})
 	if again.NumDetected() < baseDet {
 		return CompactResult{Before: len(vectors), After: len(vectors), Vectors: vectors}
 	}

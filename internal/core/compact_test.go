@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -50,7 +51,8 @@ func buildStep2Vectors(t *testing.T, d *scan.Design, hard []Screened) []scan.Vec
 func TestCompactVectorsKeepsCoverage(t *testing.T) {
 	d := genDesign(t, 220, 12, 1, 8)
 	var hard []Screened
-	for _, s := range Screen(d, fault.Collapsed(d.C)) {
+	screened, _ := ScreenCtx(context.Background(), d, fault.Collapsed(d.C), ScreenOptions{})
+	for _, s := range screened {
 		if s.Cat == Cat2 {
 			hard = append(hard, s)
 		}
@@ -66,13 +68,13 @@ func TestCompactVectorsKeepsCoverage(t *testing.T) {
 	for i := range hard {
 		hf[i] = hard[i].Fault
 	}
-	before := faultsim.Run(d.C, faultsim.Sequence(d.ConvertVectors(vectors)), hf, faultsim.Options{})
+	before, _ := faultsim.RunCtx(context.Background(), d.C, faultsim.Sequence(d.ConvertVectors(vectors)), hf, faultsim.Options{})
 
 	res := CompactVectors(d, vectors, hf)
 	if res.After > res.Before {
 		t.Fatalf("compaction grew the set: %d -> %d", res.Before, res.After)
 	}
-	after := faultsim.Run(d.C, faultsim.Sequence(d.ConvertVectors(res.Vectors)), hf, faultsim.Options{})
+	after, _ := faultsim.RunCtx(context.Background(), d.C, faultsim.Sequence(d.ConvertVectors(res.Vectors)), hf, faultsim.Options{})
 	if after.NumDetected() < before.NumDetected() {
 		t.Errorf("compaction lost coverage: %d -> %d", before.NumDetected(), after.NumDetected())
 	}

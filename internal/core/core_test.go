@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -36,7 +37,7 @@ func genDesign(t *testing.T, gates, ffs, chains int, seed int64) *scan.Design {
 func TestScreenBasicInvariants(t *testing.T) {
 	d := s27Design(t, 1)
 	faults := fault.Collapsed(d.C)
-	scr := Screen(d, faults)
+	scr, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{})
 	if len(scr) != len(faults) {
 		t.Fatalf("screened %d of %d", len(scr), len(faults))
 	}
@@ -76,7 +77,8 @@ func TestScreenChainStemIsCat1(t *testing.T) {
 		{Signal: pathNet, Gate: netlist.None, Pin: -1, Stuck: logic.Zero},
 		{Signal: pathNet, Gate: netlist.None, Pin: -1, Stuck: logic.One},
 	}
-	for _, s := range Screen(d, faults) {
+	screened, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{})
+	for _, s := range screened {
 		if s.Cat == Cat3 {
 			t.Errorf("on-path fault %s screened as unaffecting", s.Fault.Describe(d.C))
 		}
@@ -88,8 +90,8 @@ func TestScreenChainStemIsCat1(t *testing.T) {
 func TestScreenScanModeStuckAt0(t *testing.T) {
 	d := s27Design(t, 1)
 	f := fault.Fault{Signal: d.ScanModePI, Gate: netlist.None, Pin: -1, Stuck: logic.Zero}
-	s := Screen(d, []fault.Fault{f})[0]
-	if s.Cat == Cat3 {
+	scr, _ := ScreenCtx(context.Background(), d, []fault.Fault{f}, ScreenOptions{})
+	if scr[0].Cat == Cat3 {
 		t.Error("scan_mode s-a-0 screened as unaffecting")
 	}
 }
@@ -99,7 +101,7 @@ func TestScreenScanModeStuckAt0(t *testing.T) {
 func TestScreenCat1DetectedByAlternating(t *testing.T) {
 	for _, chains := range []int{1, 2} {
 		d := s27Design(t, chains)
-		scr := Screen(d, fault.Collapsed(d.C))
+		scr, _ := ScreenCtx(context.Background(), d, fault.Collapsed(d.C), ScreenOptions{})
 		var cat1 []fault.Fault
 		for _, s := range scr {
 			if s.Cat == Cat1 {
@@ -107,7 +109,7 @@ func TestScreenCat1DetectedByAlternating(t *testing.T) {
 			}
 		}
 		alt := faultsim.Sequence(d.AlternatingSequence(8))
-		res := faultsim.Run(d.C, alt, cat1, faultsim.Options{})
+		res, _ := faultsim.RunCtx(context.Background(), d.C, alt, cat1, faultsim.Options{})
 		missed := len(res.Undetected())
 		if float64(missed) > 0.1*float64(len(cat1)) {
 			t.Errorf("chains=%d: alternating sequence missed %d of %d category-1 faults",
@@ -121,7 +123,7 @@ func TestScreenCat1DetectedByAlternating(t *testing.T) {
 // the same scan-out trace as the fault-free chain.
 func TestScreenCat3Unaffecting(t *testing.T) {
 	d := s27Design(t, 1)
-	scr := Screen(d, fault.Collapsed(d.C))
+	scr, _ := ScreenCtx(context.Background(), d, fault.Collapsed(d.C), ScreenOptions{})
 	var cat3 []fault.Fault
 	for _, s := range scr {
 		if s.Cat == Cat3 {
@@ -176,7 +178,7 @@ func traceOutput(d *scan.Design, seq [][]logic.V, inj *sim.Inject, outIdx int) [
 func TestRunS27(t *testing.T) {
 	for _, chains := range []int{1, 2} {
 		d := s27Design(t, chains)
-		rep, err := Run(d, Params{})
+		rep, err := RunCtx(context.Background(), d, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +206,7 @@ func TestRunS27(t *testing.T) {
 // multiple chains.
 func TestRunGenerated(t *testing.T) {
 	d := genDesign(t, 250, 14, 2, 5)
-	rep, err := Run(d, Params{})
+	rep, err := RunCtx(context.Background(), d, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +233,14 @@ func TestRunGenerated(t *testing.T) {
 func TestUndetectableClaimsSound(t *testing.T) {
 	d := s27Design(t, 1)
 	faults := fault.Collapsed(d.C)
-	scr := Screen(d, faults)
+	scr, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{})
 	var hard []fault.Fault
 	for _, s := range scr {
 		if s.Cat == Cat2 {
 			hard = append(hard, s.Fault)
 		}
 	}
-	rep, err := Run(d, Params{})
+	rep, err := RunCtx(context.Background(), d, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +252,7 @@ func TestUndetectableClaimsSound(t *testing.T) {
 	// by random vectors is clearly not undetectable; the flow must have
 	// detected it too.
 	seq := randomScanSequence(d, 600, 99)
-	res := faultsim.Run(d.C, seq, hard, faultsim.Options{})
+	res, _ := faultsim.RunCtx(context.Background(), d.C, seq, hard, faultsim.Options{})
 	detectedByRandom := res.NumDetected()
 	flowDetected := rep.Step2.Detected + rep.Step3.Detected
 	if flowDetected < detectedByRandom {

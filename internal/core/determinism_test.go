@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -55,7 +56,7 @@ func TestFlowDeterministicAcrossCacheAndWorkers(t *testing.T) {
 				if cold {
 					cache = engine.Bypass()
 				}
-				rep, err := Run(d, Params{Workers: w, Engine: cache})
+				rep, err := RunCtx(context.Background(), d, Params{Workers: w, Engine: cache})
 				if err != nil {
 					t.Fatalf("%s cold=%v workers=%d: %v", name, cold, w, err)
 				}
@@ -82,7 +83,7 @@ func TestFlowCompileOncePerCircuit(t *testing.T) {
 	cache := engine.New()
 
 	col := obs.New()
-	if _, err := Run(d, Params{Workers: 4, Obs: col, Engine: cache}); err != nil {
+	if _, err := RunCtx(context.Background(), d, Params{Workers: 4, Obs: col, Engine: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if got := col.Snapshot().Counters["sim.compile.count"]; got != 2 {
@@ -90,7 +91,7 @@ func TestFlowCompileOncePerCircuit(t *testing.T) {
 	}
 
 	col2 := obs.New()
-	if _, err := Run(d, Params{Workers: 4, Obs: col2, Engine: cache}); err != nil {
+	if _, err := RunCtx(context.Background(), d, Params{Workers: 4, Obs: col2, Engine: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if got := col2.Snapshot().Counters["sim.compile.count"]; got != 0 {

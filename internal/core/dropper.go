@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/atpg"
 	"repro/internal/engine"
 	"repro/internal/logic"
@@ -100,7 +102,7 @@ func (cd *combDropper) drop(v scan.Vector) {
 	if workers > len(batches) {
 		workers = len(batches)
 	}
-	par.Do(workers, len(batches), func(worker, bi int) {
+	par.DoCtx(context.TODO(), workers, len(batches), func(worker, bi int) {
 		eval := cd.evals[worker]
 		if eval == nil {
 			eval = sim.NewCompiledCombFrom(cd.prog)

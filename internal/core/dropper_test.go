@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -17,7 +18,7 @@ import (
 func TestDropperMatchesGroundTruth(t *testing.T) {
 	d := s27Design(t, 1)
 	faults := fault.Collapsed(d.C)
-	screened := Screen(d, faults)
+	screened, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{})
 	var hard []Screened
 	for _, s := range screened {
 		if s.Cat == Cat2 {
@@ -69,7 +70,7 @@ func TestDropperMatchesGroundTruth(t *testing.T) {
 	for i := range hard {
 		mf[i] = cm.MapFault(hard[i].Fault)
 	}
-	res := faultsim.Run(cm.C, faultsim.Sequence{pi}, mf, faultsim.Options{})
+	res, _ := faultsim.RunCtx(context.Background(), cm.C, faultsim.Sequence{pi}, mf, faultsim.Options{})
 	for i := range hard {
 		want := res.DetectedAt[i] >= 0
 		if cd.covered.Get(i) != want {

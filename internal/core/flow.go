@@ -195,14 +195,9 @@ func (p Params) simOptions(stopEarly bool) faultsim.Options {
 	}
 }
 
-// Run executes the full methodology on a scan design.
-func Run(d *scan.Design, p Params) (*Report, error) {
-	return RunCtx(nil, d, p)
-}
-
-// RunCtx is Run with cooperative cancellation. Cancellation is observed
-// at fault-batch and ATPG-backtrack boundaries; when ctx fires the flow
-// stops where it is, and returns the partially filled report alongside
+// RunCtx executes the full methodology on a scan design. Cancellation
+// is observed at fault-batch and ATPG-backtrack boundaries; when ctx
+// fires the flow stops where it is, and returns the partially filled report alongside
 // an error wrapping the context error — counters and phase results
 // accumulated so far are valid, later phases simply report zero. The
 // report is non-nil whenever the design verifies. A nil context behaves
@@ -238,7 +233,7 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	// ---- Screening (Section 3) ----
 	span := col.Phase("screen")
 	t0 := time.Now()
-	screened, err := ScreenOptCtx(ctx, d, faults, ScreenOptions{Workers: p.Workers, Cache: p.Engine, Obs: col})
+	screened, err := ScreenCtx(ctx, d, faults, ScreenOptions{Workers: p.Workers, Cache: p.Engine, Obs: col})
 	rep.ScreenCPU = time.Since(t0)
 	span.End()
 	if err != nil {

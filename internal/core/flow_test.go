@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -30,7 +31,7 @@ func TestParamsDefaults(t *testing.T) {
 
 func TestSkipStep2RoutesEverythingToStep3(t *testing.T) {
 	d := s27Design(t, 1)
-	rep, err := Run(d, Params{SkipStep2: true})
+	rep, err := RunCtx(context.Background(), d, Params{SkipStep2: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,11 @@ func TestSkipStep2RoutesEverythingToStep3(t *testing.T) {
 
 func TestSimulateAlternatingOnHard(t *testing.T) {
 	d := s27Design(t, 1)
-	base, err := Run(d, Params{})
+	base, err := RunCtx(context.Background(), d, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(d, Params{SimulateAlternatingOnHard: true})
+	opt, err := RunCtx(context.Background(), d, Params{SimulateAlternatingOnHard: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -16,14 +17,14 @@ import (
 func TestRunWithCollector(t *testing.T) {
 	d := s27Design(t, 1)
 
-	plain, err := Run(d, Params{})
+	plain, err := RunCtx(context.Background(), d, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.New()
 	// A fresh artifact cache so the compiles happen under this
 	// collector (the shared default cache may already hold s27).
-	rep, err := Run(d, Params{Obs: col, Engine: engine.New()})
+	rep, err := RunCtx(context.Background(), d, Params{Obs: col, Engine: engine.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +86,14 @@ func TestRunWithCollector(t *testing.T) {
 	}
 }
 
-// TestScreenOptNilCollector pins that the nil collector path stays the
-// plain par.Do path and produces identical verdicts.
+// TestScreenOptNilCollector pins that a nil ScreenOptions.Obs keeps
+// screening on the plain par.DoCtx path with identical verdicts.
 func TestScreenOptNilCollector(t *testing.T) {
 	d := s27Design(t, 1)
 	faults := fault.Collapsed(d.C)
-	a := ScreenOpt(d, faults, ScreenOptions{Workers: 2})
+	a, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{Workers: 2})
 	col := obs.New()
-	b := ScreenOpt(d, faults, ScreenOptions{Workers: 2, Obs: col})
+	b, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{Workers: 2, Obs: col})
 	if len(a) != len(b) {
 		t.Fatal("length mismatch")
 	}

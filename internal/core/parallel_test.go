@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -22,9 +23,9 @@ func TestScreenDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := fault.Collapsed(d.C)
-	ref := ScreenOpt(d, faults, ScreenOptions{Workers: 1})
+	ref, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{Workers: 1})
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-		got := ScreenOpt(d, faults, ScreenOptions{Workers: workers})
+		got, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{Workers: workers})
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("workers=%d: screening output differs from serial reference", workers)
 		}
@@ -47,12 +48,12 @@ func TestFlowDeterministicAcrossWorkers(t *testing.T) {
 		s.Step3.CPU = 0
 		return s
 	}
-	ref, err := Run(d, Params{Workers: 1})
+	ref, err := RunCtx(context.Background(), d, Params{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		got, err := Run(d, Params{Workers: workers})
+		got, err := RunCtx(context.Background(), d, Params{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,17 +63,17 @@ func TestFlowDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultsimDeterminismViaFlowSequences exercises faultsim.Run across
+// TestFaultsimDeterminismViaFlowSequences exercises faultsim.RunCtx across
 // widths on a real scan-design workload (the alternating sequence), the
 // stimulus the flow actually feeds it, under both backends.
 func TestFaultsimDeterminismViaFlowSequences(t *testing.T) {
 	d := s27Design(t, 1)
 	faults := fault.Collapsed(d.C)
 	alt := faultsim.Sequence(d.AlternatingSequence(8))
-	ref := faultsim.Run(d.C, alt, faults, faultsim.Options{Workers: 1})
+	ref, _ := faultsim.RunCtx(context.Background(), d.C, alt, faults, faultsim.Options{Workers: 1})
 	for _, eval := range []engine.Backend{engine.Compiled, engine.Hybrid} {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			got := faultsim.Run(d.C, alt, faults, faultsim.Options{Workers: workers, Eval: eval})
+			got, _ := faultsim.RunCtx(context.Background(), d.C, alt, faults, faultsim.Options{Workers: workers, Eval: eval})
 			if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 				t.Fatalf("eval=%v workers=%d: alternating-sequence detections differ", eval, workers)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -20,7 +21,7 @@ func TestRunPartialScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(d, Params{})
+	rep, err := RunCtx(context.Background(), d, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestRunPartialScan(t *testing.T) {
 // full-scan design must work and detect a solid share of hard faults.
 func TestRandomVectorsOnFullScan(t *testing.T) {
 	d := s27Design(t, 1)
-	rep, err := Run(d, Params{RandomVectors: 300})
+	rep, err := RunCtx(context.Background(), d, Params{RandomVectors: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,8 +20,8 @@ func flowJournal(t *testing.T) ([]fault.Fault, []Screened, []journal.Event) {
 	rec := journal.New(0)
 	col.SetJournal(rec)
 	faults := fault.Collapsed(d.C)
-	scr := ScreenOpt(d, faults, ScreenOptions{Workers: 1})
-	if _, err := Run(d, Params{Workers: 1, Obs: col}); err != nil {
+	scr, _ := ScreenCtx(context.Background(), d, faults, ScreenOptions{Workers: 1})
+	if _, err := RunCtx(context.Background(), d, Params{Workers: 1, Obs: col}); err != nil {
 		t.Fatal(err)
 	}
 	return faults, scr, rec.Snapshot()

@@ -88,14 +88,7 @@ type ScreenOptions struct {
 	Obs *obs.Collector
 }
 
-// Screen computes the forward-implication categorization of every fault
-// against the scan design with default options (parallel, compiled
-// evaluator); see ScreenOpt.
-func Screen(d *scan.Design, faults []fault.Fault) []Screened {
-	return ScreenOpt(d, faults, ScreenOptions{})
-}
-
-// ScreenOpt computes the forward-implication categorization of every
+// ScreenCtx computes the forward-implication categorization of every
 // fault against the scan design: one three-valued scan-mode evaluation
 // per fault (batched 63 wide), comparing on-path nets (X in the good
 // circuit; a definite value under the fault means category 1) and side
@@ -103,17 +96,13 @@ func Screen(d *scan.Design, faults []fault.Fault) []Screened {
 // fault means category 2). Batches are sharded across workers; each
 // fault's verdict lives in its own output slot, so the result does not
 // depend on the worker count.
-func ScreenOpt(d *scan.Design, faults []fault.Fault, opts ScreenOptions) []Screened {
-	out, _ := ScreenOptCtx(nil, d, faults, opts)
-	return out
-}
-
-// ScreenOptCtx is ScreenOpt with cooperative cancellation: workers stop
-// claiming fault batches once ctx is cancelled (bounded by one in-flight
-// batch per worker), all workers are joined, and the context error is
-// returned with the partial verdicts. Faults whose batch never ran keep
-// the Cat3 default. A nil context behaves like context.Background.
-func ScreenOptCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, opts ScreenOptions) ([]Screened, error) {
+//
+// Workers stop claiming fault batches once ctx is cancelled (bounded by
+// one in-flight batch per worker), all workers are joined, and the
+// context error is returned with the partial verdicts. Faults whose
+// batch never ran keep the Cat3 default. A nil context behaves like
+// context.Background.
+func ScreenCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, opts ScreenOptions) ([]Screened, error) {
 	c := d.C
 	out := make([]Screened, len(faults))
 	for i := range out {

@@ -27,7 +27,8 @@ func step3Design(t *testing.T) *scan.Design {
 // later steps (category 2), as step 3 receives them with step 2 skipped.
 func hardFaults(d *scan.Design) []Screened {
 	var hard []Screened
-	for _, s := range Screen(d, fault.Collapsed(d.C)) {
+	screened, _ := ScreenCtx(context.Background(), d, fault.Collapsed(d.C), ScreenOptions{})
+	for _, s := range screened {
 		if s.Cat == Cat2 {
 			hard = append(hard, s)
 		}
@@ -117,7 +118,7 @@ func TestStep3DeterministicAcrossWorkers(t *testing.T) {
 		col := obs.New()
 		rec := journal.New(0)
 		col.SetJournal(rec)
-		rep, err := Run(d, Params{Workers: w, Obs: col, SkipStep2: true})
+		rep, err := RunCtx(context.Background(), d, Params{Workers: w, Obs: col, SkipStep2: true})
 		if err != nil {
 			t.Fatal(err)
 		}

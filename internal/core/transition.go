@@ -34,32 +34,22 @@ func ChainNets(d *scan.Design) []netlist.SignalID {
 	return nets
 }
 
-// ChainTransitionCoverage measures the delay-test side effect of the
-// shift test: the alternating 0011… pattern launches both edges through
-// every chain net, so it doubles as a two-pattern (transition fault)
-// test for the chain itself. Returns detections over both slow-to-rise
-// and slow-to-fall faults on every on-path net.
+// ChainTransitionCoverageCtx measures the delay-test side effect of
+// the shift test: the alternating 0011… pattern launches both edges
+// through every chain net, so it doubles as a two-pattern (transition
+// fault) test for the chain itself. Returns detections over both
+// slow-to-rise and slow-to-fall faults on every on-path net, with the
+// fault axis sharded across workers goroutines (0 = GOMAXPROCS, 1 =
+// serial); the result is identical at any width.
 //
 // This extends the paper (which tests stuck-at faults only) in the
 // direction its own motivation points: functional scan exists partly to
 // keep scan hardware off critical paths, so the chain's timing is worth
 // checking too.
-func ChainTransitionCoverage(d *scan.Design, extraCycles int) (detected, total int, undetected []faultsim.TransitionFault) {
-	return ChainTransitionCoverageOpt(d, extraCycles, 1)
-}
-
-// ChainTransitionCoverageOpt is ChainTransitionCoverage with the fault
-// axis sharded across workers goroutines (0 = GOMAXPROCS, 1 = serial);
-// the result is identical at any width.
-func ChainTransitionCoverageOpt(d *scan.Design, extraCycles, workers int) (detected, total int, undetected []faultsim.TransitionFault) {
-	detected, total, undetected, _ = ChainTransitionCoverageCtx(nil, d, extraCycles, workers)
-	return detected, total, undetected
-}
-
-// ChainTransitionCoverageCtx is ChainTransitionCoverageOpt with
-// cooperative cancellation: faults not simulated when ctx fires count
-// as undetected in the partial result and the context error is
-// returned. A nil context behaves like context.Background.
+//
+// Faults not simulated when ctx fires count as undetected in the
+// partial result and the context error is returned. A nil context
+// behaves like context.Background.
 func ChainTransitionCoverageCtx(ctx context.Context, d *scan.Design, extraCycles, workers int) (detected, total int, undetected []faultsim.TransitionFault, err error) {
 	faults := faultsim.ChainTransitionFaults(ChainNets(d))
 	total = len(faults)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -32,7 +33,7 @@ func TestChainNets(t *testing.T) {
 func TestChainTransitionCoverageHigh(t *testing.T) {
 	for _, chains := range []int{1, 2} {
 		d := s27Design(t, chains)
-		det, total, und := ChainTransitionCoverage(d, 12)
+		det, total, und, _ := ChainTransitionCoverageCtx(context.Background(), d, 12, 1)
 		if total == 0 {
 			t.Fatal("no transition faults enumerated")
 		}
@@ -50,7 +51,7 @@ func TestChainTransitionCoverageHigh(t *testing.T) {
 
 func TestChainTransitionCoverageGenerated(t *testing.T) {
 	d := genDesign(t, 250, 14, 2, 5)
-	det, total, _ := ChainTransitionCoverage(d, 12)
+	det, total, _, _ := ChainTransitionCoverageCtx(context.Background(), d, 12, 1)
 	if total == 0 || det == 0 {
 		t.Fatalf("degenerate coverage %d/%d", det, total)
 	}

@@ -67,41 +67,26 @@ func DefaultSequences(d *scan.Design, seed uint64) [][][]logic.V {
 	return seqs
 }
 
-// Build simulates every candidate fault against the diagnostic
+// BuildCtx simulates every candidate fault against the diagnostic
 // sequences (63 machines per packed pass) and indexes the signatures.
-// It is BuildOpt at the serial width.
-func Build(d *scan.Design, faults []fault.Fault, seqs [][][]logic.V) *Dictionary {
-	return BuildOpt(d, faults, seqs, 1)
-}
-
-// BuildOpt is Build with the 63-fault batches sharded across workers
-// goroutines (0 = GOMAXPROCS, 1 = serial). Every fault's hash state
-// lives in its own slot and a fault belongs to exactly one batch, so
-// the dictionary is identical at any worker count; the fault-free
-// machine is hashed by whichever worker runs the first batch (every
-// batch's lane 0 simulates the same fault-free device).
-func BuildOpt(d *scan.Design, faults []fault.Fault, seqs [][][]logic.V, workers int) *Dictionary {
-	dict, _ := BuildOptCtx(nil, d, faults, seqs, workers)
-	return dict
-}
-
-// BuildOptCtx is BuildOpt with cooperative cancellation: workers stop
-// claiming fault batches once ctx fires and the context error is
-// returned. A cancelled build yields a dictionary whose unsimulated
-// faults carry the empty-trace signature — callers should discard it
-// when err is non-nil. The compiled program is drawn from the shared
-// artifact cache, so building a dictionary for a circuit the flow
-// already ran on costs no recompilation.
-func BuildOptCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, seqs [][][]logic.V, workers int) (*Dictionary, error) {
-	return BuildObsCtx(ctx, d, faults, seqs, workers, nil)
-}
-
-// BuildObsCtx is BuildOptCtx with observability: when col is non-nil
-// the build's worker pool reports utilization (and, with a journal
-// attached, per-batch flight-recorder events) under the "diagnose"
-// pool, and the artifact-cache probe is accounted. A nil collector
-// makes it exactly BuildOptCtx.
-func BuildObsCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, seqs [][][]logic.V, workers int, col *obs.Collector) (*Dictionary, error) {
+// The 63-fault batches are sharded across workers goroutines (0 =
+// GOMAXPROCS, 1 = serial). Every fault's hash state lives in its own
+// slot and a fault belongs to exactly one batch, so the dictionary is
+// identical at any worker count; the fault-free machine is hashed by
+// whichever worker runs the first batch (every batch's lane 0 simulates
+// the same fault-free device). The compiled program is drawn from the
+// shared artifact cache, so building a dictionary for a circuit the
+// flow already ran on costs no recompilation.
+//
+// Workers stop claiming fault batches once ctx fires and the context
+// error is returned. A cancelled build yields a dictionary whose
+// unsimulated faults carry the empty-trace signature — callers should
+// discard it when err is non-nil.
+//
+// When col is non-nil the build's worker pool reports utilization (and,
+// with a journal attached, per-batch flight-recorder events) under the
+// "diagnose" pool, and the artifact-cache probe is accounted.
+func BuildCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, seqs [][][]logic.V, workers int, col *obs.Collector) (*Dictionary, error) {
 	dict := &Dictionary{
 		Design: d,
 		Faults: faults,
@@ -262,7 +247,7 @@ func (dict *Dictionary) Localize(s Signature) []Suspect {
 	if len(matches) == 0 {
 		return nil
 	}
-	screened := core.Screen(dict.Design, matches)
+	screened, _ := core.ScreenCtx(context.TODO(), dict.Design, matches, core.ScreenOptions{})
 	byChain := map[int]*Suspect{}
 	for _, sc := range screened {
 		for _, loc := range sc.Locs {

@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -26,7 +27,7 @@ func buildDesign(t *testing.T, chains int) *scan.Design {
 func TestDiagnoseRoundTrip(t *testing.T) {
 	d := buildDesign(t, 1)
 	all := fault.Collapsed(d.C)
-	screened := core.Screen(d, all)
+	screened, _ := core.ScreenCtx(context.Background(), d, all, core.ScreenOptions{})
 	var affecting []fault.Fault
 	truth := map[fault.Fault][]core.Location{}
 	for _, s := range screened {
@@ -35,7 +36,7 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 			truth[s.Fault] = s.Locs
 		}
 	}
-	dict := Build(d, affecting, DefaultSequences(d, 7))
+	dict, _ := BuildCtx(context.Background(), d, affecting, DefaultSequences(d, 7), 1, nil)
 
 	diagnosable := 0
 	for _, f := range affecting {
@@ -83,7 +84,7 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 
 func TestGoodDeviceMatchesGoodSignature(t *testing.T) {
 	d := buildDesign(t, 1)
-	dict := Build(d, fault.Collapsed(d.C)[:10], DefaultSequences(d, 3))
+	dict, _ := BuildCtx(context.Background(), d, fault.Collapsed(d.C)[:10], DefaultSequences(d, 3), 1, nil)
 	sig := dict.Observe(&SimulatedDevice{C: d.C})
 	if sig != dict.GoodSignature() {
 		t.Error("fault-free device does not match the good signature")
@@ -100,7 +101,7 @@ func TestGoodDeviceMatchesGoodSignature(t *testing.T) {
 func TestEquivalentFaultsShareSignature(t *testing.T) {
 	d := buildDesign(t, 1)
 	all := fault.All(d.C) // uncollapsed: contains equivalent pairs
-	dict := Build(d, all, DefaultSequences(d, 5))
+	dict, _ := BuildCtx(context.Background(), d, all, DefaultSequences(d, 5), 1, nil)
 	seen := map[Signature]int{}
 	for _, s := range dict.sigs {
 		seen[s]++
@@ -123,14 +124,14 @@ func TestDiagnoseMultiChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := fault.Collapsed(d.C)
-	screened := core.Screen(d, all)
+	screened, _ := core.ScreenCtx(context.Background(), d, all, core.ScreenOptions{})
 	var affecting []fault.Fault
 	for _, s := range screened {
 		if s.Cat != core.Cat3 {
 			affecting = append(affecting, s.Fault)
 		}
 	}
-	dict := Build(d, affecting, DefaultSequences(d, 11))
+	dict, _ := BuildCtx(context.Background(), d, affecting, DefaultSequences(d, 11), 1, nil)
 	hits := 0
 	for _, f := range affecting {
 		hidden := f
@@ -152,7 +153,7 @@ func TestDiagnoseMultiChain(t *testing.T) {
 
 func TestEmptyDictionary(t *testing.T) {
 	d := buildDesign(t, 1)
-	dict := Build(d, nil, DefaultSequences(d, 1))
+	dict, _ := BuildCtx(context.Background(), d, nil, DefaultSequences(d, 1), 1, nil)
 	if got := dict.Match(dict.GoodSignature()); len(got) != 0 {
 		t.Errorf("empty dictionary matched %d faults", len(got))
 	}
@@ -172,7 +173,8 @@ func TestBuildOptWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var affecting []fault.Fault
-	for _, s := range core.Screen(d, fault.Collapsed(d.C)) {
+	screened, _ := core.ScreenCtx(context.Background(), d, fault.Collapsed(d.C), core.ScreenOptions{})
+	for _, s := range screened {
 		if s.Cat != core.Cat3 {
 			affecting = append(affecting, s.Fault)
 		}
@@ -181,9 +183,9 @@ func TestBuildOptWorkerInvariance(t *testing.T) {
 		t.Fatalf("want >63 affecting faults for a multi-batch test, got %d", len(affecting))
 	}
 	seqs := DefaultSequences(d, 7)
-	ref := BuildOpt(d, affecting, seqs, 1)
+	ref, _ := BuildCtx(context.Background(), d, affecting, seqs, 1, nil)
 	for _, w := range []int{2, 4, 0} {
-		got := BuildOpt(d, affecting, seqs, w)
+		got, _ := BuildCtx(context.Background(), d, affecting, seqs, w, nil)
 		if got.good != ref.good {
 			t.Errorf("workers=%d: good signature %016x != %016x", w, got.good, ref.good)
 		}

@@ -117,23 +117,19 @@ func (r *Result) Profile(bounds []int) []int {
 	return out
 }
 
-// Run simulates seq against every fault using the packed simulator, 63
-// faulty machines at a time with the fault-free machine in lane 0.
+// RunCtx simulates seq against every fault using the packed simulator,
+// 63 faulty machines at a time with the fault-free machine in lane 0.
 // Batches are sharded across opts.Workers goroutines; each worker owns
 // a private simulator and writes detections only into its batch's slice
 // range, so the result is identical at any worker count.
-func Run(c *netlist.Circuit, seq Sequence, faults []fault.Fault, opts Options) *Result {
-	res, _ := RunCtx(nil, c, seq, faults, opts)
-	return res
-}
-
-// RunCtx is Run with cooperative cancellation: workers stop claiming
-// fault batches once ctx is cancelled (an in-flight batch finishes — at
-// most one sequence application per worker runs after the cancel), all
-// workers are joined, and the context error is returned alongside the
-// partial result. Detections recorded before the cancel are valid; the
-// remaining faults simply stay undetected in the result. A nil context
-// behaves like context.Background.
+//
+// Workers stop claiming fault batches once ctx is cancelled (an
+// in-flight batch finishes — at most one sequence application per
+// worker runs after the cancel), all workers are joined, and the
+// context error is returned alongside the partial result. Detections
+// recorded before the cancel are valid; the remaining faults simply
+// stay undetected in the result. A nil context behaves like
+// context.Background.
 func RunCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []fault.Fault, opts Options) (*Result, error) {
 	res := &Result{DetectedAt: make([]int, len(faults))}
 	for i := range res.DetectedAt {
@@ -404,7 +400,7 @@ func noteDetections(res *Result, rec *journal.Recorder, faults []fault.Fault, wo
 }
 
 // RunSerial is the reference implementation: one scalar simulation per
-// fault. It must agree with Run; the parallel/serial equivalence is a
+// fault. It must agree with RunCtx; the parallel/serial equivalence is a
 // property test and an ablation benchmark.
 func RunSerial(c *netlist.Circuit, seq Sequence, faults []fault.Fault, opts Options) *Result {
 	res := &Result{DetectedAt: make([]int, len(faults))}

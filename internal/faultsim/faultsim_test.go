@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -45,7 +46,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		faults := fault.Collapsed(c)
 		seq := randSeq(r, len(c.Inputs), 50, true)
 		opts := Options{}
-		par := Run(c, seq, faults, opts)
+		par, _ := RunCtx(context.Background(), c, seq, faults, opts)
 		ser := RunSerial(c, seq, faults, opts)
 		if len(par.DetectedAt) != len(ser.DetectedAt) {
 			t.Fatalf("%s: result sizes differ", tc.name)
@@ -73,7 +74,7 @@ func TestCompiledMatchesRunSerial(t *testing.T) {
 		faults := fault.Collapsed(c)
 		seq := randSeq(r, len(c.Inputs), 40, true)
 		serRes := RunSerial(c, seq, faults, Options{})
-		compRes := Run(c, seq, faults, Options{Workers: 1, Eval: engine.Compiled})
+		compRes, _ := RunCtx(context.Background(), c, seq, faults, Options{Workers: 1, Eval: engine.Compiled})
 		for i := range serRes.DetectedAt {
 			if serRes.DetectedAt[i] != compRes.DetectedAt[i] {
 				t.Errorf("trial %d fault %d (%s): serial %d, compiled %d",
@@ -93,9 +94,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	seq := randSeq(r, len(c.Inputs), 60, true)
 	for _, eval := range []engine.Backend{engine.Compiled, engine.Hybrid} {
 		for _, stop := range []bool{false, true} {
-			ref := Run(c, seq, faults, Options{Workers: 1, Eval: eval, StopWhenAllDetected: stop})
+			ref, _ := RunCtx(context.Background(), c, seq, faults, Options{Workers: 1, Eval: eval, StopWhenAllDetected: stop})
 			for _, workers := range []int{4, runtime.GOMAXPROCS(0), 0} {
-				got := Run(c, seq, faults, Options{Workers: workers, Eval: eval, StopWhenAllDetected: stop})
+				got, _ := RunCtx(context.Background(), c, seq, faults, Options{Workers: workers, Eval: eval, StopWhenAllDetected: stop})
 				if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 					t.Fatalf("eval=%v stop=%v: workers=%d result differs from serial",
 						eval, stop, workers)
@@ -111,7 +112,7 @@ func TestParallelMatchesSerialWithInitState(t *testing.T) {
 	faults := fault.Collapsed(c)
 	seq := randSeq(r, len(c.Inputs), 30, false)
 	opts := Options{InitState: []logic.V{logic.Zero, logic.One, logic.Zero}}
-	par := Run(c, seq, faults, opts)
+	par, _ := RunCtx(context.Background(), c, seq, faults, opts)
 	ser := RunSerial(c, seq, faults, opts)
 	for i := range par.DetectedAt {
 		if par.DetectedAt[i] != ser.DetectedAt[i] {
@@ -122,11 +123,11 @@ func TestParallelMatchesSerialWithInitState(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	c := bench.MustS27()
-	res := Run(c, nil, fault.Collapsed(c), Options{})
+	res, _ := RunCtx(context.Background(), c, nil, fault.Collapsed(c), Options{})
 	if res.NumDetected() != 0 {
 		t.Error("detected faults with empty sequence")
 	}
-	res = Run(c, randSeq(rand.New(rand.NewSource(1)), len(c.Inputs), 5, false), nil, Options{})
+	res, _ = RunCtx(context.Background(), c, randSeq(rand.New(rand.NewSource(1)), len(c.Inputs), 5, false), nil, Options{})
 	if len(res.DetectedAt) != 0 {
 		t.Error("non-empty result for empty fault list")
 	}
@@ -140,7 +141,7 @@ func TestCoverageReasonable(t *testing.T) {
 	c := bench.MustS27()
 	faults := fault.Collapsed(c)
 	seq := randSeq(r, len(c.Inputs), 400, false)
-	res := Run(c, seq, faults, Options{})
+	res, _ := RunCtx(context.Background(), c, seq, faults, Options{})
 	cov := float64(res.NumDetected()) / float64(len(faults))
 	if cov < 0.80 {
 		t.Errorf("random coverage only %.2f", cov)
@@ -157,7 +158,7 @@ func TestDetectionCycleIsFirst(t *testing.T) {
 	c := bench.MustS27()
 	faults := fault.Collapsed(c)
 	seq := randSeq(r, len(c.Inputs), 60, false)
-	res := Run(c, seq, faults, Options{})
+	res, _ := RunCtx(context.Background(), c, seq, faults, Options{})
 	bounds := []int{0, 10, 20, 40, 60}
 	prof := res.Profile(bounds)
 	for i := 1; i < len(prof); i++ {
@@ -178,8 +179,8 @@ func TestStopWhenAllDetected(t *testing.T) {
 	c := bench.MustS27()
 	faults := fault.Collapsed(c)[:10]
 	seq := randSeq(r, len(c.Inputs), 300, false)
-	a := Run(c, seq, faults, Options{})
-	b := Run(c, seq, faults, Options{StopWhenAllDetected: true})
+	a, _ := RunCtx(context.Background(), c, seq, faults, Options{})
+	b, _ := RunCtx(context.Background(), c, seq, faults, Options{StopWhenAllDetected: true})
 	for i := range a.DetectedAt {
 		if a.DetectedAt[i] != b.DetectedAt[i] {
 			t.Errorf("early stop changed detection of fault %d", i)
@@ -196,7 +197,7 @@ func TestCombinationalAsZeroFFCircuit(t *testing.T) {
 		{logic.Zero, logic.Zero},
 		{logic.One, logic.One},
 	}
-	res := Run(c, seq, faults, Options{})
+	res, _ := RunCtx(context.Background(), c, seq, faults, Options{})
 	if res.NumDetected() == 0 {
 		t.Error("no combinational faults detected")
 	}

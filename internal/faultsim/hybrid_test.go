@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -33,9 +34,9 @@ func TestHybridMatchesCompiled(t *testing.T) {
 		}
 		faults := fault.Collapsed(c)
 		seq := randSeq(r, len(c.Inputs), 30+r.Intn(40), true)
-		ref := Run(c, seq, faults, Options{Eval: engine.Compiled})
+		ref, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Compiled})
 		for _, thr := range []int{1, 4, engine.DefaultConeThreshold, 1 << 20} {
-			got := Run(c, seq, faults, Options{Eval: engine.Hybrid, ConeThreshold: thr})
+			got, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Hybrid, ConeThreshold: thr})
 			if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 				for i := range ref.DetectedAt {
 					if ref.DetectedAt[i] != got.DetectedAt[i] {
@@ -66,8 +67,8 @@ func TestHybridMatchesCompiledWithInitState(t *testing.T) {
 	faults := fault.Collapsed(c)
 	seq := randSeq(r, len(c.Inputs), 40, false)
 	init := randState(r, len(c.FFs))
-	ref := Run(c, seq, faults, Options{Eval: engine.Compiled, InitState: init})
-	got := Run(c, seq, faults, Options{Eval: engine.Hybrid, InitState: init})
+	ref, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Compiled, InitState: init})
+	got, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Hybrid, InitState: init})
 	if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 		t.Fatal("hybrid with InitState diverged from compiled")
 	}
@@ -84,11 +85,11 @@ func TestHybridDeterministicAcrossWorkers(t *testing.T) {
 	seq := randSeq(r, len(c.Inputs), 60, true)
 	for _, thr := range []int{2, engine.DefaultConeThreshold, 1 << 20} {
 		for _, stop := range []bool{false, true} {
-			ref := Run(c, seq, faults, Options{
+			ref, _ := RunCtx(context.Background(), c, seq, faults, Options{
 				Eval: engine.Hybrid, ConeThreshold: thr, Workers: 1, StopWhenAllDetected: stop,
 			})
 			for _, workers := range []int{2, 7, runtime.GOMAXPROCS(0), 0} {
-				got := Run(c, seq, faults, Options{
+				got, _ := RunCtx(context.Background(), c, seq, faults, Options{
 					Eval: engine.Hybrid, ConeThreshold: thr, Workers: workers, StopWhenAllDetected: stop,
 				})
 				if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
@@ -145,8 +146,8 @@ func FuzzHybridMatchesCompiled(f *testing.F) {
 		}, circSeed)
 		faults := fault.Collapsed(c)
 		seq := randSeq(rand.New(rand.NewSource(seqSeed)), len(c.Inputs), 25, true)
-		ref := Run(c, seq, faults, Options{Eval: engine.Compiled})
-		got := Run(c, seq, faults, Options{Eval: engine.Hybrid, ConeThreshold: thr})
+		ref, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Compiled})
+		got, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Hybrid, ConeThreshold: thr})
 		if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 			t.Fatalf("hybrid diverged: circSeed=%d seqSeed=%d thr=%d", circSeed, seqSeed, thr)
 		}

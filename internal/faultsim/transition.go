@@ -127,23 +127,19 @@ func (m *transitionMachine) cycle(pi []logic.V, po []logic.V) []logic.V {
 	return po
 }
 
-// RunTransition simulates seq against every transition fault and
+// RunTransitionCtx simulates seq against every transition fault and
 // reports the first cycle with a definite primary-output mismatch
 // versus the fault-free machine. Transition machines carry per-cycle
 // site history, so there is no packed (63-lane) variant; instead the
 // fault axis itself is sharded across opts.Workers goroutines, each
 // fault owning its machine and its result slot (identical output at
 // any worker count).
-func RunTransition(c *netlist.Circuit, seq Sequence, faults []TransitionFault, opts Options) *Result {
-	res, _ := RunTransitionCtx(nil, c, seq, faults, opts)
-	return res
-}
-
-// RunTransitionCtx is RunTransition with the cancellation semantics of
-// RunCtx: faults not yet simulated when ctx fires stay at -1 in the
-// partial result, every worker is joined, and the context error is
-// returned. Fault slots are pre-marked undetected before the workers
-// start so a cancelled run never leaves zero-valued (cycle-0) entries.
+//
+// Cancellation follows RunCtx: faults not yet simulated when ctx fires
+// stay at -1 in the partial result, every worker is joined, and the
+// context error is returned. Fault slots are pre-marked undetected
+// before the workers start so a cancelled run never leaves zero-valued
+// (cycle-0) entries.
 func RunTransitionCtx(ctx context.Context, c *netlist.Circuit, seq Sequence, faults []TransitionFault, opts Options) (*Result, error) {
 	res := &Result{DetectedAt: make([]int, len(faults))}
 	for i := range res.DetectedAt {

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -43,14 +44,14 @@ func TestTransitionSlowToRiseDetected(t *testing.T) {
 	f := TransitionFault{Signal: b, Gate: netlist.None, Pin: -1, SlowRise: true}
 	// 0,0,1,1: the 0->1 edge at cycle 2 arrives a cycle late in the
 	// faulty machine; y shows the difference at cycle 3.
-	res := RunTransition(c, seqOf("0011"), []TransitionFault{f}, Options{
+	res, _ := RunTransitionCtx(context.Background(), c, seqOf("0011"), []TransitionFault{f}, Options{
 		InitState: []logic.V{logic.Zero},
 	})
 	if res.DetectedAt[0] != 3 {
 		t.Errorf("slow-to-rise detected at %d, want 3", res.DetectedAt[0])
 	}
 	// A constant-0 stream never exercises the rising edge: undetected.
-	res = RunTransition(c, seqOf("000000"), []TransitionFault{f}, Options{
+	res, _ = RunTransitionCtx(context.Background(), c, seqOf("000000"), []TransitionFault{f}, Options{
 		InitState: []logic.V{logic.Zero},
 	})
 	if res.DetectedAt[0] != -1 {
@@ -62,14 +63,14 @@ func TestTransitionSlowToFall(t *testing.T) {
 	c := wire(t)
 	b, _ := c.Lookup("b")
 	f := TransitionFault{Signal: b, Gate: netlist.None, Pin: -1, SlowRise: false}
-	res := RunTransition(c, seqOf("1100"), []TransitionFault{f}, Options{
+	res, _ := RunTransitionCtx(context.Background(), c, seqOf("1100"), []TransitionFault{f}, Options{
 		InitState: []logic.V{logic.One},
 	})
 	if res.DetectedAt[0] < 0 {
 		t.Error("slow-to-fall escaped a falling edge")
 	}
 	// Rising edges do not trigger a slow-to-fall fault.
-	res = RunTransition(c, seqOf("0011"), []TransitionFault{f}, Options{
+	res, _ = RunTransitionCtx(context.Background(), c, seqOf("0011"), []TransitionFault{f}, Options{
 		InitState: []logic.V{logic.Zero},
 	})
 	if res.DetectedAt[0] >= 0 {
@@ -91,7 +92,7 @@ func TestAlternatingCoversChainTransitions(t *testing.T) {
 	if len(faults) != 2 {
 		t.Fatalf("ChainTransitionFaults produced %d", len(faults))
 	}
-	res := RunTransition(c, seqOf("00110011"), faults, Options{
+	res, _ := RunTransitionCtx(context.Background(), c, seqOf("00110011"), faults, Options{
 		InitState: []logic.V{logic.Zero},
 	})
 	for i, at := range res.DetectedAt {
@@ -117,7 +118,7 @@ z = BUFF(a)
 	y, _ := c.Lookup("y")
 	f := TransitionFault{Signal: a, Gate: y, Pin: 0, SlowRise: true}
 	seq := seqOf("0011")
-	res := RunTransition(c, seq, []TransitionFault{f}, Options{})
+	res, _ := RunTransitionCtx(context.Background(), c, seq, []TransitionFault{f}, Options{})
 	if res.DetectedAt[0] != 2 {
 		t.Errorf("branch transition detected at %d, want 2", res.DetectedAt[0])
 	}

@@ -1,11 +1,11 @@
 // Package par provides the bounded-parallelism primitives the fault
 // simulator and screening engine shard their fault axis with: a worker
-// pool with dynamic index distribution (Do, plus the measured DoTimedCtx
-// variant feeding the observability layer's pool-utilization metrics),
-// chunk helpers for 63-wide fault batches, and an atomic bit set for
-// cross-worker fault dropping.
+// pool with dynamic index distribution (DoCtx, plus DoPoolCtx, which
+// feeds the observability layer's pool-utilization metrics from the
+// same claim loop), chunk helpers for 63-wide fault batches, and an
+// atomic bit set for cross-worker fault dropping.
 //
-// Determinism contract: Do distributes indices dynamically, so the
+// Determinism contract: DoCtx distributes indices dynamically, so the
 // order in which indices are processed is scheduling-dependent — but
 // every caller writes results only into slots keyed by the index (or
 // into the disjoint fault range a chunk owns), so the merged output is
@@ -38,9 +38,9 @@ func Workers(n int) int {
 
 // WorkerPanic is what a pool re-raises on its calling goroutine when a
 // worker goroutine panicked: the first worker's panic value and that
-// worker's stack. Forwarding it lets a recover above Do (the daemon's
-// per-job isolation) catch a worker's panic as it catches one raised on
-// the serial path, which panics inline with the raw value.
+// worker's stack. Forwarding it lets a recover above DoCtx (the
+// daemon's per-job isolation) catch a worker's panic as it catches one
+// raised on the serial path, which panics inline with the raw value.
 type WorkerPanic struct {
 	Value any
 	Stack []byte
@@ -68,183 +68,131 @@ func (pp *poolPanic) rethrow() {
 	}
 }
 
-// Do runs fn(worker, index) for every index in [0, n), distributing
+// DoCtx runs fn(worker, index) for every index in [0, n), distributing
 // indices dynamically over min(workers, n) goroutines. The worker
 // argument is a dense ID in [0, workers) so callers can give each
-// goroutine its own scratch state (for example a private packed
+// goroutine its own scratch state (for example a private compiled
 // evaluator). With workers <= 1 everything runs inline on the calling
 // goroutine with worker 0 — the serial path has no pool overhead.
 //
 // fn must confine its writes to storage owned by index (or by the
 // chunk that index denotes); under that discipline the result is
 // independent of worker count and scheduling.
-func Do(workers, n int, fn func(worker, index int)) {
-	doCtx(nil, workers, n, fn)
-}
-
-// DoCtx is Do with cooperative cancellation: every worker checks the
-// context before claiming the next index and stops claiming once it is
-// cancelled. Indices already claimed run to completion (an in-flight
-// fault batch finishes; nothing is interrupted mid-write), every worker
-// goroutine is joined before DoCtx returns — cancellation never leaks a
-// goroutine — and the context error (if any) is returned. A nil context
-// behaves like context.Background.
+//
+// Every worker checks the context before claiming the next index and
+// stops claiming once it is cancelled. Indices already claimed run to
+// completion (an in-flight fault batch finishes; nothing is interrupted
+// mid-write), every worker goroutine is joined before DoCtx returns —
+// cancellation never leaks a goroutine — and the context error (if
+// any) is returned. A nil context behaves like context.Background.
 func DoCtx(ctx context.Context, workers, n int, fn func(worker, index int)) error {
-	doCtx(ctx, workers, n, fn)
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
+	run(ctx, poolSize(workers, n), n, fn, nil)
+	return ctxErr(ctx)
 }
 
-func doCtx(ctx context.Context, workers, n int, fn func(worker, index int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var pp poolPanic
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			defer pp.catch(&next, n)
-			for {
-				if ctx != nil && ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	pp.rethrow()
-}
-
-// WorkerStat aliases the observability layer's per-worker sample (busy
-// time inside the work loop plus indices claimed), so DoTimedCtx results
-// feed Collector.RecordPool without conversion. The workload is
-// CPU-bound with no blocking, so loop time is busy time; uneven
-// Busy/Items across workers is the load-imbalance signature surfaced as
-// pool utilization.
-type WorkerStat = obs.WorkerStat
-
-// DoTimedCtx is DoCtx plus per-worker measurement: it returns one
-// WorkerStat per dense worker ID (length min(workers, n) after
-// resolution), covering whatever work ran before the context fired.
-// The distribution, determinism contract and serial path match Do
-// exactly; the only extra cost is the stats slice and two monotonic
-// clock reads per worker, so it is safe to substitute for DoCtx
-// whenever a collector is enabled.
-func DoTimedCtx(ctx context.Context, workers, n int, fn func(worker, index int)) ([]WorkerStat, error) {
-	ctxErr := func() error {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
-	if n <= 0 {
-		return nil, ctxErr()
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	stats := make([]WorkerStat, workers)
-	if workers <= 1 {
-		t0 := time.Now()
-		items := int64(0)
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
-			fn(0, i)
-			items++
-		}
-		stats[0] = WorkerStat{Busy: time.Since(t0), Items: items}
-		return stats, ctxErr()
-	}
-	var next atomic.Int64
-	var pp poolPanic
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			defer pp.catch(&next, n)
-			t0 := time.Now()
-			items := int64(0)
-			for {
-				if ctx != nil && ctx.Err() != nil {
-					break
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				fn(worker, i)
-				items++
-			}
-			stats[worker] = WorkerStat{Busy: time.Since(t0), Items: items}
-		}(w)
-	}
-	wg.Wait()
-	pp.rethrow()
-	return stats, ctxErr()
-}
-
-// DoPoolCtx is the fully observed pool: DoTimedCtx plus the pool
-// bookkeeping every instrumented call site repeats — the invocation's
-// wall time and per-worker stats are merged into col's named pool
-// metric, and when a flight recorder is attached (col.SetJournal) each
-// claimed index additionally becomes one journal batch-span event
-// carrying its worker, position and duration.
+// DoPoolCtx is DoCtx observed: the invocation's wall time and each
+// worker's busy time and claimed-index count are merged into col's
+// named pool metric, and when a flight recorder is attached
+// (col.SetJournal) each claimed index additionally becomes one journal
+// batch-span event carrying its worker, position and duration. The
+// workload is CPU-bound with no blocking, so a worker's loop time is
+// its busy time; uneven busy time or items across workers is the
+// load-imbalance signature surfaced as pool utilization.
 //
 // With no recorder attached the per-index clock reads are skipped
-// entirely, so the overhead over DoTimedCtx is two time.Now calls per
-// invocation; with col == nil it is plain DoCtx. The distribution and
-// determinism contract match Do.
+// entirely, so the overhead over DoCtx is the stats slice and a few
+// clock reads per invocation; with col == nil it is plain DoCtx. The
+// distribution and determinism contract match DoCtx.
 func DoPoolCtx(ctx context.Context, workers, n int, name string, col *obs.Collector, fn func(worker, index int)) error {
-	if col == nil {
+	if col == nil || n <= 0 {
 		return DoCtx(ctx, workers, n, fn)
 	}
-	run := fn
+	each := fn
 	if rec := col.Journal(); rec.Enabled() {
-		run = func(worker, index int) {
+		each = func(worker, index int) {
 			t0 := time.Now()
 			fn(worker, index)
 			rec.Emit(journal.Batch(name, worker, index, n, time.Since(t0)))
 		}
 	}
 	t0 := time.Now()
-	stats, err := DoTimedCtx(ctx, workers, n, run)
+	stats := make([]obs.WorkerStat, poolSize(workers, n))
+	run(ctx, len(stats), n, each, stats)
 	col.RecordPool(name, time.Since(t0), stats)
-	return err
+	return ctxErr(ctx)
+}
+
+// poolSize resolves the goroutine count for n indices:
+// min(Workers(workers), n).
+func poolSize(workers, n int) int {
+	return min(Workers(workers), n)
+}
+
+// ctxErr is ctx.Err() with a nil context read as context.Background.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// run is the pool's one claim loop: workers goroutines (inline on the
+// caller when workers <= 1) claim indices in [0, n) from a shared
+// counter until they run out or ctx is cancelled. A worker goroutine's
+// panic stops further claims and is re-raised on the caller once every
+// worker has returned. When stats is non-nil, stats[w] receives worker
+// w's loop time and claimed-index count.
+func run(ctx context.Context, workers, n int, fn func(worker, index int), stats []obs.WorkerStat) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 1 {
+		var next atomic.Int64 // stays on the stack: no goroutine shares it
+		claim(ctx, 0, n, &next, fn, stats)
+		return
+	}
+	var next atomic.Int64
+	var pp poolPanic
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(worker int) {
+			defer wg.Done()
+			defer pp.catch(&next, n)
+			claim(ctx, worker, n, &next, fn, stats)
+		}(w)
+	}
+	wg.Wait()
+	pp.rethrow()
+}
+
+// claim is one worker's loop: it runs fn on each index it claims from
+// next until the indices run out or ctx is cancelled.
+func claim(ctx context.Context, worker, n int, next *atomic.Int64, fn func(worker, index int), stats []obs.WorkerStat) {
+	var t0 time.Time
+	if stats != nil {
+		t0 = time.Now()
+	}
+	items := int64(0)
+	for ctx == nil || ctx.Err() == nil {
+		i := int(next.Add(1)) - 1
+		if i >= n {
+			break
+		}
+		fn(worker, i)
+		items++
+	}
+	if stats != nil {
+		stats[worker] = obs.WorkerStat{Busy: time.Since(t0), Items: items}
+	}
 }
 
 // PerWorker is a lazily-populated per-worker arena: slot w is built by
 // the constructor on worker w's first Get and reused for every
 // subsequent index that worker claims. It replaces the
 // make-then-index-by-worker pattern the parallel loops used for scratch
-// state, and keeps construction off workers that never run (Do may use
-// fewer goroutines than requested). Get is safe under Do's contract —
+// state, and keeps construction off workers that never run (DoCtx may use
+// fewer goroutines than requested). Get is safe under DoCtx's contract —
 // each worker index is owned by exactly one goroutine.
 type PerWorker[T any] struct {
 	slots []T

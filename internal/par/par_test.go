@@ -1,10 +1,13 @@
 package par
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestWorkers(t *testing.T) {
@@ -23,7 +26,7 @@ func TestDoCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16, 100} {
 		const n = 257
 		counts := make([]atomic.Int32, n)
-		Do(workers, n, func(_, i int) { counts[i].Add(1) })
+		DoCtx(context.Background(), workers, n, func(_, i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -35,7 +38,7 @@ func TestDoCoversEveryIndexOnce(t *testing.T) {
 func TestDoWorkerIDsAreDense(t *testing.T) {
 	const workers, n = 4, 64
 	var seen [workers]atomic.Int32
-	Do(workers, n, func(w, _ int) {
+	DoCtx(context.Background(), workers, n, func(w, _ int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker ID %d out of range", w)
 			return
@@ -55,10 +58,10 @@ func TestDoDeterministicMerge(t *testing.T) {
 	// Writes keyed by index must produce identical output at any width.
 	const n = 500
 	ref := make([]int, n)
-	Do(1, n, func(_, i int) { ref[i] = i * i })
+	DoCtx(context.Background(), 1, n, func(_, i int) { ref[i] = i * i })
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		got := make([]int, n)
-		Do(workers, n, func(_, i int) { got[i] = i * i })
+		DoCtx(context.Background(), workers, n, func(_, i int) { got[i] = i * i })
 		for i := range got {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], ref[i])
@@ -68,10 +71,10 @@ func TestDoDeterministicMerge(t *testing.T) {
 }
 
 func TestDoEmptyAndSerialInline(t *testing.T) {
-	Do(4, 0, func(_, _ int) { t.Error("fn called for n=0") })
+	DoCtx(context.Background(), 4, 0, func(_, _ int) { t.Error("fn called for n=0") })
 	// workers=1 must run on the calling goroutine (no races on plain locals).
 	sum := 0
-	Do(1, 10, func(_, i int) { sum += i })
+	DoCtx(context.Background(), 1, 10, func(_, i int) { sum += i })
 	if sum != 45 {
 		t.Errorf("serial sum = %d", sum)
 	}
@@ -93,14 +96,14 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	}
 	var running atomic.Int32
 	pools := map[string]func(){
-		"Do": func() {
-			Do(4, 100, func(w, i int) {
+		"DoCtx": func() {
+			DoCtx(context.Background(), 4, 100, func(w, i int) {
 				running.Add(1)
 				defer running.Add(-1)
 				boom(w, i)
 			})
 		},
-		"DoTimedCtx": func() { DoTimedCtx(nil, 4, 100, boom) },
+		"DoPoolCtx": func() { DoPoolCtx(context.Background(), 4, 100, "boom", obs.New(), boom) },
 	}
 	for name, pool := range pools {
 		wp, ok := catch(pool).(*WorkerPanic)
@@ -112,9 +115,9 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		}
 	}
 	if n := running.Load(); n != 0 {
-		t.Errorf("%d workers still running after Do re-panicked", n)
+		t.Errorf("%d workers still running after DoCtx re-panicked", n)
 	}
-	if v := catch(func() { Do(1, 100, boom) }); v != "boom" {
+	if v := catch(func() { DoCtx(context.Background(), 1, 100, boom) }); v != "boom" {
 		t.Errorf("serial path recovered %#v, want the raw value", v)
 	}
 }
@@ -165,7 +168,7 @@ func TestBitSetConcurrent(t *testing.T) {
 	b := NewBitSet(n)
 	var newly atomic.Int64
 	// Every index set twice concurrently: exactly n "newly added" wins.
-	Do(8, 2*n, func(_, i int) {
+	DoCtx(context.Background(), 8, 2*n, func(_, i int) {
 		if b.Set(i % n) {
 			newly.Add(1)
 		}
@@ -178,47 +181,52 @@ func TestBitSetConcurrent(t *testing.T) {
 	}
 }
 
-func TestDoTimedCoversEveryIndexOnce(t *testing.T) {
+// pooled runs DoPoolCtx under a fresh enabled collector and returns
+// the pool metric it recorded (ok is false when none was).
+func pooled(t *testing.T, workers, n int, fn func(worker, index int)) (m obs.PoolMetric, ok bool) {
+	t.Helper()
+	col := obs.New()
+	if err := DoPoolCtx(context.Background(), workers, n, "pool", col, fn); err != nil {
+		t.Fatal(err)
+	}
+	m, ok = col.Snapshot().Pools["pool"]
+	return m, ok
+}
+
+func TestDoPoolCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		const n = 500
 		var hits [n]atomic.Int32
-		stats, err := DoTimedCtx(nil, workers, n, func(_, i int) { hits[i].Add(1) })
-		if err != nil {
-			t.Fatal(err)
-		}
+		m, _ := pooled(t, workers, n, func(_, i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, got)
 			}
 		}
 		var items int64
-		for _, s := range stats {
-			items += s.Items
+		for _, w := range m.Workers {
+			items += w.Items
 		}
 		if items != n {
 			t.Fatalf("workers=%d: item counts sum to %d, want %d", workers, items, n)
 		}
-		want := workers
-		if want > n {
-			want = n
-		}
-		if len(stats) != want {
-			t.Fatalf("workers=%d: %d stats entries, want %d", workers, len(stats), want)
+		if m.Calls != 1 || len(m.Workers) != min(workers, n) {
+			t.Fatalf("workers=%d: %d calls, %d worker entries, want 1 and %d", workers, m.Calls, len(m.Workers), min(workers, n))
 		}
 	}
-	if got, _ := DoTimedCtx(nil, 4, 0, func(_, _ int) {}); got != nil {
-		t.Fatalf("n=0 must return nil, got %v", got)
+	if m, ok := pooled(t, 4, 0, func(_, _ int) {}); ok {
+		t.Fatalf("n=0 must record no pool, got %+v", m)
 	}
 }
 
-func TestDoTimedSerialInline(t *testing.T) {
+func TestDoPoolSerialInline(t *testing.T) {
 	var worker atomic.Int32
-	stats, _ := DoTimedCtx(nil, 1, 10, func(w, _ int) { worker.Store(int32(w)) })
+	m, _ := pooled(t, 1, 10, func(w, _ int) { worker.Store(int32(w)) })
 	if worker.Load() != 0 {
 		t.Fatal("serial path must use worker 0")
 	}
-	if len(stats) != 1 || stats[0].Items != 10 || stats[0].Busy < 0 {
-		t.Fatalf("serial stats = %+v", stats)
+	if len(m.Workers) != 1 || m.Workers[0].Items != 10 || m.Workers[0].BusyNS < 0 {
+		t.Fatalf("serial pool = %+v", m)
 	}
 }
 

@@ -1,6 +1,7 @@
 package seqatpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -86,7 +87,7 @@ func TestGeneratedTestsConfirm(t *testing.T) {
 			continue
 		}
 		found++
-		fr := faultsim.Run(d.C, faultsim.Sequence(res.Sequence), []fault.Fault{f}, faultsim.Options{})
+		fr, _ := faultsim.RunCtx(context.Background(), d.C, faultsim.Sequence(res.Sequence), []fault.Fault{f}, faultsim.Options{})
 		if fr.DetectedAt[0] >= 0 {
 			confirmed++
 		}
@@ -163,7 +164,7 @@ func TestTranslationLoadsConstraint(t *testing.T) {
 	if res.Status != atpg.Found {
 		t.Fatalf("status = %v", res.Status)
 	}
-	fr := faultsim.Run(d.C, faultsim.Sequence(res.Sequence), []fault.Fault{f}, faultsim.Options{})
+	fr, _ := faultsim.RunCtx(context.Background(), d.C, faultsim.Sequence(res.Sequence), []fault.Fault{f}, faultsim.Options{})
 	if fr.DetectedAt[0] < 0 {
 		t.Error("translated test for FF stem fault not confirmed")
 	}

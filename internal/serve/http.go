@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/task"
 	"repro/internal/trace"
 )
 
@@ -93,7 +94,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 const MaxSubmitBytes = 4 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var sp Spec
+	var sp task.Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {

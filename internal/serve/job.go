@@ -6,52 +6,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/faultsim"
 	"repro/internal/journal"
-	"repro/internal/netlist"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// Job kinds, re-exported from the task layer. Each maps onto the run
-// path the matching batch CLI uses, so a job's text report is
-// byte-identical to the CLI's output for the same spec.
-const (
-	// KindFlow runs the paper's three-step flow (cmd/fsctest).
-	KindFlow = task.KindFlow
-	// KindScreen runs scan-chain fault screening alone.
-	KindScreen = task.KindScreen
-	// KindATPG runs combinational PODEM over the scan-mode model.
-	KindATPG = task.KindATPG
-	// KindFaultSim fault-simulates a random sequence (cmd/faultsim).
-	KindFaultSim = task.KindFaultSim
-	// KindDiagnose builds the fault dictionary and reports resolution
-	// statistics (cmd/diagnose -stats).
-	KindDiagnose = task.KindDiagnose
-)
-
-// Spec is a job submission: the task layer's serializable job
-// description. Zero optional fields select the batch CLIs' defaults
-// (task.DefaultsFor). The daemon runs exactly what task.Run runs, so
-// reports are byte-identical to the CLIs'.
-type Spec = task.Spec
-
-// FormatScreen renders a screening job's report. Kept as a re-export
-// so clients (and the e2e tests) can reproduce the daemon's output
-// from a direct facade call.
-func FormatScreen(name string, screened []core.Screened) string {
-	return task.FormatScreen(name, screened)
-}
-
-// RandomSequence generates the deterministic random stimulus the
-// faultsim CLI uses for -random: same seed, same generator, same
-// sequence — a faultsim job's coverage line is byte-identical to the
-// CLI's. Kept as a re-export for the e2e tests.
-func RandomSequence(c *netlist.Circuit, seed int64, cycles int) faultsim.Sequence {
-	return task.RandomSequence(c, seed, cycles)
-}
 
 // Status is a job's lifecycle state.
 type Status string
@@ -78,7 +37,7 @@ func (st Status) Terminal() bool {
 type Job struct {
 	id        string
 	seq       int64
-	spec      Spec
+	spec      task.Spec
 	submitted time.Time
 
 	ctx    context.Context
@@ -104,7 +63,7 @@ type Job struct {
 	tracker   *telemetry.RunTracker // set when a runner picks the job up
 }
 
-func newJob(parent context.Context, seq int64, sp Spec) *Job {
+func newJob(parent context.Context, seq int64, sp task.Spec) *Job {
 	// The job joins the submitter's trace when the (already normalized)
 	// spec carries a traceparent — the job span becomes a child of the
 	// caller's span — and roots a fresh trace otherwise. The spec is
@@ -136,7 +95,7 @@ func newJob(parent context.Context, seq int64, sp Spec) *Job {
 func (j *Job) ID() string { return j.id }
 
 // Spec returns the job's submission spec.
-func (j *Job) Spec() Spec { return j.spec }
+func (j *Job) Spec() task.Spec { return j.spec }
 
 // Status returns the job's current lifecycle state.
 func (j *Job) Status() Status {

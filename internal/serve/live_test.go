@@ -46,7 +46,7 @@ func liveView(t *testing.T, base string, query string) serve.LiveView {
 func TestLiveMultiUnitJob(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{Runners: 1})
 
-	sp := serve.Spec{Kind: serve.KindFaultSim, Circuit: "s3384", Scale: 0.05, Cycles: 100, Units: 3}
+	sp := task.Spec{Kind: task.KindFaultSim, Circuit: "s3384", Scale: 0.05, Cycles: 100, Units: 3}
 	v := submit(t, h.URL, sp)
 
 	// Poll the live view while the job runs: entries must appear, and a
@@ -194,7 +194,7 @@ func TestLiveStallFlagged(t *testing.T) {
 // TestLiveEventsStream reads one frame of the live SSE variant.
 func TestLiveEventsStream(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{Runners: 1})
-	submit(t, h.URL, serve.Spec{Kind: serve.KindScreen, Circuit: "s27"})
+	submit(t, h.URL, task.Spec{Kind: task.KindScreen, Circuit: "s27"})
 
 	resp, err := http.Get(h.URL + "/api/v1/live/events")
 	if err != nil {

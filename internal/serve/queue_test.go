@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"testing"
+
+	"repro/internal/task"
 )
 
 func qjob(seq int64, priority int) *Job {
-	return newJob(context.Background(), seq, Spec{Kind: KindScreen, Circuit: "s27", Priority: priority})
+	return newJob(context.Background(), seq, task.Spec{Kind: task.KindScreen, Circuit: "s27", Priority: priority})
 }
 
 func TestQueuePriorityOrder(t *testing.T) {

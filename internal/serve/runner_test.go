@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -46,8 +47,8 @@ func TestRunnerPanicFailsOnlyThatJob(t *testing.T) {
 	orig := runUnits
 	t.Cleanup(func() { runUnits = orig })
 	runUnits = func(ctx context.Context, units []task.Unit, cache *engine.Cache, col *obs.Collector) (*task.Result, error) {
-		if units[0].Spec.Kind == KindScreen { // panic on a pool worker
-			par.Do(2, 4, func(_, i int) {
+		if units[0].Spec.Kind == task.KindScreen { // panic on a pool worker
+			par.DoCtx(ctx, 2, 4, func(_, i int) {
 				if i == 3 {
 					panic("core: injected worker panic")
 				}
@@ -60,13 +61,13 @@ func TestRunnerPanicFailsOnlyThatJob(t *testing.T) {
 	s := New(Config{Runners: 1, Ledger: sink,
 		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 
-	bad, err := s.Submit(Spec{Kind: KindScreen, Circuit: "s27"})
+	bad, err := s.Submit(task.Spec{Kind: task.KindScreen, Circuit: "s27"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, bad)
 	// The same runner survives and serves the next job.
-	good, err := s.Submit(Spec{Kind: KindATPG, Circuit: "s27"})
+	good, err := s.Submit(task.Spec{Kind: task.KindATPG, Circuit: "s27"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFinishedJobsRetainLittleHeap(t *testing.T) {
 	run := func(n int) {
 		jobs := make([]*Job, n)
 		for i := range jobs {
-			j, err := s.Submit(Spec{Kind: KindFlow, Circuit: "s27"})
+			j, err := s.Submit(task.Spec{Kind: task.KindFlow, Circuit: "s27"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +163,7 @@ func TestSSEDoneFollowsBookkeeping(t *testing.T) {
 		h.Close()
 		s.Close()
 	}()
-	j, err := s.Submit(Spec{Kind: KindScreen, Circuit: "s27"})
+	j, err := s.Submit(task.Spec{Kind: task.KindScreen, Circuit: "s27"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,5 +181,83 @@ func TestSSEDoneFollowsBookkeeping(t *testing.T) {
 	}
 	if n := s.col.Counter("serve.jobs.done").Value(); n != 1 {
 		t.Errorf("serve.jobs.done = %d when the stream ends, want 1", n)
+	}
+}
+
+// TestTerminalJobsEvictedPastCap: past maxRetainedJobs the job table
+// drops the jobs that finished first, whose IDs then answer 404 on
+// every per-job endpoint, and never a queued or running job.
+func TestTerminalJobsEvictedPastCap(t *testing.T) {
+	origCap, origRun := maxRetainedJobs, runUnits
+	t.Cleanup(func() { maxRetainedJobs, runUnits = origCap, origRun })
+	maxRetainedJobs = 2
+	// The flow job holds its runner until released, so it stays running
+	// while the screening jobs finish on the other runner.
+	release := make(chan struct{})
+	runUnits = func(ctx context.Context, units []task.Unit, cache *engine.Cache, col *obs.Collector) (*task.Result, error) {
+		if units[0].Spec.Kind == task.KindFlow {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return origRun(ctx, units, cache, col)
+	}
+	s := New(Config{Runners: 2})
+	h := httptest.NewServer(s.Handler())
+	defer h.Close()
+	submit := func(kind string) *Job {
+		t.Helper()
+		j, err := s.Submit(task.Spec{Kind: kind, Circuit: "s27"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	running := submit(task.KindFlow)
+	var screens []*Job
+	for i := 0; i < 4; i++ {
+		j := submit(task.KindScreen)
+		waitTerminal(t, j)
+		screens = append(screens, j)
+	}
+	if j := s.Job(running.ID()); j == nil || j.Status() == StatusDone {
+		t.Fatalf("the running job was evicted or finished early: %v", j)
+	}
+	close(release)
+	waitTerminal(t, running)
+	s.Close() // every runner has retired its job
+
+	// Finishing order: four screens, then the flow job.
+	var ids []string
+	for _, j := range s.Jobs() {
+		ids = append(ids, j.ID())
+	}
+	if want := []string{running.ID(), screens[3].ID()}; !slices.Equal(ids, want) {
+		t.Fatalf("retained jobs %v, want %v", ids, want)
+	}
+	get := func(path string) int {
+		resp, err := http.Get(h.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, j := range screens[:3] {
+		for _, path := range []string{
+			"/api/v1/jobs/" + j.ID(), "/api/v1/jobs/" + j.ID() + "/result",
+			"/api/v1/jobs/" + j.ID() + "/events", "/api/v1/trace/" + j.ID(),
+		} {
+			if code := get(path); code != http.StatusNotFound {
+				t.Errorf("evicted job: GET %s = %d, want 404", path, code)
+			}
+		}
+	}
+	for _, id := range ids {
+		if code := get("/api/v1/jobs/" + id + "/result"); code != http.StatusOK {
+			t.Errorf("retained job %s: result = %d, want 200", id, code)
+		}
 	}
 }

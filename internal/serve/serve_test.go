@@ -61,7 +61,7 @@ func testServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server
 	return s, h, sink
 }
 
-func submit(t *testing.T, base string, sp serve.Spec) serve.View {
+func submit(t *testing.T, base string, sp task.Spec) serve.View {
 	t.Helper()
 	body, _ := json.Marshal(sp)
 	resp, err := http.Post(base+"/api/v1/jobs", "application/json", bytes.NewReader(body))
@@ -177,7 +177,7 @@ func insertScan(t *testing.T, c *fsct.Circuit, chains int, seed int64) *fsct.Des
 
 // expectedOutput computes, through direct facade calls, the exact text
 // the daemon must serve for a spec.
-func expectedOutput(t *testing.T, sp serve.Spec) string {
+func expectedOutput(t *testing.T, sp task.Spec) string {
 	t.Helper()
 	if sp.Seed == 0 {
 		sp.Seed = 1
@@ -187,23 +187,23 @@ func expectedOutput(t *testing.T, sp serve.Spec) string {
 	}
 	c := buildCircuit(t, sp.Circuit, sp.Scale, sp.Seed)
 	switch sp.Kind {
-	case serve.KindFlow:
+	case task.KindFlow:
 		d := insertScan(t, c, sp.Chains, sp.Seed)
 		rep, err := fsct.RunFlowCtx(context.Background(), d, fsct.FlowParams{Workers: sp.Workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fsct.FormatReport(rep)
-	case serve.KindScreen:
+	case task.KindScreen:
 		d := insertScan(t, c, sp.Chains, sp.Seed)
 		screened, err := fsct.ScreenFaultsCtx(context.Background(), d, fsct.CollapsedFaults(d.C), fsct.ScreenOptions{Workers: sp.Workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return serve.FormatScreen(d.C.Name, screened)
-	case serve.KindFaultSim:
+		return task.FormatScreen(d.C.Name, screened)
+	case task.KindFaultSim:
 		faults := fsct.CollapsedFaults(c)
-		seq := serve.RandomSequence(c, sp.Seed, sp.Cycles)
+		seq := task.RandomSequence(c, sp.Seed, sp.Cycles)
 		st := c.Stat()
 		res, err := fsct.SimulateFaultsCtx(context.Background(), c, seq, faults, fsct.SimOptions{Workers: sp.Workers})
 		if err != nil {
@@ -212,7 +212,7 @@ func expectedOutput(t *testing.T, sp serve.Spec) string {
 		det := res.NumDetected()
 		return fmt.Sprintf("circuit %s: %d gates, %d FFs; %d faults; %d cycles\n", c.Name, st.Gates, st.FFs, len(faults), len(seq)) +
 			fmt.Sprintf("detected %d / %d faults (%.2f%% coverage)\n", det, len(faults), 100*float64(det)/float64(len(faults)))
-	case serve.KindATPG:
+	case task.KindATPG:
 		d := insertScan(t, c, sp.Chains, sp.Seed)
 		arts := engine.New().For(d.C)
 		fixed := make(map[fsct.SignalID]fsct.Value, len(d.Assignments))
@@ -242,7 +242,7 @@ func expectedOutput(t *testing.T, sp serve.Spec) string {
 		}
 		return fmt.Sprintf("circuit %s: comb ATPG over %d faults\n", d.C.Name, len(faults)) +
 			fmt.Sprintf("found %d  redundant %d  aborted %d\n", found, redundant, aborted)
-	case serve.KindDiagnose:
+	case task.KindDiagnose:
 		d := insertScan(t, c, sp.Chains, sp.Seed)
 		screened, err := fsct.ScreenFaultsCtx(context.Background(), d, fsct.CollapsedFaults(d.C), fsct.ScreenOptions{Workers: sp.Workers})
 		if err != nil {
@@ -254,7 +254,7 @@ func expectedOutput(t *testing.T, sp serve.Spec) string {
 				affecting = append(affecting, sc.Fault)
 			}
 		}
-		dict, err := fsct.BuildDictionaryCtx(context.Background(), d, affecting, uint64(sp.Seed), sp.Workers)
+		dict, err := fsct.BuildDictionaryCtx(context.Background(), d, affecting, uint64(sp.Seed), sp.Workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,15 +294,15 @@ func TestConcurrentJobsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e server test")
 	}
-	specs := []serve.Spec{
-		{Kind: serve.KindFlow, Circuit: "s27"},
-		{Kind: serve.KindFlow, Circuit: "s1423", Scale: 0.05},
-		{Kind: serve.KindScreen, Circuit: "s27"},
-		{Kind: serve.KindScreen, Circuit: "s1423", Scale: 0.05},
-		{Kind: serve.KindFaultSim, Circuit: "s27", Cycles: 300},
-		{Kind: serve.KindFaultSim, Circuit: "s1423", Scale: 0.05, Cycles: 300},
-		{Kind: serve.KindDiagnose, Circuit: "s27"},
-		{Kind: serve.KindATPG, Circuit: "s27"},
+	specs := []task.Spec{
+		{Kind: task.KindFlow, Circuit: "s27"},
+		{Kind: task.KindFlow, Circuit: "s1423", Scale: 0.05},
+		{Kind: task.KindScreen, Circuit: "s27"},
+		{Kind: task.KindScreen, Circuit: "s1423", Scale: 0.05},
+		{Kind: task.KindFaultSim, Circuit: "s27", Cycles: 300},
+		{Kind: task.KindFaultSim, Circuit: "s1423", Scale: 0.05, Cycles: 300},
+		{Kind: task.KindDiagnose, Circuit: "s27"},
+		{Kind: task.KindATPG, Circuit: "s27"},
 	}
 	_, h, sink := testServer(t, serve.Config{Runners: 4})
 
@@ -345,7 +345,7 @@ func TestCancelMidFlight(t *testing.T) {
 	// Full s9234 has ~100 fault batches: the run takes seconds in total
 	// but cancellation (checked at batch boundaries) lands fast.
 	_, h, sink := testServer(t, serve.Config{Runners: 1})
-	v := submit(t, h.URL, serve.Spec{Kind: serve.KindFaultSim, Circuit: "s9234", Cycles: 3000, Workers: 2})
+	v := submit(t, h.URL, task.Spec{Kind: task.KindFaultSim, Circuit: "s9234", Cycles: 3000, Workers: 2})
 
 	// Attach an SSE reader before the cancel so we observe the close.
 	sseDone := make(chan string, 1)
@@ -414,7 +414,7 @@ func TestCancelMidFlight(t *testing.T) {
 // 429 on the next submission.
 func TestAdmissionControl(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{Runners: 1, QueueLimit: 1})
-	blocker := submit(t, h.URL, serve.Spec{Kind: serve.KindFaultSim, Circuit: "s9234", Cycles: 3000, Workers: 1})
+	blocker := submit(t, h.URL, task.Spec{Kind: task.KindFaultSim, Circuit: "s9234", Cycles: 3000, Workers: 1})
 	// Wait for the blocker to leave the queue.
 	deadline := time.Now().Add(30 * time.Second)
 	for jobView(t, h.URL, blocker.ID).Status == serve.StatusQueued {
@@ -423,9 +423,9 @@ func TestAdmissionControl(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	submit(t, h.URL, serve.Spec{Kind: serve.KindScreen, Circuit: "s27"}) // fills the queue
+	submit(t, h.URL, task.Spec{Kind: task.KindScreen, Circuit: "s27"}) // fills the queue
 
-	body, _ := json.Marshal(serve.Spec{Kind: serve.KindScreen, Circuit: "s27"})
+	body, _ := json.Marshal(task.Spec{Kind: task.KindScreen, Circuit: "s27"})
 	resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +445,7 @@ func TestAdmissionControl(t *testing.T) {
 // after a job and checks the serve.* samples are present.
 func TestMetricsAndServerEndpoints(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{})
-	v := submit(t, h.URL, serve.Spec{Kind: serve.KindScreen, Circuit: "s27"})
+	v := submit(t, h.URL, task.Spec{Kind: task.KindScreen, Circuit: "s27"})
 	waitTerminal(t, h.URL, v.ID, 60*time.Second)
 
 	resp, err := http.Get(h.URL + "/metrics")
@@ -489,7 +489,7 @@ func TestMetricsAndServerEndpoints(t *testing.T) {
 // SSE stream to carry journal events and end with done.
 func TestSSEStreamsEvents(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{})
-	v := submit(t, h.URL, serve.Spec{Kind: serve.KindScreen, Circuit: "s27"})
+	v := submit(t, h.URL, task.Spec{Kind: task.KindScreen, Circuit: "s27"})
 	resp, err := http.Get(h.URL + "/api/v1/jobs/" + v.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -516,18 +516,18 @@ func TestSSEStreamsEvents(t *testing.T) {
 // TestValidation exercises the 400 paths.
 func TestValidation(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{})
-	for _, sp := range []serve.Spec{
+	for _, sp := range []task.Spec{
 		{},
 		{Kind: "nope", Circuit: "s27"},
-		{Kind: serve.KindFlow},
-		{Kind: serve.KindFlow, Circuit: "not-a-profile"},
-		{Kind: serve.KindFlow, Circuit: "s27", Eval: "warp-drive"},
-		{Kind: serve.KindFlow, Circuit: "s27", Workers: task.DefaultsFor(task.KindFlow).MaxWorkers + 1},
-		{Kind: serve.KindFaultSim, Circuit: "s27", Cycles: task.DefaultsFor(task.KindFaultSim).MaxCycles + 1},
-		{Kind: serve.KindFaultSim, Circuit: "s27", Cycles: 2000000000},
-		{Kind: serve.KindFaultSim, Circuit: "s27", Eval: "event"},
+		{Kind: task.KindFlow},
+		{Kind: task.KindFlow, Circuit: "not-a-profile"},
+		{Kind: task.KindFlow, Circuit: "s27", Eval: "warp-drive"},
+		{Kind: task.KindFlow, Circuit: "s27", Workers: task.DefaultsFor(task.KindFlow).MaxWorkers + 1},
+		{Kind: task.KindFaultSim, Circuit: "s27", Cycles: task.DefaultsFor(task.KindFaultSim).MaxCycles + 1},
+		{Kind: task.KindFaultSim, Circuit: "s27", Cycles: 2000000000},
+		{Kind: task.KindFaultSim, Circuit: "s27", Eval: "event"},
 		// Inside the body cap, past the inline netlist limit.
-		{Kind: serve.KindScreen, Circuit: "big", Bench: strings.Repeat("#", task.DefaultsFor(task.KindScreen).MaxBenchBytes+1)},
+		{Kind: task.KindScreen, Circuit: "big", Bench: strings.Repeat("#", task.DefaultsFor(task.KindScreen).MaxBenchBytes+1)},
 	} {
 		body, _ := json.Marshal(sp)
 		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
@@ -553,7 +553,7 @@ func TestValidation(t *testing.T) {
 // error shape; the largest suite circuit's inline .bench still fits.
 func TestSubmitBodyLimit(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{})
-	post := func(sp serve.Spec) (int, map[string]string) {
+	post := func(sp task.Spec) (int, map[string]string) {
 		t.Helper()
 		body, _ := json.Marshal(sp)
 		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
@@ -568,7 +568,7 @@ func TestSubmitBodyLimit(t *testing.T) {
 		return resp.StatusCode, e
 	}
 
-	code, e := post(serve.Spec{Kind: serve.KindScreen, Circuit: "big",
+	code, e := post(task.Spec{Kind: task.KindScreen, Circuit: "big",
 		Bench: strings.Repeat("#", serve.MaxSubmitBytes)})
 	if code != http.StatusRequestEntityTooLarge || !strings.Contains(e["error"], "exceeds") {
 		t.Errorf("oversized body: status %d, error %q; want 413", code, e["error"])
@@ -584,7 +584,7 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 	// An unknown kind fails validation after the whole body decoded, so
 	// a 400 (not 413) shows the largest inline netlist is admitted.
-	code, e = post(serve.Spec{Kind: "nope", Circuit: "s38417", Bench: text.String()})
+	code, e = post(task.Spec{Kind: "nope", Circuit: "s38417", Bench: text.String()})
 	if code != http.StatusBadRequest {
 		t.Errorf("s38417 inline bench (%d bytes): status %d (%q), want 400 from validation",
 			text.Len(), code, e["error"])

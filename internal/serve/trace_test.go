@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/task"
 	"repro/internal/trace"
 )
 
@@ -40,8 +41,8 @@ func fetchTrace(t *testing.T, base, id string) trace.Trace {
 func TestTraceLinkage(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{Runners: 2})
 
-	v := submit(t, h.URL, serve.Spec{
-		Kind: serve.KindFaultSim, Circuit: "s3384",
+	v := submit(t, h.URL, task.Spec{
+		Kind: task.KindFaultSim, Circuit: "s3384",
 		Scale: 0.05, Cycles: 100, Units: 3,
 		TraceParent: inboundTP,
 	})
@@ -119,7 +120,7 @@ func TestTraceHeaderJoin(t *testing.T) {
 
 	post := func(header string) serve.View {
 		t.Helper()
-		body, _ := json.Marshal(serve.Spec{Kind: serve.KindScreen, Circuit: "s27"})
+		body, _ := json.Marshal(task.Spec{Kind: task.KindScreen, Circuit: "s27"})
 		req, err := http.NewRequest(http.MethodPost, h.URL+"/api/v1/jobs", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

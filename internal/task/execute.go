@@ -162,7 +162,7 @@ func executeScreen(ctx context.Context, sp Spec, u Unit, cache *engine.Cache, co
 	p := newPartial(sp, u)
 	p.Circuit, p.Hash = d.C.Name, d.C.StructuralHash()
 	p.Faults, p.Lo, p.Hi = len(faults), lo, hi
-	screened, serr := core.ScreenOptCtx(ctx, d, faults[lo:hi], core.ScreenOptions{
+	screened, serr := core.ScreenCtx(ctx, d, faults[lo:hi], core.ScreenOptions{
 		Workers: sp.Workers, Cache: cache, Obs: col,
 	})
 	if serr != nil {
@@ -277,7 +277,7 @@ func Diagnosis(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Colle
 		return nil, nil, nil, nil, err
 	}
 	faults := engine.Resolve(cache).ForObs(d.C, col).CollapsedFaults()
-	screened, err := core.ScreenOptCtx(ctx, d, faults, core.ScreenOptions{
+	screened, err := core.ScreenCtx(ctx, d, faults, core.ScreenOptions{
 		Workers: sp.Workers, Cache: cache, Obs: col,
 	})
 	if err != nil {
@@ -290,7 +290,7 @@ func Diagnosis(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Colle
 		}
 	}
 	sp2 := col.Phase("dictionary")
-	dict, err := diagnose.BuildObsCtx(ctx, d, affecting, diagnose.DefaultSequences(d, uint64(sp.Seed)), sp.Workers, col)
+	dict, err := diagnose.BuildCtx(ctx, d, affecting, diagnose.DefaultSequences(d, uint64(sp.Seed)), sp.Workers, col)
 	sp2.End()
 	if err != nil {
 		return d, screened, affecting, nil, err

@@ -114,7 +114,7 @@ func TestScreenMatchesDirectCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := engine.Resolve(nil).For(d.C).CollapsedFaults()
-	screened, err := core.ScreenOptCtx(context.Background(), d, faults, core.ScreenOptions{})
+	screened, err := core.ScreenCtx(context.Background(), d, faults, core.ScreenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

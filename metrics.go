@@ -17,11 +17,11 @@ import (
 // collector to make it account for itself:
 //
 //	col := fsct.NewCollector()
-//	rep, _ := fsct.RunFlow(d, fsct.FlowParams{Obs: col})
+//	rep, _ := fsct.RunFlowCtx(ctx, d, fsct.FlowParams{Obs: col})
 //	fmt.Print(fsct.FormatMetrics(rep.Metrics))
 //
-// The same collector can be shared across RunFlow, ScreenFaultsOpt and
-// SimulateFaultsOpt calls; Snapshot (or Report.Metrics) freezes it into
+// The same collector can be shared across RunFlowCtx, ScreenFaultsCtx
+// and SimulateFaultsCtx calls; Snapshot (or Report.Metrics) freezes it into
 // plain JSON-ready data.
 
 // Collector gathers phase timings, counters, histograms and worker-pool

@@ -105,11 +105,11 @@ func TestObsDisabledIsFree(t *testing.T) {
 				name string
 				run  func(col *Collector)
 			}{
-				{"ScreenFaultsOpt", func(col *Collector) {
-					ScreenFaultsOpt(d, faults, ScreenOptions{Workers: 1, Obs: col})
+				{"ScreenFaultsCtx", func(col *Collector) {
+					ScreenFaultsCtx(context.Background(), d, faults, ScreenOptions{Workers: 1, Obs: col})
 				}},
-				{"faultsim.Run", func(col *Collector) {
-					faultsim.Run(d.C, seq, faults, faultsim.Options{Workers: 1, Obs: col})
+				{"faultsim.RunCtx", func(col *Collector) {
+					faultsim.RunCtx(context.Background(), d.C, seq, faults, faultsim.Options{Workers: 1, Obs: col})
 				}},
 			}
 			for _, r := range runs {
