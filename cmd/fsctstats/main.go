@@ -29,10 +29,9 @@
 //
 // watch is the live counterpart: instead of the ledger it polls a
 // running fsctd daemon's /api/v1/live and /metrics endpoints and
-// renders a terminal dashboard — one block per job with a unit
-// completion bar, faults-per-second throughput, the ETA derived from
-// it, and any unit the straggler watchdog flagged highlighted as
-// STALLED. -once prints a single frame and exits (scripts, CI).
+// renders a terminal dashboard — one block per job with its unit's
+// completion bar, the finished job's faults-per-second throughput, and
+// any unit the straggler watchdog flagged highlighted as STALLED. -once prints a single frame and exits (scripts, CI).
 //
 // trace analyzes an exported span tree — a CLI run's -otlpfile, or a
 // job's tree fetched live from fsctd's /api/v1/trace/{job} — and
@@ -157,7 +156,7 @@ func usage() {
   check  flag metric drift of the newest run vs the rolling median of
          prior runs; exits 1 on drift (-strict: also on an empty match)
   watch  live terminal dashboard over a running fsctd daemon's
-         /api/v1/live: per-job unit progress bars, throughput, ETA and
+         /api/v1/live: per-job unit progress bars, throughput and
          highlighted stragglers
   trace  critical path, per-phase self time and straggler attribution
          over an exported span tree (-otlp file, or -job from a daemon)

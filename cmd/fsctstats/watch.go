@@ -103,8 +103,8 @@ func parseCounters(text string) map[string]float64 {
 }
 
 // renderWatch writes one dashboard frame: a header with queue and job
-// totals, then one block per job — completion bar, throughput, ETA and
-// the per-unit rows with stragglers highlighted. Pure function of its
+// totals, then one block per job — completion figures, throughput and
+// the unit row with a straggler highlighted. Pure function of its
 // inputs (the tests feed it canned views); color only decorates, the
 // plain text carries everything.
 func renderWatch(w io.Writer, addr string, lv serve.LiveView, counters map[string]float64, color bool) {
@@ -138,7 +138,7 @@ func renderJob(w io.Writer, j serve.LiveJob, color bool) {
 		fmt.Fprintf(w, "  trace %s", j.TraceID)
 	}
 	p := j.Progress
-	if p == nil { // queued: no runner has planned it yet
+	if p == nil { // queued: no runner has started it yet
 		fmt.Fprintln(w)
 		return
 	}
@@ -150,9 +150,6 @@ func renderJob(w io.Writer, j serve.LiveJob, color bool) {
 	fmt.Fprintf(w, "  detected %d", p.Detected)
 	if p.Throughput > 0 {
 		fmt.Fprintf(w, "  %s", fmtRate(p.Throughput))
-	}
-	if p.ETANS > 0 {
-		fmt.Fprintf(w, "  ETA %s", fmtDur(time.Duration(p.ETANS)))
 	}
 	fmt.Fprintln(w)
 	for _, u := range p.Units {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// cannedLive is a three-unit job mid-flight: one done, one running, one
-// stalled straggler.
+// cannedLive is a stalled faultsim job mid-flight, a finished screen
+// job and a queued one.
 func cannedLive() serve.LiveView {
 	return serve.LiveView{
 		StallThresholdNS: (30 * time.Second).Nanoseconds(),
@@ -22,18 +22,26 @@ func cannedLive() serve.LiveView {
 				TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
 				Progress: &telemetry.Snapshot{
 					RunID: "r", JobID: "j000001", Kind: "faultsim", Circuit: "s3384",
-					UnitsTotal: 3, UnitsDone: 1, UnitsRunning: 2, UnitsStalled: 1,
-					FaultsTotal: 189, FaultsDone: 100, Detected: 60,
-					Throughput: 63, ETANS: (2 * time.Second).Nanoseconds(),
+					UnitsTotal: 1, UnitsRunning: 1, UnitsStalled: 1,
+					FaultsDone: 63, Detected: 20,
 					Units: []telemetry.UnitSnapshot{
-						{Index: 0, Lo: 0, Hi: 63, Faults: 63, Done: 63, Detected: 40, Finished: true, WallNS: int64(time.Second)},
-						{Index: 1, Lo: 63, Hi: 126, Faults: 63, Done: 30, Detected: 20, Running: true, WallNS: int64(time.Second)},
-						{Index: 2, Lo: 126, Hi: 189, Faults: 63, Done: 7, Running: true, Stalled: true,
+						{Index: 0, Lo: 0, Hi: -1, Done: 63, Detected: 20, Running: true, Stalled: true,
 							WallNS: int64(40 * time.Second), IdleNS: int64(35 * time.Second)},
 					},
 				},
 			},
-			{ID: "j000002", Kind: "screen", Circuit: "s27", Status: serve.StatusQueued},
+			{
+				ID: "j000002", Kind: "screen", Circuit: "s27", Status: serve.StatusDone,
+				Progress: &telemetry.Snapshot{
+					RunID: "r", JobID: "j000002", Kind: "screen", Circuit: "s27",
+					UnitsTotal: 1, UnitsDone: 1,
+					FaultsTotal: 52, FaultsDone: 52, Detected: 21, Throughput: 63,
+					Units: []telemetry.UnitSnapshot{
+						{Index: 0, Lo: 0, Hi: 52, Faults: 52, Done: 52, Detected: 21, Finished: true, WallNS: int64(time.Second)},
+					},
+				},
+			},
+			{ID: "j000003", Kind: "screen", Circuit: "s27", Status: serve.StatusQueued},
 		},
 	}
 }
@@ -47,19 +55,14 @@ func TestRenderWatchFrame(t *testing.T) {
 	renderWatch(&b, "localhost:8341", cannedLive(), counters, false)
 	out := b.String()
 	for _, want := range []string{
-		"2 jobs (1 running, 0 done)",
+		"3 jobs (1 running, 1 done)",
 		"queue 1",
 		"stall threshold 30s",
-		"j000001 faultsim s3384 [running]  trace 4bf92f3577b34da6a3ce929d0e0e4736",
-		"units 1/3",
-		"faults 100/189 (52.9%)",
-		"detected 60",
-		"63 f/s",
-		"ETA 2s",
-		"unit 0   [============] 63/63  done 1s",
-		"unit 1   [=====       ] 30/63  running 1s",
-		"STALLED idle 35s",
-		"j000002 screen s27 [queued]",
+		"j000001 faultsim s3384 [running]  trace 4bf92f3577b34da6a3ce929d0e0e4736  units 0/1  detected 20",
+		"unit 0   [????????????] 63/0  STALLED idle 35s",
+		"j000002 screen s27 [done]  units 1/1  faults 52/52 (100.0%)  detected 21  63 f/s",
+		"unit 0   [============] 52/52  done 1s",
+		"j000003 screen s27 [queued]",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)

@@ -302,8 +302,8 @@ func (s *Session) writeOTLP() error {
 // correlated run_id/unit_id attributes. The tracker does not subscribe
 // to the flight recorder: in a CLI nothing reads its live estimate (no
 // watchdog, no live endpoint), so its log lines are its only output.
-// The returned context carries the tracker into task.Execute; pass it
-// to the run.
+// The returned context carries the tracker into task.Run; pass it to
+// the run.
 func (s *Session) TrackCtx(ctx context.Context, kind, circuit string) context.Context {
 	tr := telemetry.NewRunTracker(telemetry.Info{
 		RunID: s.runID, Kind: kind, Circuit: circuit,

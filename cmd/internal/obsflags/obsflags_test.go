@@ -99,13 +99,12 @@ func TestTrackCtxTrackerLogsOnly(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "run.log")
 	s := open(t, "-tracefile", filepath.Join(t.TempDir(), "trace.json"), "-logfile", logPath)
 	tr := task.TrackerFrom(s.TrackCtx(context.Background(), task.KindFaultSim, "a")).(*telemetry.RunTracker)
-	u := task.Unit{Spec: task.Spec{Kind: task.KindFaultSim, Circuit: "a"}, Count: 1, Hi: -1}
-	tr.UnitStarted(u)
+	tr.UnitStarted(task.Spec{Kind: task.KindFaultSim, Circuit: "a"})
 	s.Recorder().Emit(journal.Detect(1, 5))
 	if d := tr.Snapshot().Detected; d != 0 {
 		t.Errorf("the CLI tracker counted %d journal detections, want 0 (no subscription)", d)
 	}
-	tr.UnitFinished(u, nil, nil)
+	tr.UnitFinished(nil, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

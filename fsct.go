@@ -304,20 +304,15 @@ func AnalyzeTestability(c *Circuit, pinned map[SignalID]Value) (*Testability, *C
 // in the task layer so CLI and daemon defaults cannot drift.)
 func DefaultChains(ffs int) int { return task.DefaultChains(ffs) }
 
-// Task-layer re-exports: the canonical serializable Spec -> Plan ->
-// Execute -> Merge pipeline every batch CLI and the fsctd daemon run
-// on. See internal/task for the contract; library users get the same
+// Task-layer re-exports: the canonical serializable Spec -> Run ->
+// Result pipeline every batch CLI and the fsctd daemon run on. See internal/task for the contract; library users get the same
 // orchestration (and therefore byte-identical reports) through these
 // aliases.
 type (
 	// TaskSpec is a serializable job description (kind, circuit
 	// source, run options).
 	TaskSpec = task.Spec
-	// TaskUnit is one deterministic shard work-unit of a planned spec.
-	TaskUnit = task.Unit
-	// TaskPartial is the mergeable result of executing one unit.
-	TaskPartial = task.Partial
-	// TaskResult is a merged job outcome (report text, ledger extras,
+	// TaskResult is a job outcome (report text, ledger extras,
 	// per-kind data).
 	TaskResult = task.Result
 	// TaskDefaults is the per-kind option-defaults table.
@@ -337,24 +332,8 @@ const (
 // single table the CLI flags and the daemon's spec normalization share.
 func TaskDefaultsFor(kind string) TaskDefaults { return task.DefaultsFor(kind) }
 
-// PlanTask splits a spec into at most shards batch-aligned work-units;
-// merging their results is byte-identical to a single-unit run.
-func PlanTask(sp TaskSpec, shards int, cache *EngineCache) ([]TaskUnit, error) {
-	return task.Plan(sp, shards, cache)
-}
-
-// ExecuteTask runs one work-unit and returns its mergeable partial.
-func ExecuteTask(ctx context.Context, u TaskUnit, cache *EngineCache, col *Collector) (*TaskPartial, error) {
-	return task.Execute(ctx, u, cache, col)
-}
-
-// MergeTask reassembles unit partials into the job result.
-func MergeTask(sp TaskSpec, parts []*TaskPartial, interrupted bool) (*TaskResult, error) {
-	return task.Merge(sp, parts, interrupted)
-}
-
-// RunTask executes a spec end to end in this process (Plan + Execute +
-// Merge) — the path behind every batch CLI and daemon job.
+// RunTask executes a spec end to end in this process — the path behind
+// every batch CLI and daemon job.
 func RunTask(ctx context.Context, sp TaskSpec, cache *EngineCache, col *Collector) (*TaskResult, error) {
 	return task.Run(ctx, sp, cache, col)
 }

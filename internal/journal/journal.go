@@ -64,15 +64,16 @@ const (
 	// KindCache is one artifact-cache lookup: Arg the cache name, A 1
 	// for a hit and 0 for a miss.
 	KindCache
-	// KindUnitBegin marks a task work-unit opening: A the unit index,
-	// B the plan's unit count, C and D the unit's fault-axis slice
-	// bounds Lo and Hi (D is -1 while the whole-axis sentinel is
-	// unresolved). The tracing layer (internal/trace) turns a
-	// begin/end pair into one unit span under the run's root span.
+	// KindUnitBegin marks a task run's unit opening: A the unit index
+	// (0), B the unit count (1), C and D the fault-axis slice bounds Lo
+	// (0) and Hi (-1 until the axis length is known). The tracing
+	// layer (internal/trace) turns a begin/end pair into one unit span
+	// under the run's root span.
 	KindUnitBegin
-	// KindUnitEnd marks a task work-unit closing; payload as
-	// KindUnitBegin with the axis slice resolved, DurNS the unit's
-	// wall time (TNS the unit start, like all span events).
+	// KindUnitEnd marks a task run's unit closing; payload as
+	// KindUnitBegin with Hi the axis length once the run resolved it,
+	// DurNS the unit's wall time (TNS the unit start, like all span
+	// events).
 	KindUnitEnd
 )
 
@@ -359,19 +360,18 @@ func Cache(name string, hit bool) Event {
 	return Event{Kind: KindCache, Arg: name, A: a}
 }
 
-// UnitBegin builds a work-unit-open event: unit index of the plan's
-// count units, covering fault-axis slice [lo, hi) (hi -1 while the
-// whole-axis sentinel is unresolved).
-func UnitBegin(index, count, lo, hi int) Event {
-	return Event{Kind: KindUnitBegin, A: int64(index), B: int64(count),
-		C: int64(lo), D: int64(hi)}
+// UnitBegin builds the unit-open event of a task run: unit 0 of 1,
+// over the whole fault axis, its length not yet known.
+func UnitBegin() Event {
+	return Event{Kind: KindUnitBegin, A: 0, B: 1, C: 0, D: -1}
 }
 
-// UnitEnd builds a work-unit-close event spanning dur; the payload
-// mirrors UnitBegin with the axis slice resolved.
-func UnitEnd(index, count, lo, hi int, dur time.Duration) Event {
-	return Event{Kind: KindUnitEnd, A: int64(index), B: int64(count),
-		C: int64(lo), D: int64(hi), DurNS: dur.Nanoseconds()}
+// UnitEnd builds the unit-close event of a task run spanning dur; hi
+// is the fault-axis length, or -1 when the run stopped before
+// resolving it.
+func UnitEnd(hi int, dur time.Duration) Event {
+	return Event{Kind: KindUnitEnd, A: 0, B: 1, C: 0, D: int64(hi),
+		DurNS: dur.Nanoseconds()}
 }
 
 // LocChainSeg packs a chain/segment location into one payload field

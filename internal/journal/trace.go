@@ -10,8 +10,7 @@ package journal
 //   - phase spans (KindPhaseEnd, which carries start+duration) become
 //     complete ("X") events on the flow thread (tid 0);
 //   - task unit spans (KindUnitEnd) become "X" events on the flow
-//     thread under the "unit" category, so the per-unit decomposition
-//     of a sharded run frames its phases;
+//     thread under the "unit" category, framing the run's phases;
 //   - worker batch spans become "X" events on the worker's own thread
 //     (tid = worker+1), named after their pool;
 //   - ATPG attempt spans become "X" events on the flow thread under

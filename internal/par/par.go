@@ -251,48 +251,6 @@ func Chunks(total, size int) []Range {
 	return out
 }
 
-// Shards splits [0, total) into at most n contiguous ranges whose
-// boundaries fall on multiples of chunk (the last range ends at total),
-// balanced to within one chunk of each other. Because every boundary is
-// chunk-aligned, work distributed in chunk-wide batches (the 63-fault
-// packed-simulation batches) sees exactly the same batch geometry
-// whether it runs as one range or as n — which is what keeps
-// shard-merged results byte-identical to a single-range run. It returns
-// nil when total <= 0; chunk <= 0 means no alignment constraint
-// (boundaries fall on single indices).
-func Shards(total, chunk, n int) []Range {
-	if total <= 0 {
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	if n < 1 {
-		n = 1
-	}
-	batches := (total + chunk - 1) / chunk
-	if n > batches {
-		n = batches
-	}
-	out := make([]Range, 0, n)
-	base, rem := batches/n, batches%n
-	b := 0
-	for i := 0; i < n; i++ {
-		take := base
-		if i < rem {
-			take++
-		}
-		lo := b * chunk
-		b += take
-		hi := b * chunk
-		if hi > total {
-			hi = total
-		}
-		out = append(out, Range{lo, hi})
-	}
-	return out
-}
-
 // BitSet is a fixed-size set of integers safe for concurrent use. The
 // fault simulator and the step-2 dropper share one across workers as
 // the detected-fault set: concurrent Set calls on any indices are safe,

@@ -229,60 +229,3 @@ func TestDoPoolSerialInline(t *testing.T) {
 		t.Fatalf("serial pool = %+v", m)
 	}
 }
-
-func TestShards(t *testing.T) {
-	cases := []struct {
-		total, chunk, n int
-		want            []Range
-	}{
-		{0, 63, 4, nil},
-		{-5, 63, 4, nil},
-		{100, 63, 1, []Range{{0, 100}}},
-		// 200 faults = 4 batches of 63; 3 shards take 2+1+1 batches.
-		{200, 63, 3, []Range{{0, 126}, {126, 189}, {189, 200}}},
-		// More shards than batches collapses to one shard per batch.
-		{100, 63, 10, []Range{{0, 63}, {63, 100}}},
-		// chunk <= 0 falls back to unit batches; n < 1 to one shard.
-		{10, 0, 3, []Range{{0, 4}, {4, 7}, {7, 10}}},
-		{10, 3, 0, []Range{{0, 10}}},
-	}
-	for _, c := range cases {
-		got := Shards(c.total, c.chunk, c.n)
-		if len(got) != len(c.want) {
-			t.Errorf("Shards(%d,%d,%d) = %v, want %v", c.total, c.chunk, c.n, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Shards(%d,%d,%d)[%d] = %v, want %v", c.total, c.chunk, c.n, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
-// TestShardsInvariants checks the contract Plan relies on for arbitrary
-// sizes: contiguous coverage from 0, chunk-aligned interior boundaries,
-// and at most n nonempty shards.
-func TestShardsInvariants(t *testing.T) {
-	for _, total := range []int{1, 62, 63, 64, 126, 1000, 4093} {
-		for _, n := range []int{1, 2, 3, 7, 16, 100} {
-			rs := Shards(total, 63, n)
-			if len(rs) == 0 || len(rs) > n {
-				t.Fatalf("Shards(%d,63,%d): %d shards", total, n, len(rs))
-			}
-			expect := 0
-			for i, r := range rs {
-				if r.Lo != expect || r.Hi <= r.Lo {
-					t.Fatalf("Shards(%d,63,%d)[%d] = %v, want contiguous nonempty from %d", total, n, i, r, expect)
-				}
-				if i < len(rs)-1 && r.Hi%63 != 0 {
-					t.Fatalf("Shards(%d,63,%d)[%d].Hi = %d not batch-aligned", total, n, i, r.Hi)
-				}
-				expect = r.Hi
-			}
-			if expect != total {
-				t.Fatalf("Shards(%d,63,%d) covers [0,%d)", total, n, expect)
-			}
-		}
-	}
-}

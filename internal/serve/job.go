@@ -128,8 +128,8 @@ func (j *Job) TraceContext() trace.Context { return j.tctx }
 
 // Trace assembles the job's current span tree from its flight
 // recorder: the job span (parented to the submitter's span when the
-// submission carried a traceparent), one span per executed unit, the
-// phases inside each unit and their pool/ATPG leaves. Safe on a live
+// submission carried a traceparent), the run's unit span, the phases
+// inside it and their pool/ATPG leaves. Safe on a live
 // job — spans still open simply end "now" and carry the unclosed
 // attribute once the job is canceled mid-flight. runID is stamped into
 // the resource attributes alongside the job identity, the circuit's

@@ -11,7 +11,7 @@ import (
 
 // LiveJob is one job's entry on /api/v1/live: identity, lifecycle
 // state, and the unit-progress snapshot (null while the job is queued —
-// no runner has planned it yet).
+// no runner has started it yet).
 type LiveJob struct {
 	ID      string `json:"id"`
 	Kind    string `json:"kind"`

@@ -14,14 +14,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// taskUnit builds a detached unit for hand-feeding the watchdog tests.
-func taskUnit(index, count int) task.Unit {
-	return task.Unit{
-		Spec:  task.Spec{Kind: task.KindFaultSim, Circuit: "s27"},
-		Index: index, Count: count, Lo: index * 63, Hi: (index + 1) * 63,
-	}
-}
-
 func liveView(t *testing.T, base string, query string) serve.LiveView {
 	t.Helper()
 	resp, err := http.Get(base + "/api/v1/live" + query)
@@ -39,14 +31,13 @@ func liveView(t *testing.T, base string, query string) serve.LiveView {
 	return v
 }
 
-// TestLiveMultiUnitJob is the live-introspection acceptance e2e: a
-// multi-unit faultsim job whose /api/v1/live entry carries per-unit
-// progress, whose final unit sums equal the report's totals, and whose
-// report is byte-identical to the single-unit run of the same spec.
-func TestLiveMultiUnitJob(t *testing.T) {
+// TestLiveJob is the live-introspection acceptance e2e: a faultsim
+// job whose /api/v1/live entry carries its unit's progress and whose
+// final unit figures equal the report's totals.
+func TestLiveJob(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{Runners: 1})
 
-	sp := task.Spec{Kind: task.KindFaultSim, Circuit: "s3384", Scale: 0.05, Cycles: 100, Units: 3}
+	sp := task.Spec{Kind: task.KindFaultSim, Circuit: "s3384", Scale: 0.05, Cycles: 100}
 	v := submit(t, h.URL, sp)
 
 	// Poll the live view while the job runs: entries must appear, and a
@@ -66,8 +57,8 @@ func TestLiveMultiUnitJob(t *testing.T) {
 		lj := lv.Jobs[0]
 		if lj.Status == serve.StatusRunning && lj.Progress != nil && len(lj.Progress.Units) > 0 {
 			sawRunning = true
-			if lj.Progress.UnitsTotal != 3 {
-				t.Fatalf("mid-flight units_total = %d, want 3", lj.Progress.UnitsTotal)
+			if lj.Progress.UnitsTotal != 1 {
+				t.Fatalf("mid-flight units_total = %d, want 1", lj.Progress.UnitsTotal)
 			}
 		}
 		if lj.Status.Terminal() {
@@ -82,14 +73,15 @@ func TestLiveMultiUnitJob(t *testing.T) {
 	}
 	out := result(t, h.URL, v.ID)
 
-	// Terminal live view: exact per-unit sums equal the report totals.
+	// Terminal live view: the unit's exact figures equal the report
+	// totals.
 	lv := liveView(t, h.URL, "")
 	lj := lv.Jobs[0]
 	if lj.Progress == nil {
 		t.Fatal("terminal live entry has no progress snapshot")
 	}
 	p := lj.Progress
-	if p.UnitsTotal != 3 || p.UnitsDone != 3 || p.UnitsRunning != 0 || p.UnitsStalled != 0 {
+	if p.UnitsTotal != 1 || p.UnitsDone != 1 || p.UnitsRunning != 0 || p.UnitsStalled != 0 {
 		t.Fatalf("terminal unit partition = %+v", p)
 	}
 	var detected, faults int
@@ -102,31 +94,14 @@ func TestLiveMultiUnitJob(t *testing.T) {
 	if p.Detected != detected {
 		t.Fatalf("live detected = %d, want %d (report)", p.Detected, detected)
 	}
-	var sumDone, sumDet int
-	for _, u := range p.Units {
-		if !u.Finished || u.Faults != u.Hi-u.Lo || u.Done != u.Faults {
-			t.Fatalf("terminal unit %+v not fully accounted", u)
-		}
-		sumDone += u.Done
-		sumDet += u.Detected
+	if len(p.Units) != 1 {
+		t.Fatalf("terminal live entry lists %d units, want 1", len(p.Units))
 	}
-	if sumDone != faults || sumDet != detected {
-		t.Fatalf("per-unit sums %d/%d, want %d/%d", sumDone, sumDet, faults, detected)
+	if u := p.Units[0]; !u.Finished || u.Lo != 0 || u.Hi != faults || u.Faults != faults || u.Done != faults || u.Detected != detected {
+		t.Fatalf("terminal unit %+v not fully accounted", u)
 	}
 	if p.JobID != v.ID || p.Kind != sp.Kind || p.Circuit != sp.Circuit {
 		t.Fatalf("snapshot identity = %s/%s/%s, want %s/%s/%s", p.JobID, p.Kind, p.Circuit, v.ID, sp.Kind, sp.Circuit)
-	}
-
-	// Byte-identity across unit counts: the same spec at Units=1 (the
-	// default path) serves the same bytes.
-	single := sp
-	single.Units = 0
-	v1 := submit(t, h.URL, single)
-	if fin := waitTerminal(t, h.URL, v1.ID, 30*time.Second); fin.Status != serve.StatusDone {
-		t.Fatalf("single-unit job finished %s (%s)", fin.Status, fin.Error)
-	}
-	if out1 := result(t, h.URL, v1.ID); out1 != out {
-		t.Fatalf("multi-unit report differs from single-unit report:\n--- units=3\n%s--- units=1\n%s", out, out1)
 	}
 
 	// ?running=1 drops terminal jobs.
@@ -142,8 +117,8 @@ func TestLiveMultiUnitJob(t *testing.T) {
 	body := readAll(t, resp)
 	resp.Body.Close()
 	for _, want := range []string{
-		"fsct_serve_units_total_total 4", // 3 + 1 single-unit
-		"fsct_serve_units_done_total 4",
+		"fsct_serve_units_total_total 1",
+		"fsct_serve_units_done_total 1",
 		"fsct_serve_units_stalled_total 0",
 		"fsct_journal_dropped_events_total",
 	} {
@@ -166,7 +141,7 @@ func TestLiveStallFlagged(t *testing.T) {
 	}
 	wd.Register(tr)
 	defer wd.Unregister(tr)
-	tr.UnitStarted(taskUnit(0, 2))
+	tr.UnitStarted(task.Spec{Kind: task.KindFaultSim, Circuit: "s27"})
 
 	// The watchdog goroutine sweeps at threshold/4; the flag must land
 	// within a few thresholds of the last heartbeat.

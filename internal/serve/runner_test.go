@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,17 +45,17 @@ func waitTerminal(t *testing.T, j *Job) {
 }
 
 func TestRunnerPanicFailsOnlyThatJob(t *testing.T) {
-	orig := runUnits
-	t.Cleanup(func() { runUnits = orig })
-	runUnits = func(ctx context.Context, units []task.Unit, cache *engine.Cache, col *obs.Collector) (*task.Result, error) {
-		if units[0].Spec.Kind == task.KindScreen { // panic on a pool worker
+	orig := runTask
+	t.Cleanup(func() { runTask = orig })
+	runTask = func(ctx context.Context, sp task.Spec, cache *engine.Cache, col *obs.Collector) (*task.Result, error) {
+		if sp.Kind == task.KindScreen { // panic on a pool worker
 			par.DoCtx(ctx, 2, 4, func(_, i int) {
 				if i == 3 {
 					panic("core: injected worker panic")
 				}
 			})
 		}
-		return orig(ctx, units, cache, col)
+		return orig(ctx, sp, cache, col)
 	}
 	var logs bytes.Buffer
 	sink := &ledgerRecs{}
@@ -188,20 +189,20 @@ func TestSSEDoneFollowsBookkeeping(t *testing.T) {
 // drops the jobs that finished first, whose IDs then answer 404 on
 // every per-job endpoint, and never a queued or running job.
 func TestTerminalJobsEvictedPastCap(t *testing.T) {
-	origCap, origRun := maxRetainedJobs, runUnits
-	t.Cleanup(func() { maxRetainedJobs, runUnits = origCap, origRun })
+	origCap, origRun := maxRetainedJobs, runTask
+	t.Cleanup(func() { maxRetainedJobs, runTask = origCap, origRun })
 	maxRetainedJobs = 2
 	// The flow job holds its runner until released, so it stays running
 	// while the screening jobs finish on the other runner.
 	release := make(chan struct{})
-	runUnits = func(ctx context.Context, units []task.Unit, cache *engine.Cache, col *obs.Collector) (*task.Result, error) {
-		if units[0].Spec.Kind == task.KindFlow {
+	runTask = func(ctx context.Context, sp task.Spec, cache *engine.Cache, col *obs.Collector) (*task.Result, error) {
+		if sp.Kind == task.KindFlow {
 			select {
 			case <-release:
 			case <-ctx.Done():
 			}
 		}
-		return origRun(ctx, units, cache, col)
+		return origRun(ctx, sp, cache, col)
 	}
 	s := New(Config{Runners: 2})
 	h := httptest.NewServer(s.Handler())
@@ -259,5 +260,55 @@ func TestTerminalJobsEvictedPastCap(t *testing.T) {
 		if code := get("/api/v1/jobs/" + id + "/result"); code != http.StatusOK {
 			t.Errorf("retained job %s: result = %d, want 200", id, code)
 		}
+	}
+}
+
+// TestCloseRecordsQueuedJobs: jobs still queued when the server shuts
+// down are withdrawn the way Cancel withdraws them — each gets a
+// canceled ledger record and counts on serve.jobs.canceled.
+func TestCloseRecordsQueuedJobs(t *testing.T) {
+	orig := runTask
+	t.Cleanup(func() { runTask = orig })
+	started := make(chan struct{})
+	var once sync.Once
+	// The one runner holds its job until shutdown, then finishes it
+	// cleanly, so every canceled record is a queued job's.
+	runTask = func(ctx context.Context, sp task.Spec, _ *engine.Cache, _ *obs.Collector) (*task.Result, error) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		return &task.Result{Kind: sp.Kind}, nil
+	}
+	sink := &ledgerRecs{}
+	s := New(Config{Runners: 1, Ledger: sink})
+	if _, err := s.Submit(task.Spec{Kind: task.KindFlow, Circuit: "s27"}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	const n = 3
+	queued := map[string]bool{}
+	for i := 0; i < n; i++ {
+		j, err := s.Submit(task.Spec{Kind: task.KindScreen, Circuit: "s27"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued[j.ID()] = true
+	}
+	s.Close()
+
+	canceled := 0
+	for _, rec := range sink.recs {
+		if rec.Server == nil || rec.Server.Status != string(StatusCanceled) {
+			continue
+		}
+		canceled++
+		if !queued[rec.Server.JobID] || rec.Exit != 1 {
+			t.Errorf("canceled record for job %s (exit %d), want a queued job with exit 1", rec.Server.JobID, rec.Exit)
+		}
+	}
+	if canceled != n {
+		t.Errorf("ledger holds %d canceled records, want %d", canceled, n)
+	}
+	if got := s.col.Counter("serve.jobs.canceled").Value(); got != n {
+		t.Errorf("serve.jobs.canceled = %d, want %d", got, n)
 	}
 }

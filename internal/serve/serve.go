@@ -207,30 +207,16 @@ func (s *Server) Cache() *engine.Cache { return s.cache }
 
 // Close stops accepting queue pops, cancels every running job, and
 // waits for the runner pool to drain. Queued jobs that never ran are
-// marked canceled. Safe to call once; the HTTP handler should be shut
-// down first so no submissions race the teardown.
+// canceled the way Cancel withdraws them: counted, ledgered and
+// retired. Safe to call once; the HTTP handler should be shut down
+// first so no submissions race the teardown.
 func (s *Server) Close() {
 	s.stop()    // cancels every job context
 	s.q.close() // wakes idle runners
 	s.wg.Wait()
 	// Jobs still queued at teardown never reached a runner.
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		if j.status == StatusQueued {
-			j.status = StatusCanceled
-			j.errMsg = "server shutting down"
-			j.finished = time.Now()
-			j.mu.Unlock()
-			j.hub.close()
-		} else {
-			j.mu.Unlock()
-		}
+	for _, j := range s.Jobs() {
+		s.cancelQueued(j, "server shutting down")
 	}
 	s.liveHub.close()
 	s.log.Info("server stopped", slog.Duration("uptime", time.Since(s.start)))
@@ -267,7 +253,7 @@ func (s *Server) Submit(sp task.Spec) (*Job, error) {
 		slog.String(telemetry.KeyJobID, j.id),
 		slog.String(telemetry.KeyTraceID, j.tctx.Trace.String()),
 		slog.String("kind", sp.Kind), slog.String("circuit", sp.Circuit),
-		slog.Int("units", sp.Units), slog.Int("priority", sp.Priority))
+		slog.Int("priority", sp.Priority))
 	return j, nil
 }
 
@@ -299,30 +285,40 @@ func (s *Server) Cancel(id string) bool {
 	if j == nil {
 		return false
 	}
+	if s.cancelQueued(j, "canceled before start") {
+		return true
+	}
 	j.mu.Lock()
-	switch j.status {
-	case StatusQueued:
-		j.status = StatusCanceled
-		j.errMsg = "canceled before start"
-		now := time.Now()
-		j.finished = now
-		j.queueWait = now.Sub(j.submitted)
-		j.mu.Unlock()
-		s.q.remove(j)
+	running := j.status == StatusRunning
+	j.mu.Unlock()
+	if running {
 		j.cancel()
-		s.col.Counter("serve.jobs.canceled").Inc()
-		s.record(j, nil, nil)
-		j.hub.close()
-		s.retire(j)
-		return true
-	case StatusRunning:
-		j.mu.Unlock()
-		j.cancel()
-		return true
-	default:
+	}
+	return running
+}
+
+// cancelQueued withdraws j if it is still queued: the job becomes
+// canceled with reason, leaves the queue, is counted and ledgered, and
+// retires. It reports whether j was queued.
+func (s *Server) cancelQueued(j *Job, reason string) bool {
+	j.mu.Lock()
+	if j.status != StatusQueued {
 		j.mu.Unlock()
 		return false
 	}
+	j.status = StatusCanceled
+	j.errMsg = reason
+	now := time.Now()
+	j.finished = now
+	j.queueWait = now.Sub(j.submitted)
+	j.mu.Unlock()
+	s.q.remove(j)
+	j.cancel()
+	s.col.Counter("serve.jobs.canceled").Inc()
+	s.record(j, nil, nil)
+	j.hub.close()
+	s.retire(j)
+	return true
 }
 
 // runner is one executor: it pops admitted jobs until the queue closes.
@@ -375,7 +371,7 @@ func (s *Server) runJob(j *Job) {
 
 	col := obs.New()
 	col.SetJournal(j.rec)
-	res, err := s.execute(task.WithTracker(j.ctx, tracker), j, tracker, col)
+	res, err := s.execute(task.WithTracker(j.ctx, tracker), j, col)
 	untrack()
 
 	j.mu.Lock()
@@ -435,17 +431,17 @@ func (s *Server) retire(j *Job) {
 	}
 }
 
-// runUnits executes a planned job. It is a variable so tests can swap in
-// an executor that panics.
-var runUnits = task.RunUnits
+// runTask executes a job. It is a variable so tests can swap in a
+// stand-in executor (one that panics, or one that waits for cancel).
+var runTask = task.Run
 
-// execute plans and runs the job on the calling runner. A panic on that
+// execute runs the job on the calling runner. A panic on that
 // path (an engine invariant tripped by one spec), or on one of its
 // worker pools (par forwards those to the runner), fails this job
 // alone: it is logged with the panicking goroutine's stack and returned
 // as the job's error, so the runner survives and other tenants' jobs
 // keep running.
-func (s *Server) execute(ctx context.Context, j *Job, tracker *telemetry.RunTracker, col *obs.Collector) (res *task.Result, err error) {
+func (s *Server) execute(ctx context.Context, j *Job, col *obs.Collector) (res *task.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			stack := debug.Stack()
@@ -458,15 +454,7 @@ func (s *Server) execute(ctx context.Context, j *Job, tracker *telemetry.RunTrac
 			res, err = nil, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	// Plan explicitly (rather than task.Run) so the tracker knows the
-	// whole shard map before the first unit starts; the merged result is
-	// byte-identical to task.Run's at any unit count.
-	units, err := task.Plan(j.spec, j.spec.Units, s.cache)
-	if err != nil {
-		return nil, err
-	}
-	tracker.SetPlan(units)
-	return runUnits(ctx, units, s.cache, col)
+	return runTask(ctx, j.spec, s.cache, col)
 }
 
 // record appends the job's ledger record immediately (daemons cannot

@@ -539,7 +539,19 @@ func TestValidation(t *testing.T) {
 			t.Errorf("spec %+v: status %d, want 400", sp, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(h.URL + "/api/v1/jobs/j999999")
+	// Job sharding is gone: a body still asking for units is an unknown
+	// field.
+	resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"faultsim","circuit":"s27","units":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := readAll(t, resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e, `unknown field \"units\"`) {
+		t.Errorf("units body: status %d (%s), want 400 naming the field", resp.StatusCode, e)
+	}
+	resp, err = http.Get(h.URL + "/api/v1/jobs/j999999")
 	if err != nil {
 		t.Fatal(err)
 	}

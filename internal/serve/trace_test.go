@@ -36,14 +36,14 @@ func fetchTrace(t *testing.T, base, id string) trace.Trace {
 
 // TestTraceLinkage is the end-to-end acceptance check: a job submitted
 // with a traceparent yields a span tree where the job span parents to
-// the inbound (caller) span and every unit span parents to the job
+// the inbound (caller) span and the one unit span parents to the job
 // span.
 func TestTraceLinkage(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{Runners: 2})
 
 	v := submit(t, h.URL, task.Spec{
 		Kind: task.KindFaultSim, Circuit: "s3384",
-		Scale: 0.05, Cycles: 100, Units: 3,
+		Scale: 0.05, Cycles: 100,
 		TraceParent: inboundTP,
 	})
 	if v.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" {
@@ -90,8 +90,8 @@ func TestTraceLinkage(t *testing.T) {
 			t.Errorf("span %q has zero ID", sp.Name)
 		}
 	}
-	if units != 3 {
-		t.Fatalf("unit spans = %d, want 3", units)
+	if units != 1 {
+		t.Fatalf("unit spans = %d, want 1", units)
 	}
 
 	// Resource attributes self-describe the run.

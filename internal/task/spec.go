@@ -1,20 +1,17 @@
 // Package task is the canonical run layer shared by the batch CLIs and
 // the fsctd daemon: one versioned, JSON-serializable job description
-// (Spec), a deterministic shard planner (Plan -> []Unit), a unit runner
-// (Execute -> *Partial) and a merge step (Merge -> *Result) whose
-// output is byte-identical to a single-node run at any unit count.
+// (Spec) and one runner (Run -> *Result) whose output is byte-identical
+// between the two.
 //
 // The pipeline is
 //
-//	Spec --Plan--> []Unit --Execute--> []*Partial --Merge--> *Result
+//	Spec --Normalize--> Spec --Run--> *Result
 //
-// and Run composes the four for the common single-process case. Specs
-// and Units marshal to JSON, so a future coordinator can ship Units to
-// worker processes and reassemble their Partials: every Unit owns a
-// contiguous, 63-fault-batch-aligned slice of the fault axis (the same
-// batch geometry internal/par shards within a process), and each
-// per-fault outcome is written only into the slot its index owns, so
-// the merged report does not depend on how the axis was partitioned.
+// Run executes the spec's kind over its whole fault axis in this
+// process. Within a run, each phase spreads its work over
+// internal/par's worker pool, and each per-fault outcome is written
+// only into the slot its index owns, so the report does not depend on
+// the worker count.
 //
 // The batch CLIs build a Spec from flags (cmd/internal/specflags) and
 // call Run; internal/serve validates a submitted Spec and calls Run
@@ -65,8 +62,7 @@ func Kinds() []string {
 
 // Spec is one job description: what to run and on which circuit. Zero
 // optional fields select the defaults in DefaultsFor, so the same JSON
-// object means the same run to every consumer (CLI, daemon, future
-// coordinator workers).
+// object means the same run to every consumer (CLI, daemon).
 type Spec struct {
 	// Version is the spec schema version (0 = current, stamped by
 	// Normalize).
@@ -107,24 +103,16 @@ type Spec struct {
 	Uncollapsed bool `json:"uncollapsed,omitempty"`
 	// ConeThreshold overrides the hybrid evaluator's per-cycle event
 	// budget (0 = circuit-scaled default). Demotion depends only on the
-	// fault, sequence and initial state, so it is shard-invariant.
+	// fault, sequence and initial state, so it is worker-invariant.
 	ConeThreshold int `json:"cone_threshold,omitempty"`
 	// Priority orders the daemon queue: higher pops first (default 0;
 	// FIFO within a priority). It does not affect the run itself.
 	Priority int `json:"priority,omitempty"`
-	// Units asks Plan to shard the job into at most this many
-	// work-units (0 or 1 = one unit; flow always plans one). The merged
-	// result is byte-identical at any unit count — extra units buy
-	// per-unit telemetry granularity (progress, heartbeats, stall
-	// flags) and the re-dispatch grain a coordinator shards by, not a
-	// different answer.
-	Units int `json:"units,omitempty"`
 	// TraceParent, when non-empty, is the W3C traceparent of the span
 	// that owns this job — the submitting client's span, or the daemon
-	// job span once fsctd re-stamps an accepted spec. The executor's
-	// unit spans parent to it, so a trace assembled anywhere (CLI
-	// export, daemon endpoint, future coordinator workers) joins into
-	// one tree. Normalize validates and canonicalizes it; it does not
+	// job span once fsctd re-stamps an accepted spec. The run's unit
+	// span parents to it, so a trace assembled anywhere (CLI export,
+	// daemon endpoint) joins into one tree. Normalize validates and canonicalizes it; it does not
 	// affect the run's result.
 	TraceParent string `json:"traceparent,omitempty"`
 }
@@ -263,9 +251,6 @@ func (sp *Spec) Normalize() error {
 	}
 	if sp.ConeThreshold < 0 {
 		sp.ConeThreshold = d.ConeThreshold
-	}
-	if sp.Units < 0 {
-		sp.Units = 0
 	}
 	if sp.TraceParent != "" {
 		tc, err := trace.Parse(sp.TraceParent)

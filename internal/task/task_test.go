@@ -124,7 +124,7 @@ func TestScreenMatchesDirectCalls(t *testing.T) {
 }
 
 // TestSpecJSONRoundTrip sends every kind's spec through its wire form
-// and requires the byte-identical result: a daemon or coordinator that
+// and requires the byte-identical result: a daemon that
 // received the JSON must run exactly what the CLI ran.
 func TestSpecJSONRoundTrip(t *testing.T) {
 	if testing.Short() {
@@ -171,91 +171,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			t.Errorf("%s/%s: wire identity %s/%d != direct %s/%d",
 				sp.Kind, sp.Circuit, res.Circuit, res.Hash, direct.Circuit, direct.Hash)
 		}
-	}
-}
-
-// TestShardInvariance is the tentpole contract: splitting the fault
-// axis into any number of batch-aligned units and merging the partials
-// must reassemble the byte-identical single-unit result. Units also
-// survive their own JSON wire trip.
-func TestShardInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	specs := []Spec{
-		{Kind: KindScreen, Circuit: "s3384", Scale: 0.05},
-		{Kind: KindATPG, Circuit: "s1423", Scale: 0.05},
-		{Kind: KindFaultSim, Circuit: "s3384", Scale: 0.05, Cycles: 100},
-		{Kind: KindDiagnose, Circuit: "s1423", Scale: 0.05},
-	}
-	cache := engine.New()
-	for _, sp := range specs {
-		var base *Result
-		for _, shards := range []int{1, 3, 7} {
-			units, err := Plan(sp, shards, cache)
-			if err != nil {
-				t.Fatalf("%s: plan(%d): %v", sp.Kind, shards, err)
-			}
-			if shards > 1 && len(units) < 2 {
-				t.Fatalf("%s: plan(%d) produced %d units; circuit too small to exercise sharding", sp.Kind, shards, len(units))
-			}
-			// Ship every unit through its wire form first.
-			for i := range units {
-				data, err := json.Marshal(units[i])
-				if err != nil {
-					t.Fatalf("%s: marshal unit: %v", sp.Kind, err)
-				}
-				units[i] = Unit{}
-				if err := json.Unmarshal(data, &units[i]); err != nil {
-					t.Fatalf("%s: unmarshal unit: %v", sp.Kind, err)
-				}
-			}
-			res, err := RunUnits(context.Background(), units, cache, nil)
-			if err != nil {
-				t.Fatalf("%s: run %d units: %v", sp.Kind, len(units), err)
-			}
-			if base == nil {
-				base = res
-				continue
-			}
-			if res.Output != base.Output {
-				t.Errorf("%s: %d-unit output:\n%s\n1-unit output:\n%s", sp.Kind, len(units), res.Output, base.Output)
-			}
-			if !reflect.DeepEqual(res.Extras, base.Extras) {
-				t.Errorf("%s: %d-unit extras %v != %v", sp.Kind, len(units), res.Extras, base.Extras)
-			}
-			if !reflect.DeepEqual(res.DetectedAt, base.DetectedAt) {
-				t.Errorf("%s: %d-unit detection vector diverges", sp.Kind, len(units))
-			}
-		}
-	}
-}
-
-// TestFlowPlansOneUnit: flow couples the fault axis through step-2
-// vector compaction, so the planner must refuse to shard it.
-func TestFlowPlansOneUnit(t *testing.T) {
-	units, err := Plan(Spec{Kind: KindFlow, Circuit: "s27"}, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(units) != 1 || units[0].Hi != -1 {
-		t.Fatalf("flow plan = %+v, want one whole-axis unit", units)
-	}
-}
-
-// TestMergeRejectsGaps: an uninterrupted merge must refuse unit sets
-// that do not cover the axis contiguously.
-func TestMergeRejectsGaps(t *testing.T) {
-	sp := Spec{Kind: KindScreen, Circuit: "s27"}
-	parts := []*Partial{
-		{Kind: KindScreen, Lo: 0, Hi: 20, Faults: 52, Circuit: "s27"},
-		{Kind: KindScreen, Lo: 30, Hi: 52, Faults: 52, Circuit: "s27"},
-	}
-	if _, err := Merge(sp, parts, false); err == nil || !strings.Contains(err.Error(), "gap") {
-		t.Errorf("gap merge err = %v, want coverage gap", err)
-	}
-	if _, err := Merge(sp, parts, true); err != nil {
-		t.Errorf("interrupted merge err = %v, want nil", err)
 	}
 }
 
@@ -378,20 +293,16 @@ func TestTraceParentNormalize(t *testing.T) {
 	}
 }
 
-// TestExecuteEmitsUnitEvents: with a journal-recording collector, each
-// executed unit is bracketed by unit_begin/unit_end events carrying
-// the unit's identity and resolved fault-axis slice — the boundaries
-// the tracing layer assembles into unit spans.
+// TestExecuteEmitsUnitEvents: with a journal-recording collector, a
+// run is bracketed by exactly one unit_begin/unit_end pair carrying
+// unit 0 of 1 and, on the end event, the resolved fault-axis length —
+// the boundary the tracing layer assembles into the unit span.
 func TestExecuteEmitsUnitEvents(t *testing.T) {
-	sp := Spec{Kind: KindScreen, Circuit: "s27", Units: 2}
-	units, err := Plan(sp, sp.Units, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	col := obs.New()
 	rec := journal.New(1024)
 	col.SetJournal(rec)
-	if _, err := RunUnits(context.Background(), units, nil, col); err != nil {
+	res, err := Run(context.Background(), Spec{Kind: KindScreen, Circuit: "s27"}, nil, col)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var begins, ends []journal.Event
@@ -403,36 +314,32 @@ func TestExecuteEmitsUnitEvents(t *testing.T) {
 			ends = append(ends, e)
 		}
 	}
-	if len(begins) != len(units) || len(ends) != len(units) {
-		t.Fatalf("unit events = %d begins / %d ends, want %d each",
-			len(begins), len(ends), len(units))
+	if len(begins) != 1 || len(ends) != 1 {
+		t.Fatalf("unit events = %d begins / %d ends, want 1 each", len(begins), len(ends))
 	}
-	for i, e := range ends {
-		if int(e.A) != units[i].Index || int(e.B) != units[i].Count {
-			t.Errorf("unit end %d identity = (%d,%d), want (%d,%d)",
-				i, e.A, e.B, units[i].Index, units[i].Count)
-		}
-		if e.D < 0 {
-			t.Errorf("unit end %d: axis hi unresolved (%d)", i, e.D)
-		}
-		if e.TNS < begins[i].TNS {
-			t.Errorf("unit end %d starts at %d, before its begin %d", i, e.TNS, begins[i].TNS)
-		}
+	b, e := begins[0], ends[0]
+	if b.A != 0 || b.B != 1 || b.D != -1 {
+		t.Errorf("unit begin = (index %d, count %d, hi %d), want (0, 1, -1)", b.A, b.B, b.D)
+	}
+	if e.A != 0 || e.B != 1 || e.C != 0 || int(e.D) != res.Faults {
+		t.Errorf("unit end = (index %d, count %d, [%d,%d)), want (0, 1, [0,%d))", e.A, e.B, e.C, e.D, res.Faults)
+	}
+	if e.TNS < b.TNS {
+		t.Errorf("unit end starts at %d, before its begin %d", e.TNS, b.TNS)
 	}
 }
 
 // FuzzSpecRoundTrip checks, for arbitrary field values, that Normalize
 // is idempotent, that the JSON wire trip preserves the normalized spec
-// exactly, and that plans partition the fault axis contiguously with
-// batch-aligned interior boundaries.
+// exactly.
 func FuzzSpecRoundTrip(f *testing.F) {
-	f.Add("screen", 0.5, int64(7), 2, 3, "hybrid", 100, false, 4)
-	f.Add("faultsim", 0.0, int64(0), 0, 0, "", 0, true, 0)
-	f.Add("atpg", 1.0, int64(-3), 1, -2, "hybrid", -5, false, -1)
-	f.Add("diagnose", 0.25, int64(42), 9, 1, "auto", 17, false, 2)
-	f.Add("flow", 0.1, int64(1), 1, 1, "compiled", 500, false, 1)
+	f.Add("screen", 0.5, int64(7), 2, 3, "hybrid", 100, false)
+	f.Add("faultsim", 0.0, int64(0), 0, 0, "", 0, true)
+	f.Add("atpg", 1.0, int64(-3), 1, -2, "hybrid", -5, false)
+	f.Add("diagnose", 0.25, int64(42), 9, 1, "auto", 17, false)
+	f.Add("flow", 0.1, int64(1), 1, 1, "compiled", 500, false)
 	f.Fuzz(func(t *testing.T, kind string, scale float64, seed int64,
-		chains, workers int, eval string, cycles int, uncollapsed bool, shards int) {
+		chains, workers int, eval string, cycles int, uncollapsed bool) {
 		sp := Spec{
 			Kind: kind, Circuit: "s27", Scale: scale, Seed: seed,
 			Chains: chains, Workers: workers, Eval: eval, Cycles: cycles,
@@ -461,23 +368,6 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(sp, wire) {
 			t.Fatalf("wire trip changed spec: %+v != %+v", sp, wire)
-		}
-		units, err := Plan(sp, shards, nil)
-		if err != nil {
-			t.Fatalf("plan: %v", err)
-		}
-		if len(units) == 1 && units[0].Hi == -1 {
-			return // whole-axis fast path
-		}
-		expect := 0
-		for i, u := range units {
-			if u.Lo != expect {
-				t.Fatalf("unit %d starts at %d, want %d", i, u.Lo, expect)
-			}
-			if i < len(units)-1 && u.Hi%63 != 0 {
-				t.Fatalf("unit %d ends at %d, not batch-aligned", i, u.Hi)
-			}
-			expect = u.Hi
 		}
 	})
 }

@@ -2,30 +2,27 @@ package task
 
 import "context"
 
-// Tracker observes unit execution: Execute announces every unit it
-// starts and finishes, so an observability layer (internal/telemetry)
-// can account per-unit progress, heartbeats and stall detection without
-// the task layer depending on it. Implementations must be safe for
-// concurrent use — a coordinator may run several units at once.
+// Tracker observes a job's run: Run announces its start and finish, so
+// an observability layer (internal/telemetry) can account progress,
+// heartbeats and stall detection without the task layer depending on
+// it. Both hooks run on the goroutine that calls Run.
 //
-// UnitFinished receives the unit's partial (nil when Execute failed
-// before producing one) and the execution error (context.Canceled,
-// possibly wrapped, for interrupted units); the partial's Lo/Hi are
-// resolved against the actual axis by then, so a whole-axis unit
-// (Hi = -1) reports its real span on finish.
+// UnitStarted receives the run's normalized spec; UnitFinished its
+// Result (carrying whatever ran) and the run error (context.Canceled,
+// possibly wrapped, for an interrupted run).
 type Tracker interface {
-	UnitStarted(u Unit)
-	UnitFinished(u Unit, p *Partial, err error)
+	UnitStarted(sp Spec)
+	UnitFinished(res *Result, err error)
 }
 
 // trackerKey carries the context's Tracker.
 type trackerKey struct{}
 
-// WithTracker returns a context that carries tr; Execute calls the
-// tracker's hooks for every unit run under that context. The tracker
-// rides the context rather than the Execute signature so every entry
-// point — RunUnits under the CLIs, the daemon's runners, a future
-// coordinator — threads it without widening the pipeline API.
+// WithTracker returns a context that carries tr; Run calls the
+// tracker's hooks for a run under that context. The tracker rides the
+// context rather than the Run signature so every entry point — the
+// CLIs and the daemon's runners — threads it without widening the
+// pipeline API.
 func WithTracker(ctx context.Context, tr Tracker) context.Context {
 	if tr == nil {
 		return ctx

@@ -37,32 +37,13 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// simUnits builds an n-unit faultsim plan over a span-per-unit fault
-// axis.
-func simUnits(n, span int) []task.Unit {
-	sp := task.Spec{Kind: task.KindFaultSim, Circuit: "s27"}
-	units := make([]task.Unit, n)
-	for i := range units {
-		units[i] = task.Unit{Spec: sp, Index: i, Count: n, Lo: i * span, Hi: (i + 1) * span}
-	}
-	return units
-}
+// simSpec is the faultsim spec the tracker tests run.
+var simSpec = task.Spec{Kind: task.KindFaultSim, Circuit: "s27"}
 
-// simPartial builds the matching finished partial with det detections.
-func simPartial(u task.Unit, axis, det int) *task.Partial {
-	p := &task.Partial{
-		Kind: task.KindFaultSim, Index: u.Index, Count: u.Count,
-		Lo: u.Lo, Hi: u.Hi, Faults: axis, Circuit: u.Spec.Circuit,
-	}
-	p.DetectedAt = make([]int, u.Hi-u.Lo)
-	for i := range p.DetectedAt {
-		if i < det {
-			p.DetectedAt[i] = i
-		} else {
-			p.DetectedAt[i] = -1
-		}
-	}
-	return p
+// simResult builds a finished faultsim result over axis faults with det
+// detections.
+func simResult(axis, det int) *task.Result {
+	return &task.Result{Kind: task.KindFaultSim, Circuit: "s27", Faults: axis, Detected: det}
 }
 
 func TestTrackerETAZeroUnits(t *testing.T) {
@@ -73,8 +54,8 @@ func TestTrackerETAZeroUnits(t *testing.T) {
 	if s.UnitsTotal != 0 || s.FaultsTotal != 0 || s.FaultsDone != 0 {
 		t.Fatalf("empty tracker snapshot = %+v, want zeros", s)
 	}
-	if s.ETANS != 0 || s.Throughput != 0 {
-		t.Fatalf("empty tracker ETA %d / throughput %v, want 0", s.ETANS, s.Throughput)
+	if s.Throughput != 0 {
+		t.Fatalf("empty tracker throughput %v, want 0", s.Throughput)
 	}
 	if len(s.Units) != 0 {
 		t.Fatalf("empty tracker lists %d units", len(s.Units))
@@ -86,12 +67,11 @@ func TestTrackerETASingleUnit(t *testing.T) {
 	clk := newFakeClock()
 	tr.setNow(clk.now)
 
-	// Single whole-axis unit (Hi = -1): the span is unknown until the
-	// partial lands.
-	u := task.Unit{Spec: task.Spec{Kind: task.KindFaultSim, Circuit: "s27"}, Index: 0, Count: 1, Lo: 0, Hi: -1}
-	tr.UnitStarted(u)
+	// The run's unit covers the whole axis (Hi = -1): the span is
+	// unknown until the result lands.
+	tr.UnitStarted(simSpec)
 	s := tr.Snapshot()
-	if s.UnitsRunning != 1 || s.UnitsTotal != 1 {
+	if s.UnitsRunning != 1 || s.UnitsTotal != 1 || s.Units[0].Hi != -1 {
 		t.Fatalf("running snapshot = %+v", s)
 	}
 	if s.FaultsTotal != 0 {
@@ -99,74 +79,43 @@ func TestTrackerETASingleUnit(t *testing.T) {
 	}
 
 	clk.advance(2 * time.Second)
-	p := simPartial(task.Unit{Spec: u.Spec, Index: 0, Count: 1, Lo: 0, Hi: 126}, 126, 100)
-	tr.UnitFinished(u, p, nil)
+	tr.UnitFinished(simResult(126, 100), nil)
 
 	s = tr.Snapshot()
 	if s.UnitsDone != 1 || s.UnitsRunning != 0 {
 		t.Fatalf("finished snapshot = %+v", s)
 	}
-	if s.FaultsTotal != 126 || s.FaultsDone != 126 {
-		t.Fatalf("faults total/done = %d/%d, want 126/126", s.FaultsTotal, s.FaultsDone)
+	if s.FaultsTotal != 126 || s.FaultsDone != 126 || s.Units[0].Hi != 126 {
+		t.Fatalf("faults total/done/hi = %d/%d/%d, want 126/126/126", s.FaultsTotal, s.FaultsDone, s.Units[0].Hi)
 	}
 	if s.Detected != 100 {
 		t.Fatalf("detected = %d, want 100", s.Detected)
 	}
-	// 126 faults over 2s = 63 faults/s; nothing remains, so no ETA.
+	// 126 faults over 2s = 63 faults/s.
 	if got, want := s.Throughput, 63.0; got != want {
 		t.Fatalf("throughput = %v, want %v", got, want)
 	}
-	if s.ETANS != 0 {
-		t.Fatalf("finished run ETA = %d, want 0", s.ETANS)
-	}
 }
 
-func TestTrackerETAManyUnitsWithStraggler(t *testing.T) {
+func TestTrackerStallFlaggedAndCleared(t *testing.T) {
 	tr := NewRunTracker(Info{RunID: "rN", JobID: "7", Kind: "faultsim"}, nil)
 	clk := newFakeClock()
 	tr.setNow(clk.now)
 
-	const n, span = 4, 63
-	units := simUnits(n, span)
-	tr.SetPlan(units)
-
-	s := tr.Snapshot()
-	if s.UnitsTotal != n || s.FaultsTotal != n*span {
-		t.Fatalf("planned snapshot = %+v, want %d units / %d faults", s, n, n*span)
-	}
-
-	// Units 0 and 1 finish at a steady 63 faults/s.
-	for i := 0; i < 2; i++ {
-		tr.UnitStarted(units[i])
-		clk.advance(time.Second)
-		tr.UnitFinished(units[i], simPartial(units[i], n*span, span/2), nil)
-	}
-	s = tr.Snapshot()
-	if s.UnitsDone != 2 || s.FaultsDone != 2*span {
-		t.Fatalf("after 2 units: %+v", s)
-	}
-	if got, want := s.Throughput, 63.0; got != want {
-		t.Fatalf("throughput = %v, want %v (identical unit rates keep the EWMA fixed)", got, want)
-	}
-	// 126 faults remain at 63 faults/s: two seconds out.
-	if got, want := s.ETANS, (2 * time.Second).Nanoseconds(); got != want {
-		t.Fatalf("ETA = %v, want %v", time.Duration(got), time.Duration(want))
-	}
-
-	// Unit 2 becomes the artificial straggler: it starts, reports one
-	// batch, then goes silent past the threshold.
+	// The run starts, reports one batch, then goes silent past the
+	// threshold.
 	wd := NewWatchdog(10*time.Second, time.Second, nil)
 	wd.now = clk.now
 	wd.Register(tr)
-	tr.UnitStarted(units[2])
-	tr.Observe(journal.Batch("faultsim", 0, 0, span, time.Millisecond))
+	tr.UnitStarted(simSpec)
+	tr.Observe(journal.Batch("faultsim", 0, 0, 63, time.Millisecond))
 	if st := wd.Sweep(); len(st) != 0 {
 		t.Fatalf("fresh unit flagged as stalled: %+v", st)
 	}
 	clk.advance(11 * time.Second)
 	st := wd.Sweep()
-	if len(st) != 1 || st[0].Unit != 2 || st[0].RunID != "rN" || st[0].JobID != "7" {
-		t.Fatalf("sweep past threshold = %+v, want unit 2 of run rN job 7", st)
+	if len(st) != 1 || st[0].Unit != 0 || st[0].RunID != "rN" || st[0].JobID != "7" {
+		t.Fatalf("sweep past threshold = %+v, want unit 0 of run rN job 7", st)
 	}
 	if st[0].Idle < 11*time.Second {
 		t.Fatalf("stall idle = %v, want >= 11s", st[0].Idle)
@@ -175,48 +124,38 @@ func TestTrackerETAManyUnitsWithStraggler(t *testing.T) {
 		t.Fatalf("second sweep re-reported the same stall: %+v", again)
 	}
 
-	s = tr.Snapshot()
-	if s.UnitsStalled != 1 || !s.Units[2].Stalled {
+	s := tr.Snapshot()
+	if s.UnitsStalled != 1 || !s.Units[0].Stalled {
 		t.Fatalf("snapshot does not carry the stall flag: %+v", s)
 	}
-	// The straggler's one observed batch bounds its live estimate.
-	if got := s.Units[2].Done; got != span {
-		t.Fatalf("straggler live done = %d, want %d (one %d-wide batch, clamped)", got, span, span)
-	}
-	// ETA ignores wall-clock idled away: remaining work is still priced
-	// at the finished units' rate.
-	if got, want := s.ETANS, (time.Second).Nanoseconds(); got != want {
-		t.Fatalf("ETA with straggler = %v, want %v (63 unfinished faults at 63/s)", time.Duration(got), time.Duration(want))
+	// The one observed batch is the live estimate.
+	if got := s.Units[0].Done; got != batchWidth {
+		t.Fatalf("live done = %d, want %d (one batch)", got, batchWidth)
 	}
 
 	// Progress clears the flag...
 	tr.Observe(journal.Detect(1, 5))
 	s = tr.Snapshot()
-	if s.UnitsStalled != 0 || s.Units[2].Stalled {
+	if s.UnitsStalled != 0 || s.Units[0].Stalled {
 		t.Fatalf("stall flag survived progress: %+v", s)
 	}
-	if s.Units[2].Detected != 1 {
-		t.Fatalf("live detected = %d, want 1", s.Units[2].Detected)
+	if s.Units[0].Detected != 1 {
+		t.Fatalf("live detected = %d, want 1", s.Units[0].Detected)
 	}
 
-	// ...and finishing the run zeroes the ETA with exact sums.
-	tr.UnitFinished(units[2], simPartial(units[2], n*span, 0), nil)
-	tr.UnitStarted(units[3])
+	// ...and finishing replaces the live figures with exact ones.
 	clk.advance(time.Second)
-	tr.UnitFinished(units[3], simPartial(units[3], n*span, span), nil)
+	tr.UnitFinished(simResult(189, 60), nil)
 	wd.Unregister(tr)
 	s = tr.Snapshot()
-	if s.UnitsDone != n || s.FaultsDone != n*span || s.ETANS != 0 {
+	if s.UnitsDone != 1 || s.FaultsDone != 189 || s.Detected != 60 {
 		t.Fatalf("final snapshot = %+v", s)
-	}
-	if want := span/2 + span/2 + 0 + span; s.Detected != want {
-		t.Fatalf("final detected = %d, want %d", s.Detected, want)
 	}
 }
 
 func TestTrackerAsTaskTracker(t *testing.T) {
 	// RunTracker must satisfy task.Tracker and survive the context
-	// round-trip Execute uses.
+	// round-trip Run uses.
 	var tr task.Tracker = NewRunTracker(Info{RunID: "ctx"}, nil)
 	ctx := task.WithTracker(context.Background(), tr)
 	if got := task.TrackerFrom(ctx); got != tr {
@@ -224,8 +163,8 @@ func TestTrackerAsTaskTracker(t *testing.T) {
 	}
 	// A typed-nil tracker stays a safe no-op through every method.
 	var nilTr *RunTracker
-	nilTr.UnitStarted(task.Unit{})
-	nilTr.UnitFinished(task.Unit{}, nil, nil)
+	nilTr.UnitStarted(task.Spec{})
+	nilTr.UnitFinished(nil, nil)
 	nilTr.Observe(journal.Event{})
 	if s := nilTr.Snapshot(); s != nil {
 		t.Fatalf("nil tracker snapshot = %+v, want nil", s)
@@ -243,18 +182,16 @@ func TestTrackerUnitFailureAndChangeHook(t *testing.T) {
 	bumps := 0
 	tr.SetOnChange(func() { bumps++ })
 
-	units := simUnits(2, 63)
-	tr.SetPlan(units)
-	tr.UnitStarted(units[0])
+	tr.UnitStarted(simSpec)
 	clk.advance(time.Second)
-	tr.UnitFinished(units[0], nil, fmt.Errorf("boom"))
+	tr.UnitFinished(&task.Result{Kind: task.KindFaultSim}, fmt.Errorf("boom"))
 
 	s := tr.Snapshot()
 	if s.Units[0].Error != "boom" {
 		t.Fatalf("unit error = %q, want boom", s.Units[0].Error)
 	}
 	if s.Throughput != 0 {
-		t.Fatalf("failed unit fed the EWMA: %v", s.Throughput)
+		t.Fatalf("failed unit set a throughput: %v", s.Throughput)
 	}
 	if bumps != 2 {
 		t.Fatalf("change hook fired %d times, want 2 (start + finish)", bumps)
@@ -278,8 +215,7 @@ func TestWatchdogDefaultsAndDisable(t *testing.T) {
 	tr.setNow(clk.now)
 	off.now = clk.now
 	off.Register(tr)
-	units := simUnits(1, 63)
-	tr.UnitStarted(units[0])
+	tr.UnitStarted(simSpec)
 	clk.advance(time.Hour)
 	if st := off.Sweep(); st != nil {
 		t.Fatalf("disabled watchdog flagged %+v", st)

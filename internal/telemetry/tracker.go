@@ -1,21 +1,19 @@
-// Package telemetry is the unit-level observability layer over the task
+// Package telemetry is the run-level observability layer over the task
 // pipeline: where internal/obs aggregates a whole run and
 // internal/journal records its event timeline, telemetry answers the
-// operational questions a live run raises — which work-units are in
-// flight, how far along is each one, is any of them stuck, and when
-// will the run finish.
+// operational questions a live run raises — which runs are in flight,
+// how far along each one is, and whether any of them is stuck.
 //
 // Three pieces compose:
 //
-//   - RunTracker implements task.Tracker and accounts every task.Unit
-//     of one run: start/finish timestamps, a live faults-done estimate
-//     fed by the run's journal events (pool batches, detections, ATPG
-//     attempts), exact per-unit totals folded in from the finished
-//     Partial, a throughput EWMA and the ETA derived from it;
+//   - RunTracker implements task.Tracker and accounts one run, which
+//     task.Run executes as one unit: start/finish timestamps, a live
+//     faults-done estimate fed by the run's journal events (pool
+//     batches, detections, ATPG attempts), the exact totals read from
+//     the finished task.Result, and the run's throughput;
 //   - Watchdog sweeps registered trackers on an interval and flags any
 //     running unit whose last progress heartbeat is older than the
-//     stall threshold — the seed of straggler re-dispatch: a flagged
-//     unit is exactly the unit a coordinator would re-ship;
+//     stall threshold;
 //   - the log helpers (NewRunID, ParseLevel, Fanout, Discard) back the
 //     CLIs' -log/-logfile flags with slog-based structured logging
 //     whose lines carry correlated run_id/job_id/unit_id attributes.
@@ -36,16 +34,14 @@ import (
 	"repro/internal/task"
 )
 
-// ewmaAlpha weights the newest unit's throughput sample in the
-// exponential moving average: high enough to track a phase change
-// within a few units, low enough that one outlier unit does not swing
-// the ETA.
-const ewmaAlpha = 0.4
+// batchWidth is the packed-simulation fault-batch width the evaluators
+// shard by (63 faulty machines + the fault-free lane): one observed
+// pool batch covers up to this many faults.
+const batchWidth = 63
 
-// unitState is one unit's mutable accounting.
+// unitState is the run's unit accounting.
 type unitState struct {
-	index   int
-	lo, hi  int // resolved span; hi = -1 while unknown (whole-axis unit)
+	hi      int // resolved axis length; -1 while unknown
 	started time.Time
 	finish  time.Time
 	last    time.Time // last progress heartbeat (any journal event)
@@ -65,18 +61,18 @@ func (u *unitState) faults() int {
 	if u.hi < 0 {
 		return 0
 	}
-	return u.hi - u.lo
+	return u.hi
 }
 
 // doneEstimate is the unit's faults-done figure: exact once finished,
 // otherwise estimated from observed pool batches (each covers up to one
-// BatchWidth-wide fault batch) and ATPG attempts (one per fault),
+// batchWidth-wide fault batch) and ATPG attempts (one per fault),
 // clamped to the unit's span.
 func (u *unitState) doneEstimate() int {
 	if u.over {
 		return u.done
 	}
-	est := u.items * task.BatchWidth
+	est := u.items * batchWidth
 	if u.atpg > est {
 		est = u.atpg
 	}
@@ -110,27 +106,21 @@ type Info struct {
 	TraceID string
 }
 
-// RunTracker tracks every task.Unit of one run. It implements
-// task.Tracker (thread it with task.WithTracker) and consumes the
-// run's journal events via Observe (subscribe it to the run's recorder),
-// which doubles as the per-unit progress heartbeat the watchdog checks.
-// A nil *RunTracker is a valid no-op tracker. Safe for concurrent use.
+// RunTracker tracks one run, which task.Run executes as unit 0 of 1. It
+// implements task.Tracker (thread it with task.WithTracker) and
+// consumes the run's journal events via Observe (subscribe it to the
+// run's recorder), which doubles as the progress heartbeat the
+// watchdog checks. A nil *RunTracker is a valid no-op tracker. Safe for
+// concurrent use.
 type RunTracker struct {
 	info Info
 	log  *slog.Logger
 	now  func() time.Time // injectable clock (tests)
 	onCh func()           // change hook (live SSE hub), may be nil
 
-	mu     sync.Mutex
-	units  map[int]*unitState
-	count  int // plan's unit count, once known
-	cur    int // index of the running unit, -1 when none
-	ewma   float64
-	doneN  int // finished units
-	doneF  int // exact faults covered by finished units
-	detN   int // exact detections by finished units
-	axis   int // full fault-axis length, once known
-	closed bool
+	mu   sync.Mutex
+	u    unitState // zero until UnitStarted
+	rate float64   // faults per second of the cleanly finished run
 }
 
 // NewRunTracker returns a tracker for one run. logger nil selects the
@@ -149,13 +139,7 @@ func NewRunTracker(info Info, logger *slog.Logger) *RunTracker {
 	if info.TraceID != "" {
 		logger = logger.With(slog.String(KeyTraceID, info.TraceID))
 	}
-	return &RunTracker{
-		info:  info,
-		log:   logger,
-		now:   time.Now,
-		cur:   -1,
-		units: make(map[int]*unitState),
-	}
+	return &RunTracker{info: info, log: logger, now: time.Now}
 }
 
 // SetOnChange installs fn to be called (without the tracker lock held)
@@ -171,98 +155,50 @@ func (t *RunTracker) SetOnChange(fn func()) {
 // setNow injects a clock (tests).
 func (t *RunTracker) setNow(now func() time.Time) { t.now = now }
 
-// SetPlan pre-registers a plan's units so snapshots show the whole
-// shard map — spans and all — before any unit has started. Optional:
-// trackers learn units lazily from UnitStarted otherwise.
-func (t *RunTracker) SetPlan(units []task.Unit) {
-	if t == nil || len(units) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.count = units[0].Count
-	for _, u := range units {
-		t.unitLocked(u)
-	}
-	t.mu.Unlock()
-}
-
-// unitLocked returns (creating if needed) the state slot for u.
-func (t *RunTracker) unitLocked(u task.Unit) *unitState {
-	st := t.units[u.Index]
-	if st == nil {
-		st = &unitState{index: u.Index, lo: u.Lo, hi: u.Hi}
-		t.units[u.Index] = st
-	}
-	if u.Count > t.count {
-		t.count = u.Count
-	}
-	return st
-}
-
-// UnitStarted implements task.Tracker: the unit becomes the tracker's
-// current heartbeat target.
-func (t *RunTracker) UnitStarted(u task.Unit) {
+// UnitStarted implements task.Tracker: the run's unit starts, its axis
+// length unknown until it finishes.
+func (t *RunTracker) UnitStarted(sp task.Spec) {
 	if t == nil {
 		return
 	}
 	now := t.now()
 	t.mu.Lock()
-	st := t.unitLocked(u)
-	st.running, st.over, st.stalled = true, false, false
-	st.started, st.last = now, now
-	t.cur = u.Index
+	t.u = unitState{hi: -1, running: true, started: now, last: now}
 	t.mu.Unlock()
 	t.log.Info("unit started",
-		slog.Int(KeyUnitID, u.Index), slog.Int("units", u.Count),
-		slog.String("kind", u.Spec.Kind), slog.String("circuit", u.Spec.Circuit),
-		slog.Int("lo", u.Lo), slog.Int("hi", u.Hi))
+		slog.Int(KeyUnitID, 0), slog.Int("units", 1),
+		slog.String("kind", sp.Kind), slog.String("circuit", sp.Circuit),
+		slog.Int("lo", 0), slog.Int("hi", -1))
 	t.changed()
 }
 
-// UnitFinished implements task.Tracker: the unit's exact totals replace
-// the live estimates and fold into the run's throughput EWMA.
-func (t *RunTracker) UnitFinished(u task.Unit, p *task.Partial, err error) {
+// UnitFinished implements task.Tracker: the run's exact totals replace
+// the live estimates, and a clean finish sets the run's throughput.
+func (t *RunTracker) UnitFinished(res *task.Result, err error) {
 	if t == nil {
 		return
 	}
 	now := t.now()
 	t.mu.Lock()
-	st := t.unitLocked(u)
-	wasOver := st.over
-	st.running, st.over, st.stalled = false, true, false
-	st.finish, st.last = now, now
-	if p != nil {
-		st.lo, st.hi = p.Lo, p.Hi
-		st.done = p.Hi - p.Lo
-		st.det = partialHits(p)
-		if p.Faults > t.axis {
-			t.axis = p.Faults
-		}
+	u := &t.u
+	u.running, u.over, u.stalled = false, true, false
+	u.finish, u.last = now, now
+	if res != nil && (err == nil || res.Faults > 0) {
+		u.hi, u.done = res.Faults, res.Faults
+		u.det = resultHits(res)
 	}
 	if err != nil {
-		st.errMsg = err.Error()
+		u.errMsg = err.Error()
 	}
-	if t.cur == u.Index {
-		t.cur = -1
+	wall := u.finish.Sub(u.started)
+	if wall > 0 && u.done > 0 && err == nil {
+		t.rate = float64(u.done) / wall.Seconds()
 	}
-	if !wasOver {
-		t.doneN++
-		t.doneF += st.done
-		t.detN += st.det
-		if wall := st.finish.Sub(st.started); wall > 0 && st.done > 0 && err == nil {
-			rate := float64(st.done) / wall.Seconds()
-			if t.ewma == 0 {
-				t.ewma = rate
-			} else {
-				t.ewma = ewmaAlpha*rate + (1-ewmaAlpha)*t.ewma
-			}
-		}
-	}
-	wall := st.finish.Sub(st.started)
+	done, det := u.done, u.det
 	t.mu.Unlock()
 	attrs := []any{
-		slog.Int(KeyUnitID, u.Index),
-		slog.Int("faults", st.done), slog.Int("detected", st.det),
+		slog.Int(KeyUnitID, 0),
+		slog.Int("faults", done), slog.Int("detected", det),
 		slog.Duration("wall", wall),
 	}
 	switch {
@@ -276,7 +212,7 @@ func (t *RunTracker) UnitFinished(u task.Unit, p *task.Partial, err error) {
 	t.changed()
 }
 
-// Observe consumes one journal event as the current unit's progress
+// Observe consumes one journal event as the running unit's progress
 // heartbeat: pool batches and ATPG attempts advance the faults-done
 // estimate, detections advance the live detection count, and any event
 // clears a stall flag (the unit provably moved). Subscribe it to the
@@ -287,57 +223,49 @@ func (t *RunTracker) Observe(e journal.Event) {
 		return
 	}
 	t.mu.Lock()
-	st := t.units[t.cur]
-	if st == nil || !st.running {
+	u := &t.u
+	if !u.running {
 		t.mu.Unlock()
 		return
 	}
-	st.last = t.now()
-	resumed := st.stalled
-	st.stalled = false
+	u.last = t.now()
+	resumed := u.stalled
+	u.stalled = false
 	switch e.Kind {
 	case journal.KindBatch:
-		st.items++
+		u.items++
 	case journal.KindATPG:
-		st.atpg++
+		u.atpg++
 	case journal.KindDetect:
-		st.liveDet++
+		u.liveDet++
 	}
-	idx := st.index
 	t.mu.Unlock()
 	if resumed {
-		t.log.Info("unit resumed", slog.Int(KeyUnitID, idx))
+		t.log.Info("unit resumed", slog.Int(KeyUnitID, 0))
 		t.changed()
 	}
 }
 
-// markStalls flags every running unit whose last heartbeat is older
-// than threshold and returns the newly flagged unit indices with their
-// idle durations. The watchdog calls it on every sweep; already-flagged
-// units are not re-reported.
-func (t *RunTracker) markStalls(now time.Time, threshold time.Duration) []Stall {
+// markStall flags the running unit when its last heartbeat is older
+// than threshold and reports the newly flagged stall. The watchdog
+// calls it on every sweep; an already-flagged unit is not re-reported.
+func (t *RunTracker) markStall(now time.Time, threshold time.Duration) (Stall, bool) {
 	if t == nil || threshold <= 0 {
-		return nil
+		return Stall{}, false
 	}
-	var out []Stall
 	t.mu.Lock()
-	for _, st := range t.units {
-		if !st.running || st.stalled {
-			continue
-		}
-		if idle := now.Sub(st.last); idle > threshold {
-			st.stalled = true
-			out = append(out, Stall{
-				RunID: t.info.RunID, JobID: t.info.JobID,
-				Unit: st.index, Idle: idle,
-			})
-		}
+	u := &t.u
+	idle := now.Sub(u.last)
+	flag := u.running && !u.stalled && idle > threshold
+	if flag {
+		u.stalled = true
 	}
 	t.mu.Unlock()
-	if len(out) > 0 {
-		t.changed()
+	if !flag {
+		return Stall{}, false
 	}
-	return out
+	t.changed()
+	return Stall{RunID: t.info.RunID, JobID: t.info.JobID, Idle: idle}, true
 }
 
 // changed fires the change hook, if any.
@@ -347,30 +275,24 @@ func (t *RunTracker) changed() {
 	}
 }
 
-// partialHits distills a finished partial's per-kind "hits" figure —
-// the number the dashboard's detected column shows: fault detections
+// resultHits distills a finished run's per-kind "hits" figure — the
+// number the dashboard's detected column shows: fault detections
 // (faultsim), chain-affecting verdicts (screen), generated tests
 // (atpg), resolved candidates (diagnose), detected affecting faults
 // (flow).
-func partialHits(p *task.Partial) int {
-	switch p.Kind {
+func resultHits(r *task.Result) int {
+	switch r.Kind {
 	case task.KindFaultSim:
-		n := 0
-		for _, d := range p.DetectedAt {
-			if d >= 0 {
-				n++
-			}
-		}
-		return n
+		return r.Detected
 	case task.KindScreen:
-		return p.Easy + p.Hard
+		return r.Easy + r.Hard
 	case task.KindATPG:
-		return p.Found
+		return r.Found
 	case task.KindDiagnose:
-		return p.Exact + p.Ambiguous
+		return r.Exact + r.Ambiguous
 	case task.KindFlow:
-		if p.Report != nil {
-			return p.Report.Affecting() - p.Report.Undetected()
+		if r.Report != nil {
+			return r.Report.Affecting() - r.Report.Undetected()
 		}
 	}
 	return 0
@@ -381,7 +303,7 @@ type Stall struct {
 	// RunID and JobID identify the run the unit belongs to.
 	RunID string `json:"run_id,omitempty"`
 	JobID string `json:"job_id,omitempty"`
-	// Unit is the stalled unit's index.
+	// Unit is the stalled unit's index (always 0).
 	Unit int `json:"unit"`
 	// Idle is how long the unit had made no progress when flagged.
 	Idle time.Duration `json:"idle_ns"`
@@ -389,10 +311,10 @@ type Stall struct {
 
 // UnitSnapshot is one unit's frozen state inside a Snapshot.
 type UnitSnapshot struct {
-	// Index is the unit's position in its plan.
+	// Index is the unit's position in its run (always 0).
 	Index int `json:"index"`
-	// Lo and Hi bound the unit's fault-axis slice (Hi -1 = not yet
-	// resolved).
+	// Lo and Hi bound the unit's fault-axis slice: Lo is 0, Hi the
+	// axis length (-1 = not yet resolved).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 	// Faults is the unit's span (0 while unknown); Done the faults
@@ -423,23 +345,20 @@ type Snapshot struct {
 	Kind    string `json:"kind,omitempty"`
 	Circuit string `json:"circuit,omitempty"`
 	TraceID string `json:"trace_id,omitempty"`
-	// UnitsTotal is the plan's unit count (0 while unknown);
-	// UnitsDone/UnitsRunning/UnitsStalled partition the known units.
+	// UnitsTotal is the run's unit count (1 once the run has started,
+	// 0 before); UnitsDone/UnitsRunning/UnitsStalled partition it.
 	UnitsTotal   int `json:"units_total"`
 	UnitsDone    int `json:"units_done"`
 	UnitsRunning int `json:"units_running"`
 	UnitsStalled int `json:"units_stalled"`
-	// FaultsTotal sums the known unit spans (the full axis once every
-	// span is resolved); FaultsDone and Detected sum the per-unit
-	// figures, so a finished run's sums equal the merged report's
-	// totals.
+	// FaultsTotal, FaultsDone and Detected sum the per-unit figures,
+	// so a finished run's sums equal the report's totals.
 	FaultsTotal int `json:"faults_total"`
 	FaultsDone  int `json:"faults_done"`
 	Detected    int `json:"detected"`
-	// Throughput is the faults-per-second EWMA over finished units;
-	// ETANS the remaining-work estimate derived from it (0 = unknown).
+	// Throughput is the finished run's faults per second (0 until it
+	// finishes cleanly).
 	Throughput float64 `json:"throughput_fps,omitempty"`
-	ETANS      int64   `json:"eta_ns,omitempty"`
 	// Units lists the per-unit states in index order.
 	Units []UnitSnapshot `json:"units,omitempty"`
 }
@@ -456,51 +375,37 @@ func (t *RunTracker) Snapshot() *Snapshot {
 	s := &Snapshot{
 		RunID: t.info.RunID, JobID: t.info.JobID,
 		Kind: t.info.Kind, Circuit: t.info.Circuit,
-		TraceID:    t.info.TraceID,
-		UnitsTotal: t.count,
+		TraceID: t.info.TraceID,
 	}
-	for i := 0; i < t.count || len(s.Units) < len(t.units); i++ {
-		st := t.units[i]
-		if st == nil {
-			if i >= t.count {
-				break
-			}
-			s.Units = append(s.Units, UnitSnapshot{Index: i, Hi: -1})
-			continue
-		}
-		us := UnitSnapshot{
-			Index: st.index, Lo: st.lo, Hi: st.hi,
-			Faults: st.faults(), Done: st.doneEstimate(), Detected: st.detected(),
-			Running: st.running, Finished: st.over, Stalled: st.stalled,
-			Error: st.errMsg,
-		}
-		switch {
-		case st.over:
-			us.WallNS = st.finish.Sub(st.started).Nanoseconds()
-		case st.running:
-			us.WallNS = now.Sub(st.started).Nanoseconds()
-			us.IdleNS = now.Sub(st.last).Nanoseconds()
-		}
-		s.Units = append(s.Units, us)
-		s.FaultsTotal += us.Faults
-		s.FaultsDone += us.Done
-		s.Detected += us.Detected
-		if us.Finished {
-			s.UnitsDone++
-		}
-		if us.Running {
-			s.UnitsRunning++
-		}
-		if us.Stalled {
-			s.UnitsStalled++
-		}
+	u := &t.u
+	if u.started.IsZero() {
+		return s
 	}
-	if t.axis > s.FaultsTotal {
-		s.FaultsTotal = t.axis
+	us := UnitSnapshot{
+		Hi:     u.hi,
+		Faults: u.faults(), Done: u.doneEstimate(), Detected: u.detected(),
+		Running: u.running, Finished: u.over, Stalled: u.stalled,
+		Error: u.errMsg,
 	}
-	s.Throughput = t.ewma
-	if remaining := s.FaultsTotal - s.FaultsDone; remaining > 0 && t.ewma > 0 {
-		s.ETANS = int64(float64(remaining) / t.ewma * 1e9)
+	switch {
+	case u.over:
+		us.WallNS = u.finish.Sub(u.started).Nanoseconds()
+	case u.running:
+		us.WallNS = now.Sub(u.started).Nanoseconds()
+		us.IdleNS = now.Sub(u.last).Nanoseconds()
 	}
+	s.UnitsTotal = 1
+	s.Units = []UnitSnapshot{us}
+	s.FaultsTotal, s.FaultsDone, s.Detected = us.Faults, us.Done, us.Detected
+	if us.Finished {
+		s.UnitsDone = 1
+	}
+	if us.Running {
+		s.UnitsRunning = 1
+	}
+	if us.Stalled {
+		s.UnitsStalled = 1
+	}
+	s.Throughput = t.rate
 	return s
 }

@@ -100,7 +100,9 @@ func (w *Watchdog) Sweep() []Stall {
 	w.mu.Unlock()
 	var all []Stall
 	for _, t := range ts {
-		all = append(all, t.markStalls(now, w.threshold)...)
+		if st, ok := t.markStall(now, w.threshold); ok {
+			all = append(all, st)
+		}
 	}
 	for _, s := range all {
 		// The watchdog's logger carries the process run_id already; the

@@ -6,10 +6,10 @@
 // distributed trace (128-bit trace ID, 64-bit span ID, sampling
 // flags) and travels as the `traceparent` header of the W3C Trace
 // Context specification — inbound on fsctd job submissions, outbound
-// stamped through task.Spec so future cross-process shards join the
-// same trace. Assemble replays a journal event buffer into a span
-// tree under such a context: one root span per CLI invocation or
-// daemon job, a child span per task unit, nested phase spans, and
+// stamped through task.Spec so every run of the job joins the same
+// trace. Assemble replays a journal event buffer into a span tree
+// under such a context: one root span per CLI invocation or daemon
+// job, a child span per task unit, nested phase spans, and
 // leaf spans for worker-pool items and ATPG attempts. The OTLP
 // writer (otlp.go) serializes the result in the OpenTelemetry
 // OTLP/JSON shape without importing any OpenTelemetry code, and the
