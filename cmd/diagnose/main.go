@@ -66,7 +66,7 @@ func main() {
 	// header plus resolution statistics) and the ledger extras come from
 	// the canonical pipeline, byte-identical to an fsctd diagnose job.
 	if *stats {
-		res, rerr := fsct.RunTask(sess.TrackCtx(ctx, sp.Kind, sp.Circuit), sp, nil, col)
+		res, rerr := fsct.RunTask(ctx, sp, nil, col)
 		if rerr != nil {
 			sess.Fail(rerr)
 		}

@@ -111,7 +111,7 @@ func main() {
 	col := sess.Collector()
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
-	res, rerr := fsct.RunTask(sess.TrackCtx(ctx, sp.Kind, sp.Circuit), sp, nil, col)
+	res, rerr := fsct.RunTask(ctx, sp, nil, col)
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 	interrupted := errors.Is(rerr, context.Canceled)

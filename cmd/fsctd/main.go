@@ -19,17 +19,17 @@
 //	curl -N localhost:8341/api/v1/jobs/j000001/events
 //	curl -s localhost:8341/api/v1/jobs/j000001/result
 //
-// Watch every job's unit-level progress live (or point `fsctstats
-// watch` at the daemon for a terminal dashboard):
+// Watch every job's progress live (or point `fsctstats watch` at the
+// daemon for a terminal dashboard):
 //
 //	curl -s localhost:8341/api/v1/live
 //	curl -N localhost:8341/api/v1/live/events
 //
-// A straggler watchdog flags any running work-unit that makes no
-// progress for the -stall threshold (default 30s); stalled units
-// surface on /api/v1/live, in /metrics and as warning logs. -log and
-// -logfile emit structured request and job-lifecycle logs correlated by
-// run_id/job_id/unit_id.
+// A straggler watchdog flags any running job that makes no progress
+// for the -stall threshold (default 30s); stalled jobs surface on
+// /api/v1/live, in /metrics and as warning logs. -log and -logfile
+// emit structured request and job-lifecycle logs correlated by
+// run_id/job_id.
 //
 // See SERVICE.md at the repository root for the operator's handbook:
 // every endpoint, the SSE stream format, queue/priority semantics and
@@ -69,7 +69,7 @@ func main() {
 		runners      = flag.Int("runners", 0, "concurrent job executors (0 = GOMAXPROCS capped at 4)")
 		cacheBudget  = flag.String("cache-budget", "0", "engine artifact cache byte budget, e.g. 256MiB (0 = unbounded)")
 		cacheEntries = flag.Int("cache-entries", 0, "engine artifact cache entry bound (0 = default)")
-		stall        = flag.Duration("stall", telemetry.DefaultStallThreshold, "flag a running unit as stalled after this much `silence` (negative disables the watchdog)")
+		stall        = flag.Duration("stall", telemetry.DefaultStallThreshold, "flag a running job as stalled after this much `silence` (negative disables the watchdog)")
 		oflags       = obsflags.Register(flag.CommandLine)
 	)
 	flag.Parse()

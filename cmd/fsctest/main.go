@@ -111,7 +111,7 @@ func main() {
 		// circuit's events start so -why replays only its own slice
 		// (fault keys are circuit-local signal IDs).
 		mark := sess.Recorder().Len()
-		res, err := fsct.RunTask(sess.TrackCtx(ctx, sp.Kind, sp.Circuit), sp, nil, col)
+		res, err := fsct.RunTask(ctx, sp, nil, col)
 		canceled := errors.Is(err, context.Canceled)
 		if err != nil && !canceled {
 			sess.Fail(fmt.Errorf("%s: %w", p.Name, err))

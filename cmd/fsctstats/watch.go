@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/telemetry"
 )
 
 // runWatchCmd is the watch subcommand: a terminal dashboard over a
@@ -53,7 +52,7 @@ func runWatchCmd(args []string) int {
 }
 
 // fetchLive pulls one dashboard's worth of daemon state: the live
-// unit-progress view plus the label-free /metrics samples (queue depth,
+// progress view plus the label-free /metrics samples (queue depth,
 // lifetime job counters).
 func fetchLive(base string) (serve.LiveView, map[string]float64, error) {
 	var lv serve.LiveView
@@ -103,8 +102,8 @@ func parseCounters(text string) map[string]float64 {
 }
 
 // renderWatch writes one dashboard frame: a header with queue and job
-// totals, then one block per job — completion figures, throughput and
-// the unit row with a straggler highlighted. Pure function of its
+// totals, then one row per job — completion bar and figures, throughput
+// and lifecycle state, a stalled job highlighted. Pure function of its
 // inputs (the tests feed it canned views); color only decorates, the
 // plain text carries everything.
 func renderWatch(w io.Writer, addr string, lv serve.LiveView, counters map[string]float64, color bool) {
@@ -117,10 +116,10 @@ func renderWatch(w io.Writer, addr string, lv serve.LiveView, counters map[strin
 			done++
 		}
 	}
-	fmt.Fprintf(w, "fsctd %s — %d jobs (%d running, %d done)  queue %d  stalls %d  stall threshold %s\n",
+	fmt.Fprintf(w, "fsctd %s — %d jobs (%d running, %d done)  queue %d  stalls %d  stall threshold %s\n\n",
 		addr, len(lv.Jobs), running, done,
 		int(counters["fsct_serve_queue_depth_total"]),
-		int(counters["fsct_serve_units_stalls_total"]),
+		int(counters["fsct_serve_jobs_stalls_total"]),
 		fmtDur(time.Duration(lv.StallThresholdNS)))
 	for _, j := range lv.Jobs {
 		renderJob(w, j, color)
@@ -130,8 +129,9 @@ func renderWatch(w io.Writer, addr string, lv serve.LiveView, counters map[strin
 	}
 }
 
+// renderJob writes one job's row.
 func renderJob(w io.Writer, j serve.LiveJob, color bool) {
-	fmt.Fprintf(w, "\n%s %s %s [%s]", j.ID, j.Kind, j.Circuit, j.Status)
+	fmt.Fprintf(w, "%s %s %s [%s]", j.ID, j.Kind, j.Circuit, j.Status)
 	if j.TraceID != "" {
 		// The job's distributed-trace identity: the handle to paste into
 		// `fsctstats trace -job` or an external trace viewer.
@@ -142,44 +142,33 @@ func renderJob(w io.Writer, j serve.LiveJob, color bool) {
 		fmt.Fprintln(w)
 		return
 	}
-	fmt.Fprintf(w, "  units %d/%d", p.UnitsDone, p.UnitsTotal)
+	fmt.Fprintf(w, "  %s %d/%d", bar(p.FaultsDone, p.FaultsTotal, 12), p.FaultsDone, p.FaultsTotal)
 	if p.FaultsTotal > 0 {
-		fmt.Fprintf(w, "  faults %d/%d (%.1f%%)", p.FaultsDone, p.FaultsTotal,
-			100*float64(p.FaultsDone)/float64(p.FaultsTotal))
+		fmt.Fprintf(w, " (%.1f%%)", 100*float64(p.FaultsDone)/float64(p.FaultsTotal))
 	}
 	fmt.Fprintf(w, "  detected %d", p.Detected)
 	if p.Throughput > 0 {
 		fmt.Fprintf(w, "  %s", fmtRate(p.Throughput))
 	}
-	fmt.Fprintln(w)
-	for _, u := range p.Units {
-		renderUnit(w, u, color)
-	}
-}
-
-func renderUnit(w io.Writer, u telemetry.UnitSnapshot, color bool) {
-	fmt.Fprintf(w, "  unit %-3d %s %d/%d", u.Index, bar(u.Done, u.Faults, 12), u.Done, u.Faults)
 	switch {
-	case u.Stalled:
-		tag := fmt.Sprintf("STALLED idle %s", fmtDur(time.Duration(u.IdleNS)))
+	case p.Stalled:
+		tag := fmt.Sprintf("STALLED idle %s", fmtDur(time.Duration(p.IdleNS)))
 		if color {
 			tag = "\x1b[1;31m" + tag + "\x1b[0m" // bold red: the row to look at
 		}
 		fmt.Fprintf(w, "  %s", tag)
-	case u.Running:
-		fmt.Fprintf(w, "  running %s", fmtDur(time.Duration(u.WallNS)))
-	case u.Finished && u.Error != "":
-		fmt.Fprintf(w, "  failed: %s", u.Error)
-	case u.Finished:
-		fmt.Fprintf(w, "  done %s", fmtDur(time.Duration(u.WallNS)))
-	default:
-		fmt.Fprint(w, "  pending")
+	case p.Running:
+		fmt.Fprintf(w, "  running %s", fmtDur(time.Duration(p.WallNS)))
+	case p.Finished && j.Error != "":
+		fmt.Fprintf(w, "  after %s: %s", fmtDur(time.Duration(p.WallNS)), j.Error)
+	case p.Finished:
+		fmt.Fprintf(w, "  done %s", fmtDur(time.Duration(p.WallNS)))
 	}
 	fmt.Fprintln(w)
 }
 
-// bar renders a width-cell completion bar. Unknown totals (a
-// whole-axis unit still running) render as indeterminate.
+// bar renders a width-cell completion bar. Unknown totals (a run
+// that has not announced its fault axis yet) render as indeterminate.
 func bar(done, total, width int) string {
 	if total <= 0 {
 		return "[" + strings.Repeat("?", width) + "]"

@@ -297,21 +297,6 @@ func (s *Session) writeOTLP() error {
 	return nil
 }
 
-// TrackCtx installs a unit tracker for the run described by kind and
-// circuit: unit lifecycle transitions land in the session log under
-// correlated run_id/unit_id attributes. The tracker does not subscribe
-// to the flight recorder: in a CLI nothing reads its live estimate (no
-// watchdog, no live endpoint), so its log lines are its only output.
-// The returned context carries the tracker into task.Run; pass it to
-// the run.
-func (s *Session) TrackCtx(ctx context.Context, kind, circuit string) context.Context {
-	tr := telemetry.NewRunTracker(telemetry.Info{
-		RunID: s.runID, Kind: kind, Circuit: circuit,
-		TraceID: s.tctx.Trace.String(),
-	}, s.logger)
-	return task.WithTracker(ctx, tr)
-}
-
 // EnsureRecorder attaches a flight recorder even when no flag asked
 // for one (fsctest -why needs the event stream regardless of
 // -tracefile), and returns it.
@@ -347,10 +332,23 @@ func (s *Session) Collector() *obs.Collector {
 // the metrics snapshot, and optional headline scalars ("coverage")
 // merged into the flattened metric map. The circuit and hash also land
 // in the exported trace's resource attributes (every exporter wants
-// them, not just the ledger). Otherwise a no-op unless -ledger was
-// set. The record is completed (timestamp, CLI, flags, exit status,
-// wall time) and appended by Close.
+// them, not just the ledger), and one info line (circuit, hash and the
+// headline scalars) in the session log. The ledger record is queued
+// only when -ledger was set; it is completed (timestamp, CLI, flags,
+// exit status, wall time) and appended by Close.
 func (s *Session) RecordRun(circuit string, hash uint64, m *obs.Metrics, extra map[string]float64) {
+	if s.logger.Enabled(context.Background(), slog.LevelInfo) {
+		attrs := []any{slog.String("circuit", circuit), slog.String("hash", fmt.Sprintf("%016x", hash))}
+		keys := make([]string, 0, len(extra))
+		for k := range extra {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			attrs = append(attrs, slog.Float64(k, extra[k]))
+		}
+		s.logger.Info("circuit recorded", attrs...)
+	}
 	s.mu.Lock()
 	if circuit != "" && !slices.Contains(s.circuits, circuit) {
 		s.circuits = append(s.circuits, circuit)

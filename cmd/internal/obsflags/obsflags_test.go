@@ -1,7 +1,6 @@
 package obsflags
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"os"
@@ -11,11 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/task"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -92,19 +89,14 @@ func TestRegisterFlagSurface(t *testing.T) {
 	}
 }
 
-// TestTrackCtxTrackerLogsOnly: a CLI's unit tracker does not subscribe
-// to the session recorder (nothing in a CLI reads its live estimate),
-// and its unit lifecycle lines still reach the session log.
-func TestTrackCtxTrackerLogsOnly(t *testing.T) {
+// TestRecordRunLogsCircuit: RecordRun puts one info line per circuit in
+// the session log — circuit, structural hash and the headline scalars —
+// with or without -ledger.
+func TestRecordRunLogsCircuit(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "run.log")
-	s := open(t, "-tracefile", filepath.Join(t.TempDir(), "trace.json"), "-logfile", logPath)
-	tr := task.TrackerFrom(s.TrackCtx(context.Background(), task.KindFaultSim, "a")).(*telemetry.RunTracker)
-	tr.UnitStarted(task.Spec{Kind: task.KindFaultSim, Circuit: "a"})
-	s.Recorder().Emit(journal.Detect(1, 5))
-	if d := tr.Snapshot().Detected; d != 0 {
-		t.Errorf("the CLI tracker counted %d journal detections, want 0 (no subscription)", d)
-	}
-	tr.UnitFinished(nil, nil)
+	s := open(t, "-logfile", logPath)
+	s.RecordRun("s27", 0xabc, nil, map[string]float64{"faults": 32, "coverage": 100})
+	s.RecordRun("s298", 0xdef, nil, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +104,24 @@ func TestTrackCtxTrackerLogsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, msg := range []string{`"msg":"unit started"`, `"msg":"unit finished"`} {
-		if !strings.Contains(string(log), msg) {
-			t.Errorf("session log lacks %s:\n%s", msg, log)
+	var lines []string
+	for _, l := range strings.Split(string(log), "\n") {
+		if strings.Contains(l, `"msg":"circuit recorded"`) {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("session log has %d lines, want one per circuit:\n%s", len(lines), log)
+	}
+	for i, want := range [][]string{
+		{`"run_id":"` + s.RunID() + `"`, `"circuit":"s27"`,
+			`"hash":"0000000000000abc"`, `"coverage":100`, `"faults":32`},
+		{`"circuit":"s298"`, `"hash":"0000000000000def"`},
+	} {
+		for _, w := range want {
+			if !strings.Contains(lines[i], w) {
+				t.Errorf("log line %d lacks %s:\n%s", i, w, lines[i])
+			}
 		}
 	}
 }

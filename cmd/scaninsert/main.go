@@ -94,7 +94,7 @@ func main() {
 		// The screen rides the canonical task pipeline (the design it
 		// rebuilds is deterministic, so it matches d exactly); only the
 		// report line here is scaninsert's own composition-flavored one.
-		res, rerr := fsct.RunTask(sess.TrackCtx(ctx, sp.Kind, sp.Circuit), sp, nil, col)
+		res, rerr := fsct.RunTask(ctx, sp, nil, col)
 		if rerr != nil {
 			sess.Fail(rerr)
 		}

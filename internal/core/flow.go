@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
+	"repro/internal/journal"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -200,8 +201,9 @@ func (p Params) simOptions(stopEarly bool) faultsim.Options {
 // fires the flow stops where it is, and returns the partially filled report alongside
 // an error wrapping the context error — counters and phase results
 // accumulated so far are valid, later phases simply report zero. The
-// report is non-nil whenever the design verifies. A nil context behaves
-// like context.Background.
+// report is non-nil whenever the design verifies. Once the collapsed
+// fault list is built, its length is announced as a journal axis event.
+// A nil context behaves like context.Background.
 func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	if err := d.Verify(); err != nil {
 		return nil, fmt.Errorf("core: design does not verify: %v", err)
@@ -229,6 +231,7 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	arts := engine.Resolve(p.Engine).ForObs(d.C, p.Obs)
 	faults := arts.CollapsedFaults()
 	rep.Faults = len(faults)
+	col.Journal().Emit(journal.Axis(rep.Faults))
 
 	// ---- Screening (Section 3) ----
 	span := col.Phase("screen")

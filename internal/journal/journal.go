@@ -9,8 +9,9 @@
 // Live consumers subscribe (Recorder.Subscribe), each on its own, so
 // the recorder is a run's only live sink: Progress renders stamped
 // phase and note lines and a throttled rate/ETA line (-progress), the
-// unit tracker (internal/telemetry) takes events as its heartbeat, and
-// the daemon's per-job hub (internal/serve) wakes its SSE readers.
+// daemon's run tracker (internal/telemetry) folds a job's events into
+// its live progress, and the daemon's per-job hub (internal/serve)
+// wakes its SSE readers.
 // Offline consumers read the buffer: WriteTrace exports it as Chrome
 // trace events, internal/trace assembles it into an OTLP span tree, and
 // provenance replay (internal/core) explains one fault's journey.
@@ -64,17 +65,21 @@ const (
 	// KindCache is one artifact-cache lookup: Arg the cache name, A 1
 	// for a hit and 0 for a miss.
 	KindCache
-	// KindUnitBegin marks a task run's unit opening: A the unit index
-	// (0), B the unit count (1), C and D the fault-axis slice bounds Lo
-	// (0) and Hi (-1 until the axis length is known). The tracing
-	// layer (internal/trace) turns a begin/end pair into one unit span
-	// under the run's root span.
+	// KindUnitBegin marks a task run's start; it carries no payload.
+	// The tracing layer (internal/trace) turns a begin/end pair into one
+	// unit span under the run's root span.
 	KindUnitBegin
-	// KindUnitEnd marks a task run's unit closing; payload as
-	// KindUnitBegin with Hi the axis length once the run resolved it,
-	// DurNS the unit's wall time (TNS the unit start, like all span
-	// events).
+	// KindUnitEnd marks a task run's finish: D the fault-axis length
+	// (-1 when the run stopped before resolving it), A the run's
+	// per-kind hits (detections, chain-affecting verdicts, generated
+	// tests, resolved candidates), B 1 for a clean finish and 0 for an
+	// interrupted one, DurNS the run's wall time (TNS the run start,
+	// like all span events).
 	KindUnitEnd
+	// KindAxis announces a run's fault-axis length as soon as the run
+	// knows it: D the length. A task run emits it once, between its
+	// unit_begin and unit_end.
+	KindAxis
 )
 
 func (k Kind) String() string {
@@ -99,6 +104,8 @@ func (k Kind) String() string {
 		return "unit_begin"
 	case KindUnitEnd:
 		return "unit_end"
+	case KindAxis:
+		return "axis"
 	}
 	return "unknown"
 }
@@ -360,19 +367,23 @@ func Cache(name string, hit bool) Event {
 	return Event{Kind: KindCache, Arg: name, A: a}
 }
 
-// UnitBegin builds the unit-open event of a task run: unit 0 of 1,
-// over the whole fault axis, its length not yet known.
-func UnitBegin() Event {
-	return Event{Kind: KindUnitBegin, A: 0, B: 1, C: 0, D: -1}
+// UnitBegin builds the start event of a task run.
+func UnitBegin() Event { return Event{Kind: KindUnitBegin} }
+
+// UnitEnd builds the finish event of a task run spanning dur: faults is
+// the fault-axis length (-1 when the run stopped before resolving it),
+// hits the run's per-kind hits, clean whether the run finished without
+// error.
+func UnitEnd(faults, hits int, clean bool, dur time.Duration) Event {
+	e := Event{Kind: KindUnitEnd, A: int64(hits), D: int64(faults), DurNS: dur.Nanoseconds()}
+	if clean {
+		e.B = 1
+	}
+	return e
 }
 
-// UnitEnd builds the unit-close event of a task run spanning dur; hi
-// is the fault-axis length, or -1 when the run stopped before
-// resolving it.
-func UnitEnd(hi int, dur time.Duration) Event {
-	return Event{Kind: KindUnitEnd, A: 0, B: 1, C: 0, D: int64(hi),
-		DurNS: dur.Nanoseconds()}
-}
+// Axis builds the event announcing a run's fault-axis length n.
+func Axis(n int) Event { return Event{Kind: KindAxis, D: int64(n)} }
 
 // LocChainSeg packs a chain/segment location into one payload field
 // (chain in the high bits, segment in the low 24).

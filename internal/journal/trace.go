@@ -9,15 +9,16 @@ package journal
 //
 //   - phase spans (KindPhaseEnd, which carries start+duration) become
 //     complete ("X") events on the flow thread (tid 0);
-//   - task unit spans (KindUnitEnd) become "X" events on the flow
-//     thread under the "unit" category, framing the run's phases;
+//   - task run spans (KindUnitEnd) become "X" events named "unit" on
+//     the flow thread under the "unit" category, framing the run's
+//     phases;
 //   - worker batch spans become "X" events on the worker's own thread
 //     (tid = worker+1), named after their pool;
 //   - ATPG attempt spans become "X" events on the flow thread under
 //     their engine prefix;
 //   - everything else (phase and unit begins for never-closed spans,
-//     classify, detect, cache, note) becomes thread-scoped instant
-//     ("i") events.
+//     axis, classify, detect, cache, note) becomes thread-scoped
+//     instant ("i") events.
 //
 // Timestamps are microseconds from the recorder origin, as the format
 // requires.
@@ -56,14 +57,14 @@ func WriteTrace(w io.Writer, events []Event, dropped int64) error {
 	}
 
 	endNS := int64(0)
-	closed := map[string]int{}     // phase name -> KindPhaseEnd count
-	closedUnits := map[int64]int{} // unit index -> KindUnitEnd count
+	closed := map[string]int{} // phase name -> KindPhaseEnd count
+	closedUnits := 0           // KindUnitEnd count
 	for _, e := range events {
 		if e.Kind == KindPhaseEnd {
 			closed[e.Arg]++
 		}
 		if e.Kind == KindUnitEnd {
-			closedUnits[e.A]++
+			closedUnits++
 		}
 		if t := e.TNS + e.DurNS; t > endNS {
 			endNS = t
@@ -82,16 +83,18 @@ func WriteTrace(w io.Writer, events []Event, dropped int64) error {
 			}
 			tw.instant(e.Arg+" (unclosed)", "phase", 0, e.TNS, "")
 		case KindUnitEnd:
-			args := fmt.Sprintf(`{"count":%d,"lo":%d,"hi":%d}`, e.B, e.C, e.D)
-			tw.complete(fmt.Sprintf("unit %d", e.A), "unit", 0, e.TNS, e.DurNS, args)
+			args := fmt.Sprintf(`{"faults":%d,"hits":%d}`, e.D, e.A)
+			tw.complete("unit", "unit", 0, e.TNS, e.DurNS, args)
 		case KindUnitBegin:
 			// Closed units are drawn by their end event; a begin with no
 			// matching end (interrupted run) shows as an instant marker.
-			if closedUnits[e.A] > 0 {
-				closedUnits[e.A]--
+			if closedUnits > 0 {
+				closedUnits--
 				continue
 			}
-			tw.instant(fmt.Sprintf("unit %d (unclosed)", e.A), "unit", 0, e.TNS, "")
+			tw.instant("unit (unclosed)", "unit", 0, e.TNS, "")
+		case KindAxis:
+			tw.instant("axis", "unit", 0, e.TNS, fmt.Sprintf(`{"faults":%d}`, e.D))
 		case KindBatch:
 			args := fmt.Sprintf(`{"index":%d,"total":%d}`, e.A, e.B)
 			tw.complete(e.Arg, "pool", int(e.Worker)+1, e.TNS, e.DurNS, args)

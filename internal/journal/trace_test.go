@@ -133,20 +133,23 @@ func TestWriteTraceGolden(t *testing.T) {
 	}
 }
 
-// TestWriteTraceCancelGolden pins the exported partial timeline of a
-// sharded run canceled mid-flow: unit 0 completed (its nested phase
-// closed and drawn as a span), unit 1 was interrupted inside a nested
-// phase — the unit and its outer phase never closed and must surface
-// as "(unclosed)" instant markers while the inner phase that did
-// close still renders as a span. The exact bytes are pinned because
-// operators diff partial traces from interrupted runs.
+// TestWriteTraceCancelGolden pins the exported partial timeline of two
+// runs sharing one journal (a CLI over two circuits), the second
+// canceled mid-flow: the first run completed (its axis announced as an
+// instant, its nested phase closed and drawn as a span), the second
+// was interrupted inside a nested phase — the run and its outer phase
+// never closed and must surface as "(unclosed)" instant markers while
+// the inner phase that did close still renders as a span. The exact
+// bytes are pinned because operators diff partial traces from
+// interrupted runs.
 func TestWriteTraceCancelGolden(t *testing.T) {
 	events := []Event{
-		{Kind: KindUnitBegin, A: 0, B: 2, C: 0, D: 63, TNS: 1000},
+		{Kind: KindUnitBegin, TNS: 1000},
+		{Kind: KindAxis, D: 63, TNS: 1500},
 		{Kind: KindPhaseBegin, Arg: "faultsim.seq", TNS: 2000},
 		{Kind: KindPhaseEnd, Arg: "faultsim.seq", TNS: 2000, DurNS: 400_000},
-		{Kind: KindUnitEnd, A: 0, B: 2, C: 0, D: 63, TNS: 1000, DurNS: 500_000},
-		{Kind: KindUnitBegin, A: 1, B: 2, C: 63, D: 126, TNS: 600_000},
+		{Kind: KindUnitEnd, A: 40, B: 1, D: 63, TNS: 1000, DurNS: 500_000},
+		{Kind: KindUnitBegin, TNS: 600_000},
 		{Kind: KindPhaseBegin, Arg: "faultsim.seq", TNS: 610_000},
 		{Kind: KindPhaseBegin, Arg: "faultsim.compile", TNS: 620_000},
 		{Kind: KindPhaseEnd, Arg: "faultsim.compile", TNS: 620_000, DurNS: 30_000},
@@ -159,9 +162,10 @@ func TestWriteTraceCancelGolden(t *testing.T) {
 	want := `{"traceEvents":[
 {"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"fsct"}},
 {"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"flow"}},
+{"ph":"i","pid":1,"tid":0,"name":"axis","cat":"unit","ts":1.500,"s":"t","args":{"faults":63}},
 {"ph":"X","pid":1,"tid":0,"name":"faultsim.seq","cat":"phase","ts":2.000,"dur":400.000,"args":{}},
-{"ph":"X","pid":1,"tid":0,"name":"unit 0","cat":"unit","ts":1.000,"dur":500.000,"args":{"count":2,"lo":0,"hi":63}},
-{"ph":"i","pid":1,"tid":0,"name":"unit 1 (unclosed)","cat":"unit","ts":600.000,"s":"t","args":{}},
+{"ph":"X","pid":1,"tid":0,"name":"unit","cat":"unit","ts":1.000,"dur":500.000,"args":{"faults":63,"hits":40}},
+{"ph":"i","pid":1,"tid":0,"name":"unit (unclosed)","cat":"unit","ts":600.000,"s":"t","args":{}},
 {"ph":"i","pid":1,"tid":0,"name":"faultsim.seq (unclosed)","cat":"phase","ts":610.000,"s":"t","args":{}},
 {"ph":"X","pid":1,"tid":0,"name":"faultsim.compile","cat":"phase","ts":620.000,"dur":30.000,"args":{}},
 {"ph":"i","pid":1,"tid":0,"name":"canceled","cat":"note","ts":700.000,"s":"t","args":{}}

@@ -30,8 +30,8 @@ func FuzzSubmit(f *testing.F) {
 
 	origRun, origCap := runTask, maxRetainedJobs
 	f.Cleanup(func() { runTask, maxRetainedJobs = origRun, origCap })
-	// A retained job keeps its spec, inline netlist included, so a
-	// small cap keeps the fuzzer's memory flat.
+	// A small cap keeps the fuzzer's job table, and with it its
+	// memory, flat.
 	maxRetainedJobs = 8
 	runTask = func(ctx context.Context, sp task.Spec, _ *engine.Cache, _ *obs.Collector) (*task.Result, error) {
 		<-ctx.Done()

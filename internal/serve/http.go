@@ -260,23 +260,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Counters["serve.cache.misses"] = st.Misses
 	m.Counters["serve.cache.evictions"] = st.Evictions
 	m.Counters["serve.queue.depth"] = int64(s.q.depth())
-	// Unit-level telemetry, aggregated across every tracked job at
-	// scrape time (gauge-like, same convention as the cache samples),
-	// plus the flight recorders' total overwrite count.
-	var unitsTotal, unitsDone, unitsRunning, unitsStalled, dropped int64
+	// The jobs flagged stalled right now, counted at scrape time
+	// (gauge-like, same convention as the cache samples), plus the
+	// flight recorders' total overwrite count.
+	var stalled, dropped int64
 	for _, j := range s.Jobs() {
-		if live := j.Live(); live != nil {
-			unitsTotal += int64(live.UnitsTotal)
-			unitsDone += int64(live.UnitsDone)
-			unitsRunning += int64(live.UnitsRunning)
-			unitsStalled += int64(live.UnitsStalled)
+		if live := j.Live(); live != nil && live.Stalled {
+			stalled++
 		}
 		dropped += j.rec.Dropped()
 	}
-	m.Counters["serve.units.total"] = unitsTotal
-	m.Counters["serve.units.done"] = unitsDone
-	m.Counters["serve.units.running"] = unitsRunning
-	m.Counters["serve.units.stalled"] = unitsStalled
+	m.Counters["serve.jobs.stalled"] = stalled
 	m.Counters["journal.dropped_events"] = dropped
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 	_ = obs.WriteOpenMetrics(w, m)

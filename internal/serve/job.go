@@ -94,8 +94,13 @@ func newJob(parent context.Context, seq int64, sp task.Spec) *Job {
 // ID returns the server-assigned job identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the job's submission spec.
-func (j *Job) Spec() task.Spec { return j.spec }
+// Spec returns the job's submission spec. A terminal job's spec has
+// its inline netlist (Bench) dropped.
+func (j *Job) Spec() task.Spec {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.spec
+}
 
 // Status returns the job's current lifecycle state.
 func (j *Job) Status() Status {
@@ -112,9 +117,8 @@ func (j *Job) Output() string {
 	return j.output
 }
 
-// Live freezes the job's unit-progress state, or nil while the job has
-// not reached a runner (queued and early-canceled jobs have no
-// tracker).
+// Live freezes the job's run progress, or nil while the job has not
+// reached a runner (queued and early-canceled jobs have no tracker).
 func (j *Job) Live() *telemetry.Snapshot {
 	j.mu.Lock()
 	tr := j.tracker

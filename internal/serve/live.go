@@ -10,21 +10,23 @@ import (
 )
 
 // LiveJob is one job's entry on /api/v1/live: identity, lifecycle
-// state, and the unit-progress snapshot (null while the job is queued —
-// no runner has started it yet).
+// state, the job's error, and its progress snapshot (null while the job
+// is queued — no runner has started it yet).
 type LiveJob struct {
 	ID      string `json:"id"`
 	Kind    string `json:"kind"`
 	Circuit string `json:"circuit"`
 	// TraceID is the job's distributed-trace identity, the handle into
-	// GET /api/v1/trace/{id}: a dashboard can jump from a stalled unit
+	// GET /api/v1/trace/{id}: a dashboard can jump from a stalled job
 	// straight to the job's span tree.
-	TraceID  string              `json:"trace_id,omitempty"`
-	Status   Status              `json:"status"`
+	TraceID string `json:"trace_id,omitempty"`
+	Status  Status `json:"status"`
+	// Error is the job's failure or cancellation reason, if any.
+	Error    string              `json:"error,omitempty"`
 	Progress *telemetry.Snapshot `json:"progress"`
 }
 
-// LiveView is the /api/v1/live response: every job's unit progress plus
+// LiveView is the /api/v1/live response: every job's progress plus
 // the watchdog's stall threshold, so a dashboard can render "no
 // heartbeat for X of Y" without knowing the daemon's flags.
 type LiveView struct {
@@ -40,32 +42,34 @@ func (s *Server) liveSnapshot(runningOnly bool) LiveView {
 		Jobs:             []LiveJob{},
 	}
 	for _, j := range s.Jobs() {
-		st := j.Status()
+		j.mu.Lock()
+		st, errMsg, tracker := j.status, j.errMsg, j.tracker
+		j.mu.Unlock()
 		if runningOnly && st != StatusRunning {
 			continue
 		}
 		v.Jobs = append(v.Jobs, LiveJob{
 			ID: j.ID(), Kind: j.spec.Kind, Circuit: j.spec.Circuit,
 			TraceID: j.tctx.Trace.String(),
-			Status:  st, Progress: j.Live(),
+			Status:  st, Error: errMsg, Progress: tracker.Snapshot(),
 		})
 	}
 	return v
 }
 
-// handleLive serves the live introspection snapshot: per-job unit
-// progress, throughput, ETA and stall flags. ?running=1 keeps only
-// running jobs.
+// handleLive serves the live introspection snapshot: per-job progress,
+// throughput and stall flags. ?running=1 keeps only running jobs.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.liveSnapshot(r.URL.Query().Get("running") == "1"))
 }
 
 // handleLiveEvents streams the live view as Server-Sent Events: one
-// `event: live` frame per unit-progress transition (unit start/finish,
-// stall flag, job terminal), coalesced under the same epoch-channel hub
-// the per-job streams use, plus a periodic refresh so wall-clock fields
-// (idle age, ETA) stay current during long quiet units. The stream ends
-// when the client disconnects or the server shuts down.
+// `event: live` frame per progress transition (run start, axis,
+// finish, stall flag, job terminal), coalesced under the same
+// epoch-channel hub the per-job streams use, plus a periodic refresh so
+// wall-clock fields (wall and idle age) stay current during long quiet
+// runs. The stream ends when the client disconnects or the server shuts
+// down.
 func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {

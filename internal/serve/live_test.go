@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/serve"
 	"repro/internal/task"
 	"repro/internal/telemetry"
@@ -32,8 +33,8 @@ func liveView(t *testing.T, base string, query string) serve.LiveView {
 }
 
 // TestLiveJob is the live-introspection acceptance e2e: a faultsim
-// job whose /api/v1/live entry carries its unit's progress and whose
-// final unit figures equal the report's totals.
+// job whose /api/v1/live entry carries its progress and whose final
+// figures equal the report's totals.
 func TestLiveJob(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{Runners: 1})
 
@@ -41,12 +42,11 @@ func TestLiveJob(t *testing.T) {
 	v := submit(t, h.URL, sp)
 
 	// Poll the live view while the job runs: entries must appear, and a
-	// mid-flight observation (when we catch one) must carry unit-level
-	// progress. The job may finish before we observe it running — the
-	// terminal assertions below are the deterministic gate.
-	sawRunning := false
+	// mid-flight observation (when we catch one) must carry progress.
+	// The job may finish before we observe it running — the terminal
+	// assertions below are the deterministic gate.
 	deadline := time.Now().Add(30 * time.Second)
-	for !sawRunning && time.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
 		lv := liveView(t, h.URL, "")
 		if len(lv.Jobs) != 1 || lv.Jobs[0].ID != v.ID {
 			t.Fatalf("live view lists %+v, want job %s", lv.Jobs, v.ID)
@@ -55,11 +55,11 @@ func TestLiveJob(t *testing.T) {
 			t.Fatalf("stall threshold = %d, want default %d", lv.StallThresholdNS, telemetry.DefaultStallThreshold.Nanoseconds())
 		}
 		lj := lv.Jobs[0]
-		if lj.Status == serve.StatusRunning && lj.Progress != nil && len(lj.Progress.Units) > 0 {
-			sawRunning = true
-			if lj.Progress.UnitsTotal != 1 {
-				t.Fatalf("mid-flight units_total = %d, want 1", lj.Progress.UnitsTotal)
+		if p := lj.Progress; lj.Status == serve.StatusRunning && p != nil && p.Running {
+			if p.Finished || p.WallNS < 0 {
+				t.Fatalf("mid-flight progress = %+v", p)
 			}
+			break
 		}
 		if lj.Status.Terminal() {
 			break
@@ -73,16 +73,15 @@ func TestLiveJob(t *testing.T) {
 	}
 	out := result(t, h.URL, v.ID)
 
-	// Terminal live view: the unit's exact figures equal the report
-	// totals.
+	// Terminal live view: the exact figures equal the report totals.
 	lv := liveView(t, h.URL, "")
 	lj := lv.Jobs[0]
 	if lj.Progress == nil {
 		t.Fatal("terminal live entry has no progress snapshot")
 	}
 	p := lj.Progress
-	if p.UnitsTotal != 1 || p.UnitsDone != 1 || p.UnitsRunning != 0 || p.UnitsStalled != 0 {
-		t.Fatalf("terminal unit partition = %+v", p)
+	if !p.Finished || p.Running || p.Stalled || lj.Error != "" {
+		t.Fatalf("terminal lifecycle = %+v (error %q)", p, lj.Error)
 	}
 	var detected, faults int
 	if _, err := fmt.Sscanf(out[strings.Index(out, "detected"):], "detected %d / %d", &detected, &faults); err != nil {
@@ -94,11 +93,8 @@ func TestLiveJob(t *testing.T) {
 	if p.Detected != detected {
 		t.Fatalf("live detected = %d, want %d (report)", p.Detected, detected)
 	}
-	if len(p.Units) != 1 {
-		t.Fatalf("terminal live entry lists %d units, want 1", len(p.Units))
-	}
-	if u := p.Units[0]; !u.Finished || u.Lo != 0 || u.Hi != faults || u.Faults != faults || u.Done != faults || u.Detected != detected {
-		t.Fatalf("terminal unit %+v not fully accounted", u)
+	if p.WallNS <= 0 || p.IdleNS != 0 {
+		t.Fatalf("terminal wall/idle = %d/%d", p.WallNS, p.IdleNS)
 	}
 	if p.JobID != v.ID || p.Kind != sp.Kind || p.Circuit != sp.Circuit {
 		t.Fatalf("snapshot identity = %s/%s/%s, want %s/%s/%s", p.JobID, p.Kind, p.Circuit, v.ID, sp.Kind, sp.Circuit)
@@ -109,7 +105,7 @@ func TestLiveJob(t *testing.T) {
 		t.Fatalf("running-only live view lists terminal jobs: %+v", lv.Jobs)
 	}
 
-	// The scrape surface aggregates the unit gauges.
+	// The scrape surface counts the stalled jobs and the stalls.
 	resp, err := http.Get(h.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -117,19 +113,70 @@ func TestLiveJob(t *testing.T) {
 	body := readAll(t, resp)
 	resp.Body.Close()
 	for _, want := range []string{
-		"fsct_serve_units_total_total 1",
-		"fsct_serve_units_done_total 1",
-		"fsct_serve_units_stalled_total 0",
+		"fsct_serve_jobs_stalled_total 0",
 		"fsct_journal_dropped_events_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+	if strings.Contains(body, "fsct_serve_units_") {
+		t.Errorf("/metrics still carries unit gauges:\n%s", body)
+	}
+}
+
+// TestLiveCanceledJobPartial: a faultsim job canceled after its first
+// batches keeps a partial live figure — its faults_done stays below
+// faults_total — instead of reading as fully covered.
+func TestLiveCanceledJobPartial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e server test")
+	}
+	_, h, _ := testServer(t, serve.Config{Runners: 1})
+	v := submit(t, h.URL, task.Spec{Kind: task.KindFaultSim, Circuit: "s38584", Scale: 0.25, Cycles: 2000, Workers: 2})
+
+	// Wait for the first batches, then cancel.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		lj := liveView(t, h.URL, "").Jobs[0]
+		if p := lj.Progress; p != nil && p.Running && p.FaultsDone > 0 {
+			break
+		}
+		if lj.Status.Terminal() {
+			t.Fatalf("job ended %s before it was canceled", lj.Status)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never reported a batch")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp, err := http.Post(h.URL+"/api/v1/jobs/"+v.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if fin := waitTerminal(t, h.URL, v.ID, 60*time.Second); fin.Status != serve.StatusCanceled {
+		t.Fatalf("status after cancel = %s, want canceled", fin.Status)
+	}
+
+	lj := liveView(t, h.URL, "").Jobs[0]
+	p := lj.Progress
+	if p == nil || !p.Finished {
+		t.Fatalf("terminal live entry = %+v", lj)
+	}
+	if p.FaultsTotal <= 0 || p.FaultsDone <= 0 || p.FaultsDone >= p.FaultsTotal {
+		t.Fatalf("canceled job reads faults_done %d of faults_total %d, want a partial figure", p.FaultsDone, p.FaultsTotal)
+	}
+	if p.Throughput != 0 {
+		t.Errorf("canceled job has throughput %v, want 0", p.Throughput)
+	}
+	if lj.Error != "canceled" {
+		t.Errorf("live entry error = %q, want canceled", lj.Error)
+	}
 }
 
 // TestLiveStallFlagged drives the server's watchdog with a hand-fed
-// tracker: a unit that stops emitting must be flagged within one stall
+// tracker: a run that stops emitting must be flagged within one stall
 // threshold and counted on /metrics.
 func TestLiveStallFlagged(t *testing.T) {
 	s, h, _ := testServer(t, serve.Config{Runners: 1, StallThreshold: 5 * time.Millisecond})
@@ -141,17 +188,14 @@ func TestLiveStallFlagged(t *testing.T) {
 	}
 	wd.Register(tr)
 	defer wd.Unregister(tr)
-	tr.UnitStarted(task.Spec{Kind: task.KindFaultSim, Circuit: "s27"})
+	tr.Observe(journal.UnitBegin())
 
 	// The watchdog goroutine sweeps at threshold/4; the flag must land
 	// within a few thresholds of the last heartbeat.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if snap := tr.Snapshot(); snap.UnitsStalled == 1 {
-			break
-		}
+	for !tr.Snapshot().Stalled {
 		if time.Now().After(deadline) {
-			t.Fatal("stalled unit never flagged by the server watchdog")
+			t.Fatal("stalled run never flagged by the server watchdog")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -161,7 +205,7 @@ func TestLiveStallFlagged(t *testing.T) {
 	}
 	body := readAll(t, resp)
 	resp.Body.Close()
-	if !strings.Contains(body, "fsct_serve_units_stalls_total") {
+	if !strings.Contains(body, "fsct_serve_jobs_stalls_total") {
 		t.Fatalf("/metrics missing stall counter:\n%s", body)
 	}
 }

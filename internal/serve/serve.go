@@ -83,7 +83,7 @@ type Config struct {
 	// disables the endpoint.
 	LedgerPath string
 	// StallThreshold is the no-progress age past which the straggler
-	// watchdog flags a running unit (surfaced on /api/v1/live and as a
+	// watchdog flags a running job (surfaced on /api/v1/live and as a
 	// warning log). 0 selects telemetry.DefaultStallThreshold; negative
 	// disables stall detection.
 	StallThreshold time.Duration
@@ -119,7 +119,7 @@ type Server struct {
 	runID string
 
 	watchdog *telemetry.Watchdog
-	liveHub  *hub // bumped on any job's unit-progress transition
+	liveHub  *hub // bumped on any job's progress transition
 
 	ctx  context.Context
 	stop context.CancelFunc
@@ -184,7 +184,7 @@ func New(cfg Config) *Server {
 	}
 	s.watchdog = telemetry.NewWatchdog(cfg.StallThreshold, 0, logger)
 	s.watchdog.OnStall = func(stalls []telemetry.Stall) {
-		s.col.Counter("serve.units.stalls").Add(int64(len(stalls)))
+		s.col.Counter("serve.jobs.stalls").Add(int64(len(stalls)))
 		s.liveHub.bump()
 	}
 	s.wg.Add(cfg.Runners + 1)
@@ -334,8 +334,9 @@ func (s *Server) runner() {
 }
 
 // runJob executes one popped job end to end: status transitions, the
-// unit tracker and watchdog registration, the task pipeline, terminal
-// accounting, the SSE close and the ledger record.
+// run tracker's journal subscription and watchdog registration, the
+// task pipeline, terminal accounting, the SSE close and the ledger
+// record.
 func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	if j.status != StatusQueued { // canceled between pop and here
@@ -352,10 +353,10 @@ func (s *Server) runJob(j *Job) {
 	}, s.log)
 	j.tracker = tracker
 	j.mu.Unlock()
-	// Unit transitions wake both the job's own SSE stream and the
-	// server-wide live stream; journal events (which keep waking the job
-	// stream through its own subscription) are the tracker's progress
-	// heartbeat while the job runs.
+	// The tracker folds the job's journal into its live progress; its
+	// transitions wake both the job's own SSE stream and the server-wide
+	// live stream (journal events keep waking the job stream through its
+	// own subscription).
 	tracker.SetOnChange(func() {
 		j.hub.bump()
 		s.liveHub.bump()
@@ -371,7 +372,7 @@ func (s *Server) runJob(j *Job) {
 
 	col := obs.New()
 	col.SetJournal(j.rec)
-	res, err := s.execute(task.WithTracker(j.ctx, tracker), j, col)
+	res, err := s.execute(j.ctx, j, col)
 	untrack()
 
 	j.mu.Lock()
@@ -416,10 +417,14 @@ func (s *Server) runJob(j *Job) {
 	s.retire(j)
 }
 
-// retire enters the terminal job j into the eviction order and evicts
-// the jobs that finished first while more than maxRetainedJobs are
-// retained.
+// retire drops the terminal job j's inline netlist (the spec's Bench,
+// up to MaxBenchBytes, which nothing reads once the job has run),
+// enters j into the eviction order and evicts the jobs that finished
+// first while more than maxRetainedJobs are retained.
 func (s *Server) retire(j *Job) {
+	j.mu.Lock()
+	j.spec.Bench = ""
+	j.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.finished = append(s.finished, j.id)

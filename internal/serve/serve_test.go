@@ -633,3 +633,37 @@ func TestParseByteSize(t *testing.T) {
 		}
 	}
 }
+
+// TestTerminalJobDropsInlineBench: a terminal job keeps no inline
+// netlist in its spec — retained jobs would otherwise hold up to
+// MaxBenchBytes each — and its output is the one its netlist yields.
+func TestTerminalJobDropsInlineBench(t *testing.T) {
+	s, h, _ := testServer(t, serve.Config{Runners: 1})
+	p, err := gen.ProfileByName("s1423")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := bench.Write(&text, gen.Generate(p, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sp := task.Spec{Kind: task.KindScreen, Circuit: "inline", Bench: text.String()}
+	want, err := task.Run(context.Background(), sp, engine.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := submit(t, h.URL, sp)
+	if fin := waitTerminal(t, h.URL, v.ID, 30*time.Second); fin.Status != serve.StatusDone {
+		t.Fatalf("job finished %s (%s)", fin.Status, fin.Error)
+	}
+	if got := result(t, h.URL, v.ID); got != want.Output {
+		t.Errorf("inline-netlist job output =\n%s\nwant\n%s", got, want.Output)
+	}
+	got := s.Job(v.ID).Spec()
+	if got.Bench != "" {
+		t.Errorf("terminal job retains %d bytes of inline netlist", len(got.Bench))
+	}
+	if got.Kind != sp.Kind || got.Circuit != sp.Circuit {
+		t.Errorf("terminal job spec = %s/%s, want %s/%s", got.Kind, got.Circuit, sp.Kind, sp.Circuit)
+	}
+}

@@ -93,31 +93,28 @@ func (r *Result) SimResult() *faultsim.Result {
 // whatever ran, following the matching CLI's partial-output
 // convention: flow and faultsim keep a partial report, the other kinds
 // report nothing. A nil cache selects engine.Default(); a nil
-// collector runs uninstrumented. When the context carries a Tracker
-// (WithTracker), Run reports the run's start and finish to it. When
-// the collector records a journal, the run is bracketed by one
-// unit_begin/unit_end pair — the span the tracing layer
-// (internal/trace) assembles under the spec's TraceParent.
+// collector runs uninstrumented. When the collector records a journal,
+// the run is bracketed by one unit_begin/unit_end pair — the span the
+// tracing layer (internal/trace) assembles under the spec's
+// TraceParent, and the whole lifecycle the daemon's run tracker
+// (internal/telemetry) folds — with one axis event between them once
+// the executor knows the fault-axis length.
 func Run(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collector) (res *Result, err error) {
 	if err := sp.Normalize(); err != nil {
 		return nil, err
 	}
 	res = &Result{Kind: sp.Kind}
-	if tr := TrackerFrom(ctx); tr != nil {
-		tr.UnitStarted(sp)
-		defer func() { tr.UnitFinished(res, err) }()
-	}
 	if rec := col.Journal(); rec.Enabled() {
 		rec.Emit(journal.UnitBegin())
 		start := time.Now()
 		// The end event always lands — also on cancel or failure — so
 		// partial traces keep their unit boundary.
 		defer func() {
-			hi := -1 // the axis length was never resolved
+			faults := -1 // the axis length was never resolved
 			if err == nil || res.Faults > 0 {
-				hi = res.Faults
+				faults = res.Faults
 			}
-			rec.Emit(journal.UnitEnd(hi, time.Since(start)))
+			rec.Emit(journal.UnitEnd(faults, resultHits(res), err == nil, time.Since(start)))
 		}()
 	}
 	switch sp.Kind {
@@ -160,6 +157,7 @@ func runScreen(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Colle
 	}
 	faults := engine.Resolve(cache).ForObs(d.C, col).CollapsedFaults()
 	res.Circuit, res.Hash, res.Faults = d.C.Name, d.C.StructuralHash(), len(faults)
+	col.Journal().Emit(journal.Axis(res.Faults))
 	screened, err := core.ScreenCtx(ctx, d, faults, core.ScreenOptions{
 		Workers: sp.Workers, Cache: cache, Obs: col,
 	})
@@ -196,6 +194,7 @@ func runATPG(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collect
 	}
 	faults := engine.Resolve(cache).ForObs(cm.C, col).CollapsedFaults()
 	res.Circuit, res.Hash, res.Faults = d.C.Name, d.C.StructuralHash(), len(faults)
+	col.Journal().Emit(journal.Axis(res.Faults))
 
 	eng := atpg.NewEngineTables(model, tables)
 	eng.Instrument(col, "atpg.comb")
@@ -244,6 +243,7 @@ func runFaultSim(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Col
 	st := c.Stat()
 	res.Circuit, res.Hash, res.Faults = c.Name, c.StructuralHash(), len(faults)
 	res.Gates, res.FFs, res.Cycles = st.Gates, st.FFs, len(seq)
+	col.Journal().Emit(journal.Axis(res.Faults))
 	r, err := faultsim.RunCtx(ctx, c, seq, faults, faultsim.Options{
 		Workers: sp.Workers, Eval: sp.backend(), ConeThreshold: sp.ConeThreshold,
 		Cache: cache, Obs: col,
@@ -274,8 +274,9 @@ func runFaultSim(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Col
 // Diagnosis runs the front half of a diagnose job — screen the full
 // collapsed fault list, collect the chain-affecting candidates, and
 // build the response-signature dictionary over all of them — and
-// returns the pieces. The diagnose CLI's -inject path reuses it for
-// interactive localization.
+// returns the pieces. The collapsed list's length is announced as the
+// run's journal axis event. The diagnose CLI's -inject path reuses it
+// for interactive localization.
 func Diagnosis(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collector) (*scan.Design, []core.Screened, []fault.Fault, *diagnose.Dictionary, error) {
 	if err := sp.Normalize(); err != nil {
 		return nil, nil, nil, nil, err
@@ -285,6 +286,7 @@ func Diagnosis(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Colle
 		return nil, nil, nil, nil, err
 	}
 	faults := engine.Resolve(cache).ForObs(d.C, col).CollapsedFaults()
+	col.Journal().Emit(journal.Axis(len(faults)))
 	screened, err := core.ScreenCtx(ctx, d, faults, core.ScreenOptions{
 		Workers: sp.Workers, Cache: cache, Obs: col,
 	})
@@ -349,6 +351,29 @@ func runDiagnose(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Col
 		"silent":      float64(res.Silent),
 	}
 	return nil
+}
+
+// resultHits distills a run's per-kind "hits" figure, the one the
+// unit_end event carries and the live view's detected column shows:
+// fault detections (faultsim), chain-affecting verdicts (screen),
+// generated tests (atpg), resolved candidates (diagnose), detected
+// affecting faults (flow).
+func resultHits(r *Result) int {
+	switch r.Kind {
+	case KindFaultSim:
+		return r.Detected
+	case KindScreen:
+		return r.Easy + r.Hard
+	case KindATPG:
+		return r.Found
+	case KindDiagnose:
+		return r.Exact + r.Ambiguous
+	case KindFlow:
+		if r.Report != nil {
+			return r.Report.Affecting() - r.Report.Undetected()
+		}
+	}
+	return 0
 }
 
 // FlowExtras distills a flow report's headline scalars for the run

@@ -294,9 +294,10 @@ func TestTraceParentNormalize(t *testing.T) {
 }
 
 // TestExecuteEmitsUnitEvents: with a journal-recording collector, a
-// run is bracketed by exactly one unit_begin/unit_end pair carrying
-// unit 0 of 1 and, on the end event, the resolved fault-axis length —
-// the boundary the tracing layer assembles into the unit span.
+// run is bracketed by exactly one unit_begin/unit_end pair with one
+// axis event between them. The end event carries what the run
+// resolved — the fault-axis length, the per-kind hits and the clean
+// flag — so the run tracker and the tracing layer need nothing else.
 func TestExecuteEmitsUnitEvents(t *testing.T) {
 	col := obs.New()
 	rec := journal.New(1024)
@@ -305,27 +306,50 @@ func TestExecuteEmitsUnitEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var begins, ends []journal.Event
+	var begins, axes, ends []journal.Event
 	for _, e := range rec.Snapshot() {
 		switch e.Kind {
 		case journal.KindUnitBegin:
 			begins = append(begins, e)
+		case journal.KindAxis:
+			axes = append(axes, e)
 		case journal.KindUnitEnd:
 			ends = append(ends, e)
 		}
 	}
-	if len(begins) != 1 || len(ends) != 1 {
-		t.Fatalf("unit events = %d begins / %d ends, want 1 each", len(begins), len(ends))
+	if len(begins) != 1 || len(axes) != 1 || len(ends) != 1 {
+		t.Fatalf("unit events = %d begins / %d axes / %d ends, want 1 each", len(begins), len(axes), len(ends))
 	}
-	b, e := begins[0], ends[0]
-	if b.A != 0 || b.B != 1 || b.D != -1 {
-		t.Errorf("unit begin = (index %d, count %d, hi %d), want (0, 1, -1)", b.A, b.B, b.D)
+	b, a, e := begins[0], axes[0], ends[0]
+	if b != (journal.Event{Kind: journal.KindUnitBegin, TNS: b.TNS}) {
+		t.Errorf("unit begin = %+v, want no payload", b)
 	}
-	if e.A != 0 || e.B != 1 || e.C != 0 || int(e.D) != res.Faults {
-		t.Errorf("unit end = (index %d, count %d, [%d,%d)), want (0, 1, [0,%d))", e.A, e.B, e.C, e.D, res.Faults)
+	if int(a.D) != res.Faults || a.TNS < b.TNS {
+		t.Errorf("axis = %+v, want D = %d after the begin", a, res.Faults)
+	}
+	if int(e.D) != res.Faults || int(e.A) != res.Easy+res.Hard || e.B != 1 {
+		t.Errorf("unit end = (faults %d, hits %d, clean %d), want (%d, %d, 1)", e.D, e.A, e.B, res.Faults, res.Easy+res.Hard)
 	}
 	if e.TNS < b.TNS {
 		t.Errorf("unit end starts at %d, before its begin %d", e.TNS, b.TNS)
+	}
+}
+
+// TestCanceledRunEndsUnclean: a canceled run still closes with
+// unit_end, flagged unclean.
+func TestCanceledRunEndsUnclean(t *testing.T) {
+	col := obs.New()
+	rec := journal.New(1024)
+	col.SetJournal(rec)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, Spec{Kind: KindScreen, Circuit: "s27"}, nil, col); err == nil {
+		t.Fatal("canceled run returned no error")
+	}
+	evs := rec.Snapshot()
+	last := evs[len(evs)-1]
+	if last.Kind != journal.KindUnitEnd || last.B != 0 {
+		t.Fatalf("last event = %+v, want an unclean unit_end", last)
 	}
 }
 

@@ -13,15 +13,13 @@ import (
 // Canonical attribute keys for correlated structured logs. Every log
 // line a run emits carries the run's identity under these keys, so one
 // `grep run_id=...` (or a structured query over the JSON stream)
-// reassembles a single run's story across process, job and unit logs.
+// reassembles a single run's story across process and job logs.
 const (
 	// KeyRunID correlates every line of one process run (batch CLI) or
 	// one daemon process lifetime.
 	KeyRunID = "run_id"
 	// KeyJobID correlates the lines of one daemon job.
 	KeyJobID = "job_id"
-	// KeyUnitID correlates the lines of one work-unit within a job.
-	KeyUnitID = "unit_id"
 	// KeyTraceID correlates log lines with the run's distributed trace
 	// (internal/trace): the 32-hex-digit W3C trace ID.
 	KeyTraceID = "trace_id"

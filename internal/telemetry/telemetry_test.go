@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"log/slog"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/task"
 )
 
 // fakeClock is a manually advanced clock shared by a tracker and its
@@ -37,63 +35,153 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// simSpec is the faultsim spec the tracker tests run.
-var simSpec = task.Spec{Kind: task.KindFaultSim, Circuit: "s27"}
-
-// simResult builds a finished faultsim result over axis faults with det
-// detections.
-func simResult(axis, det int) *task.Result {
-	return &task.Result{Kind: task.KindFaultSim, Circuit: "s27", Faults: axis, Detected: det}
+// step is one input of the tracker fold: a journal event, a clock
+// advance, or (sweep) one watchdog sweep at a 10 s threshold.
+type step struct {
+	ev    *journal.Event
+	adv   time.Duration
+	sweep bool
 }
 
-func TestTrackerETAZeroUnits(t *testing.T) {
-	tr := NewRunTracker(Info{RunID: "r0", Kind: "faultsim"}, nil)
-	clk := newFakeClock()
-	tr.setNow(clk.now)
-	s := tr.Snapshot()
-	if s.UnitsTotal != 0 || s.FaultsTotal != 0 || s.FaultsDone != 0 {
-		t.Fatalf("empty tracker snapshot = %+v, want zeros", s)
+func ev(e journal.Event) step      { return step{ev: &e} }
+func advance(d time.Duration) step { return step{adv: d} }
+func batches(n int) (out []step) {
+	for i := 0; i < n; i++ {
+		out = append(out, ev(journal.Batch("faultsim", 0, i, n, time.Millisecond)))
 	}
-	if s.Throughput != 0 {
-		t.Fatalf("empty tracker throughput %v, want 0", s.Throughput)
-	}
-	if len(s.Units) != 0 {
-		t.Fatalf("empty tracker lists %d units", len(s.Units))
-	}
+	return out
 }
 
-func TestTrackerETASingleUnit(t *testing.T) {
-	tr := NewRunTracker(Info{RunID: "r1", Kind: "faultsim"}, nil)
-	clk := newFakeClock()
-	tr.setNow(clk.now)
+// seq concatenates steps.
+func seq(parts ...any) (out []step) {
+	for _, p := range parts {
+		switch p := p.(type) {
+		case step:
+			out = append(out, p)
+		case []step:
+			out = append(out, p...)
+		}
+	}
+	return out
+}
 
-	// The run's unit covers the whole axis (Hi = -1): the span is
-	// unknown until the result lands.
-	tr.UnitStarted(simSpec)
-	s := tr.Snapshot()
-	if s.UnitsRunning != 1 || s.UnitsTotal != 1 || s.Units[0].Hi != -1 {
-		t.Fatalf("running snapshot = %+v", s)
+// TestTrackerFold feeds the tracker event sequences under the fake
+// clock and compares the resulting snapshots: the tracker is a function
+// of the run's journal events, the clock and the stall flag.
+func TestTrackerFold(t *testing.T) {
+	id := Snapshot{RunID: "r", JobID: "j1", Kind: "faultsim", Circuit: "s27", TraceID: "t"}
+	with := func(f func(*Snapshot)) Snapshot {
+		s := id
+		f(&s)
+		return s
 	}
-	if s.FaultsTotal != 0 {
-		t.Fatalf("whole-axis unit before finish reports FaultsTotal %d, want 0 (unknown)", s.FaultsTotal)
-	}
-
-	clk.advance(2 * time.Second)
-	tr.UnitFinished(simResult(126, 100), nil)
-
-	s = tr.Snapshot()
-	if s.UnitsDone != 1 || s.UnitsRunning != 0 {
-		t.Fatalf("finished snapshot = %+v", s)
-	}
-	if s.FaultsTotal != 126 || s.FaultsDone != 126 || s.Units[0].Hi != 126 {
-		t.Fatalf("faults total/done/hi = %d/%d/%d, want 126/126/126", s.FaultsTotal, s.FaultsDone, s.Units[0].Hi)
-	}
-	if s.Detected != 100 {
-		t.Fatalf("detected = %d, want 100", s.Detected)
-	}
-	// 126 faults over 2s = 63 faults/s.
-	if got, want := s.Throughput, 63.0; got != want {
-		t.Fatalf("throughput = %v, want %v", got, want)
+	begin, detect := ev(journal.UnitBegin()), ev(journal.Detect(1, 5))
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		want  Snapshot
+	}{
+		{
+			// A stand-in executor that never calls task.Run emits no
+			// unit_begin: its events are not a run.
+			name:  "no_begin",
+			steps: seq(batches(2), detect, ev(journal.UnitEnd(126, 3, true, time.Second))),
+			want:  id,
+		},
+		{
+			name:  "running_before_axis",
+			steps: seq(begin, batches(2), detect, advance(time.Second)),
+			want: with(func(s *Snapshot) {
+				s.Running, s.FaultsDone, s.Detected = true, 126, 1
+				s.WallNS, s.IdleNS = int64(time.Second), int64(time.Second)
+			}),
+		},
+		{
+			name:  "running_clamped_to_axis",
+			steps: seq(begin, ev(journal.Axis(100)), batches(2), advance(time.Second)),
+			want: with(func(s *Snapshot) {
+				s.Running, s.FaultsTotal, s.FaultsDone = true, 100, 100
+				s.WallNS, s.IdleNS = int64(time.Second), int64(time.Second)
+			}),
+		},
+		{
+			name: "clean_end",
+			steps: seq(begin, ev(journal.Axis(126)), batches(1), detect, advance(2*time.Second),
+				ev(journal.UnitEnd(126, 100, true, 2*time.Second))),
+			want: with(func(s *Snapshot) {
+				s.Finished, s.FaultsTotal, s.FaultsDone, s.Detected = true, 126, 126, 100
+				s.Throughput, s.WallNS = 63, int64(2*time.Second) // 126 faults over 2 s
+			}),
+		},
+		{
+			// A run canceled after three batches keeps its live estimate
+			// and the partial report's hits; it sets no throughput.
+			name: "interrupted_end",
+			steps: seq(begin, ev(journal.Axis(18629)), batches(3), detect, detect, advance(time.Second),
+				ev(journal.UnitEnd(18629, 134, false, time.Second))),
+			want: with(func(s *Snapshot) {
+				s.Finished, s.FaultsTotal, s.FaultsDone, s.Detected = true, 18629, 189, 134
+				s.WallNS = int64(time.Second)
+			}),
+		},
+		{
+			// unit_end's -1 (axis never resolved by the result) keeps the
+			// axis event's length.
+			name: "interrupted_end_axis_unresolved",
+			steps: seq(begin, ev(journal.Axis(40)), batches(1), advance(time.Second),
+				ev(journal.UnitEnd(-1, 0, false, time.Second))),
+			want: with(func(s *Snapshot) {
+				s.Finished, s.FaultsTotal, s.FaultsDone = true, 40, 40
+				s.WallNS = int64(time.Second)
+			}),
+		},
+		{
+			name:  "stall",
+			steps: seq(begin, batches(1), advance(11*time.Second), step{sweep: true}),
+			want: with(func(s *Snapshot) {
+				s.Running, s.Stalled, s.FaultsDone = true, true, 63
+				s.WallNS, s.IdleNS = int64(11*time.Second), int64(11*time.Second)
+			}),
+		},
+		{
+			name:  "stall_then_heartbeat",
+			steps: seq(begin, batches(1), advance(11*time.Second), step{sweep: true}, detect),
+			want: with(func(s *Snapshot) {
+				s.Running, s.FaultsDone, s.Detected = true, 63, 1
+				s.WallNS = int64(11 * time.Second)
+			}),
+		},
+		{
+			name: "events_after_end_ignored",
+			steps: seq(begin, advance(time.Second), ev(journal.UnitEnd(32, 5, true, time.Second)),
+				batches(4), detect, advance(time.Second)),
+			want: with(func(s *Snapshot) {
+				s.Finished, s.FaultsTotal, s.FaultsDone, s.Detected = true, 32, 32, 5
+				s.Throughput, s.WallNS = 32, int64(time.Second)
+			}),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock()
+			tr := NewRunTracker(Info{RunID: "r", JobID: "j1", Kind: "faultsim", Circuit: "s27", TraceID: "t"}, nil)
+			tr.setNow(clk.now)
+			wd := NewWatchdog(10*time.Second, time.Second, nil)
+			wd.now = clk.now
+			wd.Register(tr)
+			for _, st := range tc.steps {
+				switch {
+				case st.ev != nil:
+					tr.Observe(*st.ev)
+				case st.sweep:
+					wd.Sweep()
+				default:
+					clk.advance(st.adv)
+				}
+			}
+			if got := tr.Snapshot(); *got != tc.want {
+				t.Errorf("snapshot =\n  %+v\nwant\n  %+v", *got, tc.want)
+			}
+		})
 	}
 }
 
@@ -107,15 +195,15 @@ func TestTrackerStallFlaggedAndCleared(t *testing.T) {
 	wd := NewWatchdog(10*time.Second, time.Second, nil)
 	wd.now = clk.now
 	wd.Register(tr)
-	tr.UnitStarted(simSpec)
+	tr.Observe(journal.UnitBegin())
 	tr.Observe(journal.Batch("faultsim", 0, 0, 63, time.Millisecond))
 	if st := wd.Sweep(); len(st) != 0 {
-		t.Fatalf("fresh unit flagged as stalled: %+v", st)
+		t.Fatalf("fresh run flagged as stalled: %+v", st)
 	}
 	clk.advance(11 * time.Second)
 	st := wd.Sweep()
-	if len(st) != 1 || st[0].Unit != 0 || st[0].RunID != "rN" || st[0].JobID != "7" {
-		t.Fatalf("sweep past threshold = %+v, want unit 0 of run rN job 7", st)
+	if len(st) != 1 || st[0].RunID != "rN" || st[0].JobID != "7" {
+		t.Fatalf("sweep past threshold = %+v, want run rN job 7", st)
 	}
 	if st[0].Idle < 11*time.Second {
 		t.Fatalf("stall idle = %v, want >= 11s", st[0].Idle)
@@ -123,58 +211,36 @@ func TestTrackerStallFlaggedAndCleared(t *testing.T) {
 	if again := wd.Sweep(); len(again) != 0 {
 		t.Fatalf("second sweep re-reported the same stall: %+v", again)
 	}
-
-	s := tr.Snapshot()
-	if s.UnitsStalled != 1 || !s.Units[0].Stalled {
-		t.Fatalf("snapshot does not carry the stall flag: %+v", s)
-	}
-	// The one observed batch is the live estimate.
-	if got := s.Units[0].Done; got != batchWidth {
-		t.Fatalf("live done = %d, want %d (one batch)", got, batchWidth)
+	if !tr.Snapshot().Stalled {
+		t.Fatal("snapshot does not carry the stall flag")
 	}
 
-	// Progress clears the flag...
+	// Progress clears the flag; a later silence is a new stall.
 	tr.Observe(journal.Detect(1, 5))
-	s = tr.Snapshot()
-	if s.UnitsStalled != 0 || s.Units[0].Stalled {
-		t.Fatalf("stall flag survived progress: %+v", s)
+	if tr.Snapshot().Stalled {
+		t.Fatal("stall flag survived progress")
 	}
-	if s.Units[0].Detected != 1 {
-		t.Fatalf("live detected = %d, want 1", s.Units[0].Detected)
+	clk.advance(11 * time.Second)
+	if st := wd.Sweep(); len(st) != 1 {
+		t.Fatalf("second silence flagged %d stalls, want 1", len(st))
 	}
 
-	// ...and finishing replaces the live figures with exact ones.
-	clk.advance(time.Second)
-	tr.UnitFinished(simResult(189, 60), nil)
-	wd.Unregister(tr)
-	s = tr.Snapshot()
-	if s.UnitsDone != 1 || s.FaultsDone != 189 || s.Detected != 60 {
+	// A finished run is never flagged, however long it sits.
+	tr.Observe(journal.UnitEnd(189, 60, true, 22*time.Second))
+	clk.advance(time.Hour)
+	if st := wd.Sweep(); len(st) != 0 {
+		t.Fatalf("finished run flagged: %+v", st)
+	}
+	if s := tr.Snapshot(); s.Stalled || !s.Finished {
 		t.Fatalf("final snapshot = %+v", s)
 	}
-}
-
-func TestTrackerAsTaskTracker(t *testing.T) {
-	// RunTracker must satisfy task.Tracker and survive the context
-	// round-trip Run uses.
-	var tr task.Tracker = NewRunTracker(Info{RunID: "ctx"}, nil)
-	ctx := task.WithTracker(context.Background(), tr)
-	if got := task.TrackerFrom(ctx); got != tr {
-		t.Fatalf("TrackerFrom returned %v, want the installed tracker", got)
-	}
-	// A typed-nil tracker stays a safe no-op through every method.
-	var nilTr *RunTracker
-	nilTr.UnitStarted(task.Spec{})
-	nilTr.UnitFinished(nil, nil)
-	nilTr.Observe(journal.Event{})
-	if s := nilTr.Snapshot(); s != nil {
-		t.Fatalf("nil tracker snapshot = %+v, want nil", s)
-	}
+	wd.Unregister(tr)
 }
 
 func TestTrackerUnitFailureAndChangeHook(t *testing.T) {
 	var buf bytes.Buffer
 	// Callers hand the tracker a logger already stamped with run_id (the
-	// obsflags session and fsctd both do); mirror that contract here.
+	// daemon does); mirror that contract here.
 	logger := slog.New(slog.NewTextHandler(&buf, nil)).With(slog.String(KeyRunID, "rf"))
 	tr := NewRunTracker(Info{RunID: "rf", JobID: "9"}, logger)
 	clk := newFakeClock()
@@ -182,25 +248,41 @@ func TestTrackerUnitFailureAndChangeHook(t *testing.T) {
 	bumps := 0
 	tr.SetOnChange(func() { bumps++ })
 
-	tr.UnitStarted(simSpec)
+	tr.Observe(journal.UnitBegin())            // bump 1
+	tr.Observe(journal.Axis(64))               // bump 2
+	tr.Observe(journal.Batch("p", 0, 0, 1, 0)) // heartbeat only
+	clk.advance(time.Minute)
+	tr.markStall(clk.now(), time.Second) // bump 3
+	tr.Observe(journal.Detect(1, 1))     // resumed: bump 4
 	clk.advance(time.Second)
-	tr.UnitFinished(&task.Result{Kind: task.KindFaultSim}, fmt.Errorf("boom"))
+	tr.Observe(journal.UnitEnd(64, 1, false, time.Minute)) // bump 5
 
 	s := tr.Snapshot()
-	if s.Units[0].Error != "boom" {
-		t.Fatalf("unit error = %q, want boom", s.Units[0].Error)
+	if !s.Finished || s.Running || s.FaultsDone != 63 || s.FaultsTotal != 64 || s.Detected != 1 {
+		t.Fatalf("failed run snapshot = %+v", s)
 	}
 	if s.Throughput != 0 {
-		t.Fatalf("failed unit set a throughput: %v", s.Throughput)
+		t.Fatalf("failed run set a throughput: %v", s.Throughput)
 	}
-	if bumps != 2 {
-		t.Fatalf("change hook fired %d times, want 2 (start + finish)", bumps)
+	if bumps != 5 {
+		t.Fatalf("change hook fired %d times, want 5 (start, axis, stall, resume, finish)", bumps)
 	}
 	out := buf.String()
-	for _, want := range []string{"unit failed", "run_id=rf", "job_id=9", "unit_id=0", "error=boom"} {
+	for _, want := range []string{"job resumed", "run_id=rf", "job_id=9"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log output missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "\n"); n != 1 {
+		t.Fatalf("tracker logged %d lines, want only the resume line:\n%s", n, out)
+	}
+
+	// A typed-nil tracker stays a safe no-op through every method.
+	var nilTr *RunTracker
+	nilTr.Observe(journal.UnitBegin())
+	nilTr.SetOnChange(func() {})
+	if s := nilTr.Snapshot(); s != nil {
+		t.Fatalf("nil tracker snapshot = %+v, want nil", s)
 	}
 }
 
@@ -215,7 +297,7 @@ func TestWatchdogDefaultsAndDisable(t *testing.T) {
 	tr.setNow(clk.now)
 	off.now = clk.now
 	off.Register(tr)
-	tr.UnitStarted(simSpec)
+	tr.Observe(journal.UnitBegin())
 	clk.advance(time.Hour)
 	if st := off.Sweep(); st != nil {
 		t.Fatalf("disabled watchdog flagged %+v", st)

@@ -1,22 +1,23 @@
 // Package telemetry is the run-level observability layer over the task
 // pipeline: where internal/obs aggregates a whole run and
 // internal/journal records its event timeline, telemetry answers the
-// operational questions a live run raises — which runs are in flight,
-// how far along each one is, and whether any of them is stuck.
+// operational questions a live daemon job raises — which runs are in
+// flight, how far along each one is, and whether any of them is stuck.
 //
 // Three pieces compose:
 //
-//   - RunTracker implements task.Tracker and accounts one run, which
-//     task.Run executes as one unit: start/finish timestamps, a live
-//     faults-done estimate fed by the run's journal events (pool
-//     batches, detections, ATPG attempts), the exact totals read from
-//     the finished task.Result, and the run's throughput;
+//   - RunTracker is a fold over one run's journal events: unit_begin
+//     starts the run, axis sets its fault-axis length, pool batches,
+//     ATPG attempts and detections advance a live faults-done estimate
+//     and the progress heartbeat, and unit_end finishes the run with
+//     the exact totals it carries. The clock and the watchdog's stall
+//     flag are its only other inputs;
 //   - Watchdog sweeps registered trackers on an interval and flags any
-//     running unit whose last progress heartbeat is older than the
-//     stall threshold;
+//     running run whose last progress heartbeat is older than the stall
+//     threshold;
 //   - the log helpers (NewRunID, ParseLevel, Fanout, Discard) back the
 //     CLIs' -log/-logfile flags with slog-based structured logging
-//     whose lines carry correlated run_id/job_id/unit_id attributes.
+//     whose lines carry correlated run_id/job_id attributes.
 //
 // Everything is cheap when unused: a nil *RunTracker is a valid no-op
 // tracker, the discard logger drops records before formatting, and the
@@ -24,72 +25,17 @@
 package telemetry
 
 import (
-	"context"
-	"errors"
 	"log/slog"
 	"sync"
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/task"
 )
 
 // batchWidth is the packed-simulation fault-batch width the evaluators
 // shard by (63 faulty machines + the fault-free lane): one observed
 // pool batch covers up to this many faults.
 const batchWidth = 63
-
-// unitState is the run's unit accounting.
-type unitState struct {
-	hi      int // resolved axis length; -1 while unknown
-	started time.Time
-	finish  time.Time
-	last    time.Time // last progress heartbeat (any journal event)
-	items   int       // pool batch items observed (live estimate input)
-	atpg    int       // ATPG attempt events observed
-	liveDet int       // detections observed live
-	done    int       // exact faults covered, set on finish
-	det     int       // exact detections/hits, set on finish
-	running bool
-	over    bool // finished
-	stalled bool
-	errMsg  string
-}
-
-// faults returns the unit's span, or 0 while unknown.
-func (u *unitState) faults() int {
-	if u.hi < 0 {
-		return 0
-	}
-	return u.hi
-}
-
-// doneEstimate is the unit's faults-done figure: exact once finished,
-// otherwise estimated from observed pool batches (each covers up to one
-// batchWidth-wide fault batch) and ATPG attempts (one per fault),
-// clamped to the unit's span.
-func (u *unitState) doneEstimate() int {
-	if u.over {
-		return u.done
-	}
-	est := u.items * batchWidth
-	if u.atpg > est {
-		est = u.atpg
-	}
-	if f := u.faults(); f > 0 && est > f {
-		est = f
-	}
-	return est
-}
-
-// detected returns the unit's detection count: exact once finished,
-// live-observed before.
-func (u *unitState) detected() int {
-	if u.over {
-		return u.det
-	}
-	return u.liveDet
-}
 
 // Info names a run for its tracker: the identity attributes stamped on
 // every log line and carried in every snapshot.
@@ -106,33 +52,40 @@ type Info struct {
 	TraceID string
 }
 
-// RunTracker tracks one run, which task.Run executes as unit 0 of 1. It
-// implements task.Tracker (thread it with task.WithTracker) and
-// consumes the run's journal events via Observe (subscribe it to the
-// run's recorder), which doubles as the progress heartbeat the
-// watchdog checks. A nil *RunTracker is a valid no-op tracker. Safe for
-// concurrent use.
+// RunTracker folds one run's journal events into its live progress.
+// Subscribe Observe to the run's recorder (journal.Recorder.Subscribe);
+// every event it takes while the run is in flight doubles as the
+// progress heartbeat the watchdog checks. A nil *RunTracker is a valid
+// no-op tracker. Safe for concurrent use.
 type RunTracker struct {
 	info Info
 	log  *slog.Logger
 	now  func() time.Time // injectable clock (tests)
 	onCh func()           // change hook (live SSE hub), may be nil
 
-	mu   sync.Mutex
-	u    unitState // zero until UnitStarted
-	rate float64   // faults per second of the cleanly finished run
+	mu      sync.Mutex
+	started time.Time // zero until unit_begin
+	finish  time.Time
+	last    time.Time // last progress heartbeat (any journal event)
+	axis    int       // fault-axis length; 0 while unknown
+	items   int       // pool batch items observed (live estimate input)
+	atpg    int       // ATPG attempt events observed
+	liveDet int       // detections observed live
+	done    int       // faults covered, fixed by unit_end
+	det     int       // hits, fixed by unit_end
+	running bool
+	over    bool // unit_end seen
+	stalled bool
+	rate    float64 // faults per second of the cleanly finished run
 }
 
 // NewRunTracker returns a tracker for one run. logger nil selects the
 // discard logger; a non-nil logger should already carry the run_id
-// attribute (the tracker stamps only job_id and unit_id).
+// attribute (the tracker stamps only job_id and trace_id).
 func NewRunTracker(info Info, logger *slog.Logger) *RunTracker {
 	if logger == nil {
 		logger = Discard()
 	}
-	// The logger is expected to carry run_id already (the obsflags
-	// session and the daemon both stamp it process-wide); the tracker
-	// adds only its own scope.
 	if info.JobID != "" {
 		logger = logger.With(slog.String(KeyJobID, info.JobID))
 	}
@@ -143,7 +96,7 @@ func NewRunTracker(info Info, logger *slog.Logger) *RunTracker {
 }
 
 // SetOnChange installs fn to be called (without the tracker lock held)
-// after every unit lifecycle or stall transition — the daemon bumps its
+// after every lifecycle or stall transition — the daemon bumps its
 // live-stream hub with it. Call before the run starts.
 func (t *RunTracker) SetOnChange(fn func()) {
 	if t == nil {
@@ -155,110 +108,95 @@ func (t *RunTracker) SetOnChange(fn func()) {
 // setNow injects a clock (tests).
 func (t *RunTracker) setNow(now func() time.Time) { t.now = now }
 
-// UnitStarted implements task.Tracker: the run's unit starts, its axis
-// length unknown until it finishes.
-func (t *RunTracker) UnitStarted(sp task.Spec) {
-	if t == nil {
-		return
-	}
-	now := t.now()
-	t.mu.Lock()
-	t.u = unitState{hi: -1, running: true, started: now, last: now}
-	t.mu.Unlock()
-	t.log.Info("unit started",
-		slog.Int(KeyUnitID, 0), slog.Int("units", 1),
-		slog.String("kind", sp.Kind), slog.String("circuit", sp.Circuit),
-		slog.Int("lo", 0), slog.Int("hi", -1))
-	t.changed()
-}
-
-// UnitFinished implements task.Tracker: the run's exact totals replace
-// the live estimates, and a clean finish sets the run's throughput.
-func (t *RunTracker) UnitFinished(res *task.Result, err error) {
-	if t == nil {
-		return
-	}
-	now := t.now()
-	t.mu.Lock()
-	u := &t.u
-	u.running, u.over, u.stalled = false, true, false
-	u.finish, u.last = now, now
-	if res != nil && (err == nil || res.Faults > 0) {
-		u.hi, u.done = res.Faults, res.Faults
-		u.det = resultHits(res)
-	}
-	if err != nil {
-		u.errMsg = err.Error()
-	}
-	wall := u.finish.Sub(u.started)
-	if wall > 0 && u.done > 0 && err == nil {
-		t.rate = float64(u.done) / wall.Seconds()
-	}
-	done, det := u.done, u.det
-	t.mu.Unlock()
-	attrs := []any{
-		slog.Int(KeyUnitID, 0),
-		slog.Int("faults", done), slog.Int("detected", det),
-		slog.Duration("wall", wall),
-	}
-	switch {
-	case err == nil:
-		t.log.Info("unit finished", attrs...)
-	case errors.Is(err, context.Canceled):
-		t.log.Info("unit canceled", attrs...)
-	default:
-		t.log.Warn("unit failed", append(attrs, slog.String("error", err.Error()))...)
-	}
-	t.changed()
-}
-
-// Observe consumes one journal event as the running unit's progress
-// heartbeat: pool batches and ATPG attempts advance the faults-done
-// estimate, detections advance the live detection count, and any event
-// clears a stall flag (the unit provably moved). Subscribe it to the
-// run's recorder (journal.Recorder.Subscribe); it does constant
-// work under one short mutex, so it is safe on the hot emit path.
+// Observe folds one journal event into the run's state. unit_begin
+// starts the run; while it runs, axis sets the fault-axis length, pool
+// batches and ATPG attempts advance the faults-done estimate,
+// detections the live detection count, and any event is a heartbeat
+// that clears a stall flag (the run provably moved); unit_end finishes
+// it. A clean finish fixes faults-done at the axis length and sets the
+// throughput; an interrupted one keeps the live estimate, clamped to
+// the axis. Events outside a run are ignored. Start, axis, resume and
+// finish fire the change hook. Observe does constant work under one
+// short mutex, so it is safe on the hot emit path.
 func (t *RunTracker) Observe(e journal.Event) {
 	if t == nil {
 		return
 	}
+	now := t.now()
 	t.mu.Lock()
-	u := &t.u
-	if !u.running {
+	if e.Kind == journal.KindUnitBegin {
+		t.started, t.last, t.running = now, now, true
+		t.mu.Unlock()
+		t.changed()
+		return
+	}
+	if !t.running {
 		t.mu.Unlock()
 		return
 	}
-	u.last = t.now()
-	resumed := u.stalled
-	u.stalled = false
+	t.last = now
+	resumed := t.stalled
+	t.stalled = false
+	notify := resumed
 	switch e.Kind {
+	case journal.KindAxis:
+		t.axis = int(e.D)
+		notify = true
 	case journal.KindBatch:
-		u.items++
+		t.items++
 	case journal.KindATPG:
-		u.atpg++
+		t.atpg++
 	case journal.KindDetect:
-		u.liveDet++
+		t.liveDet++
+	case journal.KindUnitEnd:
+		if e.D >= 0 {
+			t.axis = int(e.D)
+		}
+		t.running, t.over, t.finish = false, true, now
+		t.det = int(e.A)
+		if e.B == 1 {
+			t.done = t.axis
+			if wall := now.Sub(t.started); wall > 0 && t.done > 0 {
+				t.rate = float64(t.done) / wall.Seconds()
+			}
+		} else {
+			t.done = t.estimate()
+		}
+		notify = true
 	}
 	t.mu.Unlock()
-	if resumed {
-		t.log.Info("unit resumed", slog.Int(KeyUnitID, 0))
+	if resumed && e.Kind != journal.KindUnitEnd {
+		t.log.Info("job resumed")
+	}
+	if notify {
 		t.changed()
 	}
 }
 
-// markStall flags the running unit when its last heartbeat is older
+// estimate is the running run's faults-done figure: observed pool
+// batches (each covers up to one batchWidth-wide fault batch) or ATPG
+// attempts (one per fault), whichever is larger, clamped to the axis
+// once it is known. Callers hold t.mu.
+func (t *RunTracker) estimate() int {
+	est := max(t.items*batchWidth, t.atpg)
+	if t.axis > 0 && est > t.axis {
+		est = t.axis
+	}
+	return est
+}
+
+// markStall flags the running run when its last heartbeat is older
 // than threshold and reports the newly flagged stall. The watchdog
-// calls it on every sweep; an already-flagged unit is not re-reported.
+// calls it on every sweep; an already-flagged run is not re-reported.
 func (t *RunTracker) markStall(now time.Time, threshold time.Duration) (Stall, bool) {
 	if t == nil || threshold <= 0 {
 		return Stall{}, false
 	}
 	t.mu.Lock()
-	u := &t.u
-	idle := now.Sub(u.last)
-	flag := u.running && !u.stalled && idle > threshold
+	idle := now.Sub(t.last)
+	flag := t.running && !t.stalled && idle > threshold
 	if flag {
-		u.stalled = true
+		t.stalled = true
 	}
 	t.mu.Unlock()
 	if !flag {
@@ -275,69 +213,18 @@ func (t *RunTracker) changed() {
 	}
 }
 
-// resultHits distills a finished run's per-kind "hits" figure — the
-// number the dashboard's detected column shows: fault detections
-// (faultsim), chain-affecting verdicts (screen), generated tests
-// (atpg), resolved candidates (diagnose), detected affecting faults
-// (flow).
-func resultHits(r *task.Result) int {
-	switch r.Kind {
-	case task.KindFaultSim:
-		return r.Detected
-	case task.KindScreen:
-		return r.Easy + r.Hard
-	case task.KindATPG:
-		return r.Found
-	case task.KindDiagnose:
-		return r.Exact + r.Ambiguous
-	case task.KindFlow:
-		if r.Report != nil {
-			return r.Report.Affecting() - r.Report.Undetected()
-		}
-	}
-	return 0
-}
-
-// Stall identifies one newly stalled unit.
+// Stall identifies one newly stalled run.
 type Stall struct {
-	// RunID and JobID identify the run the unit belongs to.
+	// RunID and JobID identify the stalled run.
 	RunID string `json:"run_id,omitempty"`
 	JobID string `json:"job_id,omitempty"`
-	// Unit is the stalled unit's index (always 0).
-	Unit int `json:"unit"`
-	// Idle is how long the unit had made no progress when flagged.
+	// Idle is how long the run had made no progress when flagged.
 	Idle time.Duration `json:"idle_ns"`
 }
 
-// UnitSnapshot is one unit's frozen state inside a Snapshot.
-type UnitSnapshot struct {
-	// Index is the unit's position in its run (always 0).
-	Index int `json:"index"`
-	// Lo and Hi bound the unit's fault-axis slice: Lo is 0, Hi the
-	// axis length (-1 = not yet resolved).
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Faults is the unit's span (0 while unknown); Done the faults
-	// evaluated so far (estimated live, exact once finished); Detected
-	// the unit's per-kind hits.
-	Faults   int `json:"faults"`
-	Done     int `json:"done"`
-	Detected int `json:"detected"`
-	// Running, Finished and Stalled are the unit's lifecycle flags.
-	Running  bool `json:"running,omitempty"`
-	Finished bool `json:"finished,omitempty"`
-	Stalled  bool `json:"stalled,omitempty"`
-	// WallNS is the unit's execution time so far (final once finished);
-	// IdleNS the age of its last progress heartbeat (running units).
-	WallNS int64 `json:"wall_ns,omitempty"`
-	IdleNS int64 `json:"idle_ns,omitempty"`
-	// Error carries the unit's failure, if any.
-	Error string `json:"error,omitempty"`
-}
-
-// Snapshot is a frozen view of one run's unit progress: the JSON body
-// of the daemon's /api/v1/live entries and the input of the fsctstats
-// watch dashboard.
+// Snapshot is a frozen view of one run's progress: the JSON body of the
+// daemon's /api/v1/live entries and the input of the fsctstats watch
+// dashboard.
 type Snapshot struct {
 	// RunID, JobID, Kind, Circuit and TraceID echo the tracker's Info.
 	RunID   string `json:"run_id,omitempty"`
@@ -345,22 +232,26 @@ type Snapshot struct {
 	Kind    string `json:"kind,omitempty"`
 	Circuit string `json:"circuit,omitempty"`
 	TraceID string `json:"trace_id,omitempty"`
-	// UnitsTotal is the run's unit count (1 once the run has started,
-	// 0 before); UnitsDone/UnitsRunning/UnitsStalled partition it.
-	UnitsTotal   int `json:"units_total"`
-	UnitsDone    int `json:"units_done"`
-	UnitsRunning int `json:"units_running"`
-	UnitsStalled int `json:"units_stalled"`
-	// FaultsTotal, FaultsDone and Detected sum the per-unit figures,
-	// so a finished run's sums equal the report's totals.
+	// Running, Finished and Stalled are the run's lifecycle flags (all
+	// false before unit_begin).
+	Running  bool `json:"running,omitempty"`
+	Finished bool `json:"finished,omitempty"`
+	Stalled  bool `json:"stalled,omitempty"`
+	// FaultsTotal is the fault-axis length (0 while unknown);
+	// FaultsDone the faults evaluated (estimated live, exact once the
+	// run finishes cleanly); Detected the run's per-kind hits (counted
+	// live, exact once it finishes). A clean finish's figures equal the
+	// report's totals.
 	FaultsTotal int `json:"faults_total"`
 	FaultsDone  int `json:"faults_done"`
 	Detected    int `json:"detected"`
 	// Throughput is the finished run's faults per second (0 until it
 	// finishes cleanly).
 	Throughput float64 `json:"throughput_fps,omitempty"`
-	// Units lists the per-unit states in index order.
-	Units []UnitSnapshot `json:"units,omitempty"`
+	// WallNS is the run's execution time so far (final once finished);
+	// IdleNS the age of its last progress heartbeat (running runs).
+	WallNS int64 `json:"wall_ns,omitempty"`
+	IdleNS int64 `json:"idle_ns,omitempty"`
 }
 
 // Snapshot freezes the tracker's current state. Nil receiver returns
@@ -377,35 +268,18 @@ func (t *RunTracker) Snapshot() *Snapshot {
 		Kind: t.info.Kind, Circuit: t.info.Circuit,
 		TraceID: t.info.TraceID,
 	}
-	u := &t.u
-	if u.started.IsZero() {
+	if t.started.IsZero() {
 		return s
 	}
-	us := UnitSnapshot{
-		Hi:     u.hi,
-		Faults: u.faults(), Done: u.doneEstimate(), Detected: u.detected(),
-		Running: u.running, Finished: u.over, Stalled: u.stalled,
-		Error: u.errMsg,
+	s.Running, s.Finished, s.Stalled = t.running, t.over, t.stalled
+	s.FaultsTotal, s.Throughput = t.axis, t.rate
+	if t.over {
+		s.FaultsDone, s.Detected = t.done, t.det
+		s.WallNS = t.finish.Sub(t.started).Nanoseconds()
+	} else {
+		s.FaultsDone, s.Detected = t.estimate(), t.liveDet
+		s.WallNS = now.Sub(t.started).Nanoseconds()
+		s.IdleNS = now.Sub(t.last).Nanoseconds()
 	}
-	switch {
-	case u.over:
-		us.WallNS = u.finish.Sub(u.started).Nanoseconds()
-	case u.running:
-		us.WallNS = now.Sub(u.started).Nanoseconds()
-		us.IdleNS = now.Sub(u.last).Nanoseconds()
-	}
-	s.UnitsTotal = 1
-	s.Units = []UnitSnapshot{us}
-	s.FaultsTotal, s.FaultsDone, s.Detected = us.Faults, us.Done, us.Detected
-	if us.Finished {
-		s.UnitsDone = 1
-	}
-	if us.Running {
-		s.UnitsRunning = 1
-	}
-	if us.Stalled {
-		s.UnitsStalled = 1
-	}
-	s.Throughput = t.rate
 	return s
 }

@@ -8,17 +8,17 @@ import (
 )
 
 // DefaultStallThreshold is the no-progress age past which a running
-// unit is flagged as a straggler when the operator does not override it
+// job is flagged as a straggler when the operator does not override it
 // (fsctd -stall). Long enough that a legitimately slow fault batch on
-// the big circuits does not trip it, short enough that a wedged unit
+// the big circuits does not trip it, short enough that a wedged job
 // surfaces within one dashboard glance.
 const DefaultStallThreshold = 30 * time.Second
 
-// Watchdog periodically sweeps a set of RunTrackers and flags units
+// Watchdog periodically sweeps a set of RunTrackers and flags runs
 // whose progress heartbeat has gone quiet for longer than the stall
-// threshold. Flagging is sticky until the unit emits again (Observe
+// threshold. Flagging is sticky until the run emits again (Observe
 // clears it) or finishes; each transition is logged once and surfaces
-// in snapshots as the unit's Stalled bit. Safe for concurrent use.
+// in snapshots as the Stalled bit. Safe for concurrent use.
 type Watchdog struct {
 	threshold time.Duration
 	interval  time.Duration
@@ -26,7 +26,7 @@ type Watchdog struct {
 	now       func() time.Time // injectable clock (tests)
 
 	// OnStall, when non-nil, is called (outside the watchdog lock) with
-	// each sweep's newly flagged units — the daemon bumps its live hub
+	// each sweep's newly flagged runs — the daemon bumps its live hub
 	// with it. Set before Run.
 	OnStall func([]Stall)
 
@@ -34,7 +34,7 @@ type Watchdog struct {
 	trackers map[*RunTracker]struct{}
 }
 
-// NewWatchdog returns a watchdog flagging units idle longer than
+// NewWatchdog returns a watchdog flagging runs idle longer than
 // threshold (0 selects DefaultStallThreshold; negative disables
 // flagging), sweeping every interval when driven by Run (0 selects
 // threshold/4). logger nil selects the discard logger.
@@ -84,7 +84,7 @@ func (w *Watchdog) Unregister(t *RunTracker) {
 	w.mu.Unlock()
 }
 
-// Sweep checks every registered tracker once and returns the units it
+// Sweep checks every registered tracker once and returns the runs it
 // newly flagged, logging a warning per straggler. Run calls it on the
 // tick; tests call it directly with a fake clock.
 func (w *Watchdog) Sweep() []Stall {
@@ -107,8 +107,8 @@ func (w *Watchdog) Sweep() []Stall {
 	for _, s := range all {
 		// The watchdog's logger carries the process run_id already; the
 		// stall's own job scope is what the line must add.
-		w.log.Warn("unit stalled",
-			slog.String(KeyJobID, s.JobID), slog.Int(KeyUnitID, s.Unit),
+		w.log.Warn("job stalled",
+			slog.String(KeyJobID, s.JobID),
 			slog.Duration("idle", s.Idle), slog.Duration("threshold", w.threshold))
 	}
 	if len(all) > 0 && w.OnStall != nil {

@@ -271,24 +271,22 @@ func Assemble(ctx Context, parent SpanID, rootName string, events []journal.Even
 			// was lost. Unwind to the root before opening the next.
 			closeAbove(0, e.TNS)
 			spans = append(spans, Span{
-				Name: "unit " + strconv.FormatInt(e.A, 10), Kind: SpanUnit,
-				ID: next(), Parent: spans[0].ID,
-				StartNS: e.TNS, EndNS: -1, Attrs: unitAttrs(e),
+				Name: SpanUnit, Kind: SpanUnit, ID: next(), Parent: spans[0].ID,
+				StartNS: e.TNS, EndNS: -1,
 			})
 			stack = append(stack, len(spans)-1)
 		case journal.KindUnitEnd:
-			name := "unit " + strconv.FormatInt(e.A, 10)
-			if k := openIndex(spans, stack, SpanUnit, name); k >= 0 {
+			if k := openIndex(spans, stack, SpanUnit, SpanUnit); k >= 0 {
 				end := e.TNS + e.DurNS
 				closeAbove(k, end)
 				sp := &spans[stack[k]]
 				sp.EndNS = end
-				sp.Attrs = unitAttrs(e) // lo/hi now resolved
+				sp.Attrs = unitAttrs(e)
 				stack = stack[:k]
 			} else {
 				// Begin event lost: synthesize the closed unit span.
 				spans = append(spans, Span{
-					Name: name, Kind: SpanUnit, ID: next(), Parent: spans[0].ID,
+					Name: SpanUnit, Kind: SpanUnit, ID: next(), Parent: spans[0].ID,
 					StartNS: e.TNS, EndNS: e.TNS + e.DurNS, Attrs: unitAttrs(e),
 				})
 			}
@@ -370,15 +368,13 @@ func openIndex(spans []Span, stack []int, kind, name string) int {
 	return -1
 }
 
-// unitAttrs renders a unit event's payload (index, plan unit count,
-// fault-axis slice) as span attributes; hi is -1 until the executor
-// resolves the whole-axis sentinel.
+// unitAttrs renders a unit_end event's payload as span attributes: the
+// fault-axis length (-1 when the run never resolved it) and the run's
+// per-kind hits.
 func unitAttrs(e journal.Event) []Attr {
 	return []Attr{
-		{"unit.index", strconv.FormatInt(e.A, 10)},
-		{"unit.count", strconv.FormatInt(e.B, 10)},
-		{"unit.lo", strconv.FormatInt(e.C, 10)},
-		{"unit.hi", strconv.FormatInt(e.D, 10)},
+		{"faults", strconv.FormatInt(e.D, 10)},
+		{"hits", strconv.FormatInt(e.A, 10)},
 	}
 }
 

@@ -113,19 +113,21 @@ func TestContextChild(t *testing.T) {
 	}
 }
 
-// unitTimeline is a two-unit sharded run: unit 0 with a closed phase
-// holding one pool item and one ATPG attempt, unit 1 canceled inside
-// an open phase.
+// unitTimeline is two runs sharing one journal (a CLI over two
+// circuits): the first with its axis announced and a closed phase
+// holding one pool item and one ATPG attempt, the second canceled
+// inside an open phase.
 func unitTimeline() []journal.Event {
 	return []journal.Event{
-		{Kind: journal.KindUnitBegin, A: 0, B: 2, C: 0, D: 63, TNS: 1_000},
+		{Kind: journal.KindUnitBegin, TNS: 1_000},
+		{Kind: journal.KindAxis, D: 63, TNS: 1_500}, // instant: no span
 		{Kind: journal.KindPhaseBegin, Arg: "faultsim.seq", TNS: 2_000},
 		{Kind: journal.KindBatch, Arg: "faultsim", Worker: 1, A: 0, B: 4, TNS: 3_000, DurNS: 50_000},
 		{Kind: journal.KindATPG, Arg: "atpg.comb", A: 7, B: 0, C: 3, TNS: 60_000, DurNS: 20_000},
 		{Kind: journal.KindClassify, A: 7, B: 1, TNS: 70_000}, // instant: no span
 		{Kind: journal.KindPhaseEnd, Arg: "faultsim.seq", TNS: 2_000, DurNS: 98_000},
-		{Kind: journal.KindUnitEnd, A: 0, B: 2, C: 0, D: 63, TNS: 1_000, DurNS: 100_000},
-		{Kind: journal.KindUnitBegin, A: 1, B: 2, C: 63, D: 126, TNS: 110_000},
+		{Kind: journal.KindUnitEnd, A: 40, B: 1, D: 63, TNS: 1_000, DurNS: 100_000},
+		{Kind: journal.KindUnitBegin, TNS: 110_000},
 		{Kind: journal.KindPhaseBegin, Arg: "faultsim.seq", TNS: 111_000},
 	}
 }
@@ -135,8 +137,8 @@ func unitTimeline() []journal.Event {
 // their fixed order.
 func TestFromRecorder(t *testing.T) {
 	ctx := mustParse(t, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	rec := journal.New(3)
-	for _, e := range unitTimeline()[:5] {
+	rec := journal.New(4)
+	for _, e := range unitTimeline()[:6] {
 		rec.Emit(e)
 	}
 	tr := FromRecorder(rec, ctx, SpanID{7: 1}, "cli", -1, 0xabc, Attr{"run_id", "r1"})
@@ -150,7 +152,7 @@ func TestFromRecorder(t *testing.T) {
 	if tr.OriginNS != rec.Origin().UnixNano() || tr.Ctx != ctx || tr.Parent != (SpanID{7: 1}) {
 		t.Errorf("trace identity = %+v", tr)
 	}
-	if len(tr.Spans) != 4 || tr.Spans[0].Name != "cli" { // root, unit 0, phase, pool
+	if len(tr.Spans) != 4 || tr.Spans[0].Name != "cli" { // root, unit, phase, pool
 		t.Errorf("spans = %+v", tr.Spans)
 	}
 
@@ -167,7 +169,7 @@ func TestAssembleTree(t *testing.T) {
 	parent[7] = 0xaa
 	spans := Assemble(ctx, parent, "job j000001", unitTimeline(), 150_000)
 
-	// root + unit0 + phase + pool + atpg + unit1 + open phase = 7
+	// root + unit + phase + pool + atpg + unit + open phase = 7
 	if len(spans) != 7 {
 		t.Fatalf("got %d spans, want 7: %+v", len(spans), spans)
 	}
@@ -188,16 +190,19 @@ func TestAssembleTree(t *testing.T) {
 		t.Fatalf("no span %s/%s (unclosed=%v) in %+v", name, kind, unclosed, spans)
 		return Span{}
 	}
-	u0 := find("unit 0", SpanUnit, false)
+	u0 := find("unit", SpanUnit, false)
 	if u0.Parent != root.ID {
-		t.Errorf("unit 0 parents to %s, want root %s", u0.Parent, root.ID)
+		t.Errorf("first unit parents to %s, want root %s", u0.Parent, root.ID)
 	}
 	if u0.StartNS != 1_000 || u0.EndNS != 101_000 {
-		t.Errorf("unit 0 = %+v", u0)
+		t.Errorf("first unit = %+v", u0)
+	}
+	if want := []Attr{{"faults", "63"}, {"hits", "40"}}; !reflect.DeepEqual(u0.Attrs, want) {
+		t.Errorf("first unit attrs = %v, want %v", u0.Attrs, want)
 	}
 	ph := find("faultsim.seq", SpanPhase, false)
 	if ph.Parent != u0.ID {
-		t.Errorf("closed phase parents to %s, want unit 0 %s", ph.Parent, u0.ID)
+		t.Errorf("closed phase parents to %s, want the first unit %s", ph.Parent, u0.ID)
 	}
 	pool := find("faultsim", SpanPool, false)
 	if pool.Parent != ph.ID {
@@ -207,9 +212,9 @@ func TestAssembleTree(t *testing.T) {
 	if atpg.Parent != ph.ID {
 		t.Errorf("ATPG attempt parents to %s, want its phase %s", atpg.Parent, ph.ID)
 	}
-	u1 := find("unit 1", SpanUnit, true)
+	u1 := find("unit", SpanUnit, true)
 	if !u1.Unclosed || u1.EndNS != 150_000 {
-		t.Errorf("canceled unit 1 = %+v (want unclosed, end at timeline end)", u1)
+		t.Errorf("canceled unit = %+v (want unclosed, end at timeline end)", u1)
 	}
 	// All span IDs unique and nonzero.
 	seen := map[SpanID]bool{}
@@ -231,7 +236,7 @@ func TestAssembleLostEvents(t *testing.T) {
 	// End events without begins (begins dropped at the buffer cap).
 	events := []journal.Event{
 		{Kind: journal.KindPhaseEnd, Arg: "screen", TNS: 1_000, DurNS: 10_000},
-		{Kind: journal.KindUnitEnd, A: 3, B: 4, C: 189, D: 252, TNS: 20_000, DurNS: 5_000},
+		{Kind: journal.KindUnitEnd, A: 30, B: 1, D: 252, TNS: 20_000, DurNS: 5_000},
 	}
 	spans := Assemble(ctx, SpanID{}, "run", events, 0)
 	if len(spans) != 3 {
