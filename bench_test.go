@@ -176,35 +176,6 @@ func BenchmarkScaleStability(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDistParams sweeps the grouping distances: one large
-// window (few, weakly-enhanced models) versus many tight windows.
-func BenchmarkAblationDistParams(b *testing.B) {
-	d := benchDesign(b, "s38417", 0)
-	maxChain := d.MaxChainLen()
-	for _, cfg := range []struct {
-		name  string
-		scale float64
-	}{{"paper", 1}, {"half", 0.5}, {"double", 2}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			params := FlowParams{
-				LargeDist: max(1, int(cfg.scale*0.6*float64(maxChain))),
-				MedDist:   max(1, int(cfg.scale*0.25*float64(maxChain))),
-				Dist:      max(1, int(cfg.scale*0.15*float64(maxChain))),
-			}
-			var rep *Report
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = RunFlowCtx(context.Background(), d, params)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rep.COCircuits+rep.FinalCOCircuits), "circuits")
-			b.ReportMetric(float64(rep.Undetected()), "undet")
-		})
-	}
-}
-
 // BenchmarkAblationOrdering measures how chain ordering (the flexibility
 // the paper leaves to the designer) moves faults between categories.
 func BenchmarkAblationOrdering(b *testing.B) {
@@ -256,30 +227,6 @@ func BenchmarkAblationChains(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCompaction measures the step-2 per-vector fault
-// dropping: without it PODEM runs for every hard fault and the vector
-// set balloons.
-func BenchmarkAblationCompaction(b *testing.B) {
-	d := benchDesign(b, "s13207", 0)
-	for _, cfg := range []struct {
-		name string
-		off  bool
-	}{{"with-compaction", false}, {"no-compaction", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var rep *Report
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = RunFlowCtx(context.Background(), d, FlowParams{NoCompaction: cfg.off})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rep.Step2Vectors), "vectors")
-			b.ReportMetric(float64(rep.Step2.Detected), "s2det")
-		})
-	}
-}
-
 // BenchmarkAblationPodemVsSat compares the structural PODEM engine with
 // the SAT-based baseline (Larrabee-style miter + DPLL) on the same
 // scan-mode fault population.
@@ -307,7 +254,7 @@ func BenchmarkAblationPodemVsSat(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			found = 0
 			for _, f := range faults {
-				if eng.Generate(f, 5000).Status == atpg.Found {
+				if res, _ := eng.GenerateCtx(context.Background(), f, 5000); res.Status == atpg.Found {
 					found++
 				}
 			}
@@ -410,27 +357,4 @@ func BenchmarkAblationSerialVsParallelFaultSim(b *testing.B) {
 			faultsim.RunSerial(d.C, seq, faults, faultsim.Options{})
 		}
 	})
-}
-
-// BenchmarkAblationSkipStep2 motivates the pipeline: sequential ATPG
-// alone (step 3 for everything) versus the paper's screening flow.
-func BenchmarkAblationSkipStep2(b *testing.B) {
-	d := benchDesign(b, "s9234", 0)
-	for _, cfg := range []struct {
-		name string
-		skip bool
-	}{{"full-pipeline", false}, {"no-step2", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var rep *Report
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = RunFlowCtx(context.Background(), d, FlowParams{SkipStep2: cfg.skip})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rep.Step2.Detected+rep.Step3.Detected), "det")
-			b.ReportMetric(float64(rep.COCircuits+rep.FinalCOCircuits), "circuits")
-		})
-	}
 }

@@ -46,7 +46,7 @@ func main() {
 	maxCycles := fsct.TaskDefaultsFor(fsct.TaskFaultSim).MaxCycles
 	var (
 		v = specflags.Register(flag.CommandLine, fsct.TaskFaultSim,
-			specflags.Options{In: true, Profile: true, Workers: true, Eval: true, Cone: true})
+			specflags.Options{In: true, Profile: true, Workers: true, Eval: true})
 		seqFile     = flag.String("seq", "", "test sequence file (see internal/faultsim format)")
 		random      = flag.Int("random", 0, fmt.Sprintf("generate this many random cycles instead of -seq (at most %d)", maxCycles))
 		uncollapsed = flag.Bool("uncollapsed", false, "use the full fault list (no equivalence collapsing)")

@@ -32,8 +32,6 @@ type Options struct {
 	Workers bool
 	// Eval registers -eval.
 	Eval bool
-	// Cone registers -conethr.
-	Cone bool
 	// ScaleDefault overrides the defaults table's -scale default for
 	// commands whose UX wants a different entry point (chainsim 0.05,
 	// testability 0.1). Zero keeps the table value.
@@ -51,7 +49,6 @@ type Values struct {
 	Chains  int
 	Workers int
 	Eval    string
-	ConeThr int
 }
 
 // Register installs the selected flags on fs with defaults from
@@ -84,10 +81,6 @@ func Register(fs *flag.FlagSet, kind string, opt Options) *Values {
 		fs.StringVar(&v.Eval, "eval", d.Eval,
 			"fault-simulation backend: auto, compiled, hybrid")
 	}
-	if opt.Cone {
-		fs.IntVar(&v.ConeThr, "conethr", d.ConeThreshold,
-			"hybrid backend: delta-simulation event budget per fault (0 = default)")
-	}
 	return v
 }
 
@@ -99,14 +92,13 @@ func Register(fs *flag.FlagSet, kind string, opt Options) *Values {
 // command registered source flags and got neither.
 func (v *Values) Spec(circuit string) (task.Spec, error) {
 	sp := task.Spec{
-		Kind:          v.Kind,
-		Circuit:       circuit,
-		Scale:         v.Scale,
-		Seed:          v.Seed,
-		Chains:        v.Chains,
-		Workers:       v.Workers,
-		Eval:          v.Eval,
-		ConeThreshold: v.ConeThr,
+		Kind:    v.Kind,
+		Circuit: circuit,
+		Scale:   v.Scale,
+		Seed:    v.Seed,
+		Chains:  v.Chains,
+		Workers: v.Workers,
+		Eval:    v.Eval,
 	}
 	if circuit != "" {
 		return sp, nil

@@ -11,7 +11,7 @@ import (
 
 // allFlags registers every optional flag, the widest surface a command
 // can ask for.
-var allFlags = Options{In: true, Profile: true, Chains: true, Workers: true, Eval: true, Cone: true}
+var allFlags = Options{In: true, Profile: true, Chains: true, Workers: true, Eval: true}
 
 // TestDefaultsMatchDaemon is the anti-drift contract: for every job
 // kind, a CLI that parses zero flags must produce a spec that
@@ -54,9 +54,6 @@ func TestDefaultsMatchDaemon(t *testing.T) {
 		if cli.Cycles != daemon.Cycles {
 			t.Errorf("%s: cycles: CLI %d, daemon %d", kind, cli.Cycles, daemon.Cycles)
 		}
-		if cli.ConeThreshold != daemon.ConeThreshold {
-			t.Errorf("%s: conethr: CLI %d, daemon %d", kind, cli.ConeThreshold, daemon.ConeThreshold)
-		}
 	}
 }
 
@@ -74,7 +71,6 @@ func TestFlagDefaultsComeFromTable(t *testing.T) {
 			"chains":  fmt.Sprintf("%d", d.Chains),
 			"workers": fmt.Sprintf("%d", d.Workers),
 			"eval":    d.Eval,
-			"conethr": fmt.Sprintf("%d", d.ConeThreshold),
 		}
 		for name, def := range want {
 			f := fs.Lookup(name)
@@ -84,6 +80,11 @@ func TestFlagDefaultsComeFromTable(t *testing.T) {
 			if f.DefValue != def {
 				t.Errorf("%s: -%s default %q, defaults table says %q", kind, name, f.DefValue, def)
 			}
+		}
+		// The hybrid budget is derived from the circuit
+		// (engine.ConeThresholdFor); no flag or spec field sets it.
+		if fs.Lookup("conethr") != nil {
+			t.Errorf("%s: -conethr registered", kind)
 		}
 	}
 }

@@ -92,15 +92,6 @@ const (
 // EvalBackend.
 func ParseEvalBackend(s string) (EvalBackend, error) { return engine.ParseBackend(s) }
 
-// NewEngineCache returns an empty artifact cache. Passing nil wherever
-// an *EngineCache is accepted selects the shared process-wide cache;
-// NewEngineBypass returns a cache that never memoizes (every phase
-// rebuilds its derived structures — the ablation reference).
-func NewEngineCache() *EngineCache { return engine.New() }
-
-// NewEngineBypass returns the never-memoizing cache; see NewEngineCache.
-func NewEngineBypass() *EngineCache { return engine.Bypass() }
-
 // Logic constants.
 const (
 	V0 = logic.Zero

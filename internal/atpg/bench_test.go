@@ -1,6 +1,7 @@
 package atpg_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -14,7 +15,7 @@ import (
 
 // hardFault is the index, in s38417@0.07's collapsed fault list, of
 // g498 s-a-0: one of the step-3 final-pass faults on which PODEM
-// exhausts FinalBacktracks on the scan-mode model.
+// exhausts the final-pass backtrack limit on the scan-mode model.
 const hardFault = 1091
 
 var benchResult atpg.Result
@@ -49,7 +50,7 @@ func BenchmarkPodemHardFault(b *testing.B) {
 	b.ResetTimer()
 	backtracks := 0
 	for i := 0; i < b.N; i++ {
-		benchResult = e.Generate(f, 25000)
+		benchResult, _ = e.GenerateCtx(context.Background(), f, 25000)
 		backtracks += benchResult.Backtracks
 	}
 	b.StopTimer()

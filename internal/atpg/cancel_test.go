@@ -37,15 +37,15 @@ func TestGenerateCtxCancelled(t *testing.T) {
 		}
 	}
 
-	// nil context == Background: identical verdicts to Generate.
+	// nil context == Background: identical verdicts.
 	for _, f := range faults[:10] {
 		got, gerr := e.GenerateCtx(nil, f, 250)
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		want := NewEngine(m).Generate(f, 250)
+		want, _ := NewEngine(m).GenerateCtx(context.Background(), f, 250)
 		if got.Status != want.Status {
-			t.Errorf("fault %v: ctx status %v != plain status %v", f, got.Status, want.Status)
+			t.Errorf("fault %v: nil-ctx status %v != Background status %v", f, got.Status, want.Status)
 		}
 	}
 }

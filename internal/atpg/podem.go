@@ -168,8 +168,9 @@ type Engine struct {
 	stack []decision
 
 	// Observability sinks (nil-safe no-ops until Instrument is called).
-	// They are touched once per Generate call, never inside the search
-	// loop, so an uninstrumented engine pays only nil-receiver checks.
+	// They are touched once per GenerateMultiCtx call, never inside the
+	// search loop, so an uninstrumented engine pays only nil-receiver
+	// checks.
 	obs engineObs
 }
 
@@ -184,8 +185,8 @@ type engineObs struct {
 	hist       *obs.Histogram
 }
 
-// Instrument attaches the engine to a collector: every Generate /
-// GenerateMulti call then records its outcome under prefix.* —
+// Instrument attaches the engine to a collector: every GenerateCtx /
+// GenerateMultiCtx call then records its outcome under prefix.* —
 // generated, found, redundant and aborted call counts, a cumulative
 // backtracks counter, and a backtracks histogram. A nil collector
 // leaves the engine uninstrumented.
@@ -434,31 +435,19 @@ func observationDistance(c *netlist.Circuit) []int32 {
 	return dist
 }
 
-// Generate runs PODEM for fault f with the given backtrack limit.
-func (e *Engine) Generate(f fault.Fault, backtrackLimit int) Result {
-	return e.GenerateMulti([]sim.Inject{f.Inject()}, backtrackLimit)
-}
-
-// GenerateCtx is Generate with cooperative cancellation: the search
-// checks ctx at backtrack boundaries and, once cancelled, returns an
-// Aborted result together with the context error. A nil context (or a
-// context that never fires) makes it exactly Generate.
+// GenerateCtx runs PODEM for fault f with the given backtrack limit.
+// The search checks ctx at backtrack boundaries and, once cancelled,
+// returns an Aborted result together with the context error. A nil
+// context never fires.
 func (e *Engine) GenerateCtx(ctx context.Context, f fault.Fault, backtrackLimit int) (Result, error) {
 	return e.GenerateMultiCtx(ctx, []sim.Inject{f.Inject()}, backtrackLimit)
 }
 
-// GenerateMulti runs PODEM for a fault present at several injection
+// GenerateMultiCtx runs PODEM for a fault present at several injection
 // sites simultaneously — the time-frame-expansion case, where one
 // physical defect appears once per unrolled frame. A test is found when
-// any site activates and its effect reaches an output.
-func (e *Engine) GenerateMulti(injs []sim.Inject, backtrackLimit int) Result {
-	res, _ := e.generateMulti(nil, injs, backtrackLimit)
-	e.obs.record(&res)
-	return res
-}
-
-// GenerateMultiCtx is GenerateMulti with the cancellation semantics of
-// GenerateCtx.
+// any site activates and its effect reaches an output. Cancellation
+// works as in GenerateCtx.
 func (e *Engine) GenerateMultiCtx(ctx context.Context, injs []sim.Inject, backtrackLimit int) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -80,7 +81,7 @@ func checkAllFaults(t *testing.T, c *netlist.Circuit, fixed map[netlist.SignalID
 	}
 	e := NewEngine(m)
 	for _, f := range fault.Collapsed(c) {
-		res := e.Generate(f, 10000)
+		res, _ := e.GenerateCtx(context.Background(), f, 10000)
 		switch res.Status {
 		case Found:
 			found++
@@ -155,7 +156,7 @@ z = AND(y, b)
 	y, _ := c.Lookup("y")
 	m, _ := NewModel(c, nil)
 	e := NewEngine(m)
-	res := e.Generate(fault.Fault{Signal: y, Gate: netlist.None, Pin: -1, Stuck: logic.One}, 10000)
+	res, _ := e.GenerateCtx(context.Background(), fault.Fault{Signal: y, Gate: netlist.None, Pin: -1, Stuck: logic.One}, 10000)
 	if res.Status != Redundant {
 		t.Errorf("y s-a-1 verdict = %v", res.Status)
 	}
@@ -183,17 +184,17 @@ z = AND(a, b)
 	e := NewEngine(m)
 
 	// z s-a-0: good z is always 0 under b=0 -> redundant.
-	res := e.Generate(fault.Fault{Signal: z, Gate: netlist.None, Pin: -1, Stuck: logic.Zero}, 1000)
+	res, _ := e.GenerateCtx(context.Background(), fault.Fault{Signal: z, Gate: netlist.None, Pin: -1, Stuck: logic.Zero}, 1000)
 	if res.Status != Redundant {
 		t.Errorf("z s-a-0 with b fixed 0: %v, want redundant", res.Status)
 	}
 	// z s-a-1: good z = 0 always, faulty 1 -> detectable with any input.
-	res = e.Generate(fault.Fault{Signal: z, Gate: netlist.None, Pin: -1, Stuck: logic.One}, 1000)
+	res, _ = e.GenerateCtx(context.Background(), fault.Fault{Signal: z, Gate: netlist.None, Pin: -1, Stuck: logic.One}, 1000)
 	if res.Status != Found {
 		t.Errorf("z s-a-1 with b fixed 0: %v, want found", res.Status)
 	}
 	// b s-a-1: activated by the fixed 0; needs a=1 to propagate.
-	res = e.Generate(fault.Fault{Signal: b, Gate: netlist.None, Pin: -1, Stuck: logic.One}, 1000)
+	res, _ = e.GenerateCtx(context.Background(), fault.Fault{Signal: b, Gate: netlist.None, Pin: -1, Stuck: logic.One}, 1000)
 	if res.Status != Found {
 		t.Errorf("b s-a-1 with b fixed 0: %v, want found", res.Status)
 	}
@@ -201,7 +202,7 @@ z = AND(a, b)
 		t.Errorf("b s-a-1 test assigns a=%v, want 1", res.Assignment[a])
 	}
 	// a s-a-0: can never propagate through b=0 -> redundant.
-	res = e.Generate(fault.Fault{Signal: a, Gate: netlist.None, Pin: -1, Stuck: logic.Zero}, 1000)
+	res, _ = e.GenerateCtx(context.Background(), fault.Fault{Signal: a, Gate: netlist.None, Pin: -1, Stuck: logic.Zero}, 1000)
 	if res.Status != Redundant {
 		t.Errorf("a s-a-0 with b fixed 0: %v, want redundant", res.Status)
 	}
@@ -228,7 +229,7 @@ z = OR(a, c)
 	m, _ := NewModel(cc, nil)
 	e := NewEngine(m)
 	f := fault.Fault{Signal: a, Gate: yg, Pin: 0, Stuck: logic.Zero}
-	res := e.Generate(f, 1000)
+	res, _ := e.GenerateCtx(context.Background(), f, 1000)
 	if res.Status != Found {
 		t.Fatalf("branch fault not found: %v", res.Status)
 	}
@@ -249,7 +250,7 @@ func TestPodemOnS27CombModel(t *testing.T) {
 	found, redundant, aborted := 0, 0, 0
 	for _, f0 := range fault.Collapsed(orig) {
 		f := cm.MapFault(f0)
-		res := e.Generate(f, 10000)
+		res, _ := e.GenerateCtx(context.Background(), f, 10000)
 		switch res.Status {
 		case Found:
 			found++
@@ -345,7 +346,7 @@ g = AND(a, k)
 	m, _ := NewModel(c, nil)
 	e := NewEngine(m)
 	for _, f := range fault.Collapsed(c) {
-		res := e.Generate(f, 1000)
+		res, _ := e.GenerateCtx(context.Background(), f, 1000)
 		t.Logf("%s: %v", f.Describe(c), res.Status)
 		if res.Status != Found && exhaustivelyTestable(c, nil, f) {
 			t.Errorf("%s: %v, want found", f.Describe(c), res.Status)
@@ -355,7 +356,7 @@ g = AND(a, k)
 		s, _ := c.Lookup(name)
 		for _, v := range []logic.V{logic.Zero, logic.One} {
 			f := fault.Fault{Signal: s, Gate: netlist.None, Pin: -1, Stuck: v}
-			res := e.Generate(f, 1000)
+			res, _ := e.GenerateCtx(context.Background(), f, 1000)
 			want := Found
 			if name == "k" && v == logic.One {
 				want = Redundant // k is 1 in both machines

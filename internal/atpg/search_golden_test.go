@@ -2,6 +2,7 @@ package atpg_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -69,7 +70,7 @@ func combOutcomes(t *testing.T, w *strings.Builder, label string, orig *netlist.
 	e := atpg.NewEngine(m)
 	for i, f0 := range fault.Collapsed(orig) {
 		f := cm.MapFault(f0)
-		res := e.Generate(f, limit)
+		res, _ := e.GenerateCtx(context.Background(), f, limit)
 		fmt.Fprintf(w, "%s %d %s %v %d %016x\n", label, i, f.Describe(cm.C),
 			res.Status, res.Backtracks, assignmentDigest(res.Assignment))
 	}
@@ -100,7 +101,7 @@ func TestSearchGolden(t *testing.T) {
 	}
 
 	// Time-frame expansion: every fault is injected once per frame
-	// through GenerateMulti, plain and with the whole chain enhanced.
+	// through GenerateMultiCtx, plain and with the whole chain enhanced.
 	d, err := tpi.Insert(s27, tpi.Options{NumChains: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func TestSearchGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, f := range fault.Collapsed(d.C) {
-			res := m.Generate(f, 2000)
+			res, _ := m.GenerateCtx(context.Background(), f, 2000)
 			fmt.Fprintf(&w, "%s %d %s %v %d %016x\n", cfg.label, i, f.Describe(d.C),
 				res.Status, res.Backtracks, sequenceDigest(res.Sequence, res.Conflicts))
 		}

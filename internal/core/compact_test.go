@@ -31,7 +31,7 @@ func buildStep2Vectors(t *testing.T, d *scan.Design, hard []Screened) []scan.Vec
 	eng := atpg.NewEngine(m)
 	var vectors []scan.Vector
 	for _, s := range hard {
-		res := eng.Generate(cm.MapFault(s.Fault), 1000)
+		res, _ := eng.GenerateCtx(context.Background(), cm.MapFault(s.Fault), 1000)
 		if res.Status != atpg.Found {
 			continue
 		}

@@ -17,46 +17,23 @@ import (
 	"repro/internal/scan"
 )
 
-// Params tunes the three-step flow. Zero values select the paper's
-// settings.
+// The flow's effort limits (the paper's settings).
+const (
+	// CombBacktracks is the PODEM backtrack limit of step 2's
+	// combinational ATPG, and of standalone atpg jobs.
+	CombBacktracks = 250
+
+	altExtraCycles  = 8     // extra cycles appended to the alternating test
+	seqBacktracks   = 400   // PODEM backtrack limit in step-3 groups
+	finalBacktracks = 25000 // PODEM backtrack limit for f_final
+	maxFrames       = 5     // frame cap for unrolled models
+)
+
+// Params configures a flow run. The flow itself is fixed (the paper's
+// distances and effort limits); these fields choose only how it runs —
+// parallelism, backend, artifact cache and instrumentation — and the
+// findings are identical for every setting.
 type Params struct {
-	// Grouping distances (paper Section 6). When zero they default to
-	// LARGE_DIST = max(0.6*maxsize, 50), MED_DIST = max(0.25*maxsize, 25)
-	// and DIST = max(0.15*maxsize, 20) with maxsize the longest chain.
-	LargeDist, MedDist, Dist int
-
-	AltExtraCycles  int // extra cycles appended to the alternating test (default 8)
-	CombBacktracks  int // PODEM backtrack limit in step 2 (default 250)
-	SeqBacktracks   int // PODEM backtrack limit in step 3 groups (default 400)
-	FinalBacktracks int // PODEM backtrack limit for f_final (default 25000)
-	MaxFrames       int // frame cap for unrolled models (default 5)
-
-	// SimulateAlternatingOnHard additionally fault-simulates the
-	// alternating sequence on category-2 faults and drops any detected
-	// ones before step 2 (an optimization the paper does not apply;
-	// off by default for fidelity).
-	SimulateAlternatingOnHard bool
-
-	// SkipStep2 sends every hard fault straight to the grouped
-	// sequential ATPG, bypassing combinational ATPG + sequential fault
-	// simulation. This is the ablation that motivates the paper's
-	// pipeline: step 3 alone is far more expensive.
-	SkipStep2 bool
-
-	// NoCompaction disables the per-vector fault dropping in step 2:
-	// PODEM then runs for every hard fault and the vector set grows
-	// accordingly (ablation for the compaction design choice).
-	NoCompaction bool
-
-	// RandomVectors replaces step 2's combinational ATPG with a random
-	// scan-mode test set of this many shift windows — the paper's
-	// prescription for partial scan ("in a partial scan environment, we
-	// can use a test set of random vectors"), where the combinational
-	// model cannot assume every flip-flop is loadable. Partial-scan
-	// designs use this path automatically (auto-sized when 0); full-scan
-	// designs use it only when set explicitly.
-	RandomVectors int
-
 	// Workers shards the fault axis of screening and every fault
 	// simulation across this many goroutines (0 = GOMAXPROCS, 1 =
 	// serial). Reports are identical at any width.
@@ -82,40 +59,6 @@ type Params struct {
 	// final snapshot lands in Report.Metrics. Nil (the default) keeps
 	// the flow uninstrumented at ~zero cost.
 	Obs *obs.Collector
-}
-
-func (p Params) withDefaults(maxChain int) Params {
-	maxOf := func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	if p.LargeDist == 0 {
-		p.LargeDist = maxOf(int(0.6*float64(maxChain)), 50)
-	}
-	if p.MedDist == 0 {
-		p.MedDist = maxOf(int(0.25*float64(maxChain)), 25)
-	}
-	if p.Dist == 0 {
-		p.Dist = maxOf(int(0.15*float64(maxChain)), 20)
-	}
-	if p.AltExtraCycles == 0 {
-		p.AltExtraCycles = 8
-	}
-	if p.CombBacktracks == 0 {
-		p.CombBacktracks = 250
-	}
-	if p.SeqBacktracks == 0 {
-		p.SeqBacktracks = 400
-	}
-	if p.FinalBacktracks == 0 {
-		p.FinalBacktracks = 25000
-	}
-	if p.MaxFrames == 0 {
-		p.MaxFrames = 5
-	}
-	return p
 }
 
 // StepStats aggregates one flow step's outcome.
@@ -208,7 +151,6 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	if err := d.Verify(); err != nil {
 		return nil, fmt.Errorf("core: design does not verify: %v", err)
 	}
-	p = p.withDefaults(d.MaxChainLen())
 	st := d.C.Stat()
 	rep := &Report{
 		Circuit:        d.C.Name,
@@ -256,7 +198,7 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 
 	// ---- Step 1: alternating sequence ----
 	span = col.Phase("step1.alternating")
-	alt := faultsim.Sequence(d.AlternatingSequence(p.AltExtraCycles))
+	alt := faultsim.Sequence(d.AlternatingSequence(altExtraCycles))
 	easyFaults := make([]fault.Fault, len(easy))
 	for i := range easy {
 		easyFaults[i] = easy[i].Fault
@@ -273,26 +215,6 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 		hard = append(hard, easy[i])
 		rep.EasyEscapes++
 	}
-	if p.SimulateAlternatingOnHard && len(hard) > 0 {
-		hf := make([]fault.Fault, len(hard))
-		for i := range hard {
-			hf[i] = hard[i].Fault
-		}
-		hres, herr := faultsim.RunCtx(ctx, d.C, alt, hf, p.simOptions(false))
-		if herr != nil {
-			span.End()
-			return finish(herr)
-		}
-		var keep []Screened
-		for i := range hard {
-			if hres.DetectedAt[i] < 0 {
-				keep = append(keep, hard[i])
-			} else {
-				rep.Step2.Detected++ // credited to the cheap phase
-			}
-		}
-		hard = keep
-	}
 	span.End()
 	if col.Enabled() {
 		col.Counter("step1.confirmed").Add(int64(rep.EasyConfirmed))
@@ -305,13 +227,9 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	span = col.Phase("step2")
 	t0 = time.Now()
 	var remaining []Screened
-	switch {
-	case p.SkipStep2:
-		remaining = hard
-		rep.Step2.Undetected = len(hard)
-	case p.RandomVectors > 0 || d.Partial():
+	if d.Partial() {
 		remaining, err = runStep2Random(ctx, d, hard, p, rep)
-	default:
+	} else {
 		remaining, err = runStep2(ctx, d, hard, p, rep)
 	}
 	rep.Step2.CPU = time.Since(t0)
@@ -350,8 +268,11 @@ func RunCtx(ctx context.Context, d *scan.Design, p Params) (*Report, error) {
 	return finish(nil)
 }
 
-// runStep2Random is the paper's partial-scan variant of step 2: a
-// random scan-mode test set fault-simulated sequentially with fault
+// runStep2Random is the paper's partial-scan variant of step 2 ("in a
+// partial scan environment, we can use a test set of random vectors",
+// since the combinational model cannot assume every flip-flop is
+// loadable): a random scan-mode test set of two shift windows per hard
+// fault, clamped to 128..2048, fault-simulated sequentially with fault
 // dropping. Random vectors cannot prove undetectability, so everything
 // undetected moves on to step 3.
 func runStep2Random(ctx context.Context, d *scan.Design, hard []Screened, p Params, rep *Report) ([]Screened, error) {
@@ -359,16 +280,7 @@ func runStep2Random(ctx context.Context, d *scan.Design, hard []Screened, p Para
 		return nil, nil
 	}
 	L := d.MaxChainLen()
-	nVec := p.RandomVectors
-	if nVec == 0 {
-		nVec = 2 * len(hard)
-		if nVec < 128 {
-			nVec = 128
-		}
-		if nVec > 2048 {
-			nVec = 2048
-		}
-	}
+	nVec := min(max(2*len(hard), 128), 2048)
 	rep.Step2Vectors = nVec
 	seq := randomSequence(d, (nVec+1)*L, 0x7a11d5eed)
 	hf := make([]fault.Fault, len(hard))
@@ -437,11 +349,11 @@ func runStep2(ctx context.Context, d *scan.Design, hard []Screened, p Params, re
 	redundant := make([]bool, len(hard))
 	var vectors []scan.Vector
 	for i := range hard {
-		if !p.NoCompaction && dropper.covered.Get(i) {
+		if dropper.covered.Get(i) {
 			continue
 		}
 		done := timeATPG(rec, "atpg.comb", hard[i].Fault)
-		res, gerr := eng.GenerateCtx(ctx, cm.MapFault(hard[i].Fault), p.CombBacktracks)
+		res, gerr := eng.GenerateCtx(ctx, cm.MapFault(hard[i].Fault), CombBacktracks)
 		if gerr != nil {
 			return nil, gerr
 		}

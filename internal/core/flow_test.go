@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -10,59 +9,14 @@ import (
 	"repro/internal/scan"
 )
 
+// TestParamsDefaults: the grouping distances follow the paper's
+// Section 6 formulas of the longest chain, with their floors.
 func TestParamsDefaults(t *testing.T) {
-	p := Params{}.withDefaults(400)
-	if p.LargeDist != 240 || p.MedDist != 100 || p.Dist != 60 {
-		t.Errorf("distance defaults for maxchain=400: %d/%d/%d", p.LargeDist, p.MedDist, p.Dist)
+	if g := groupDistances(400); g != (distances{large: 240, med: 100, dist: 60}) {
+		t.Errorf("distances for maxchain=400: %d/%d/%d", g.large, g.med, g.dist)
 	}
-	p = Params{}.withDefaults(10)
-	if p.LargeDist != 50 || p.MedDist != 25 || p.Dist != 20 {
-		t.Errorf("distance floors: %d/%d/%d", p.LargeDist, p.MedDist, p.Dist)
-	}
-	if p.CombBacktracks == 0 || p.SeqBacktracks == 0 || p.FinalBacktracks == 0 || p.MaxFrames == 0 {
-		t.Error("effort defaults missing")
-	}
-	// Explicit values are preserved.
-	q := Params{LargeDist: 7, Dist: 3}.withDefaults(400)
-	if q.LargeDist != 7 || q.Dist != 3 {
-		t.Error("explicit distances overridden")
-	}
-}
-
-func TestSkipStep2RoutesEverythingToStep3(t *testing.T) {
-	d := s27Design(t, 1)
-	rep, err := RunCtx(context.Background(), d, Params{SkipStep2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Step2.Detected != 0 || rep.Step2Vectors != 0 {
-		t.Errorf("step 2 ran despite SkipStep2: %+v", rep.Step2)
-	}
-	s3 := rep.Step3.Detected + rep.Step3.Undetectable + rep.Step3.Undetected
-	if s3 != rep.Hard+rep.EasyEscapes {
-		t.Errorf("step 3 accounted %d, want %d", s3, rep.Hard+rep.EasyEscapes)
-	}
-}
-
-func TestSimulateAlternatingOnHard(t *testing.T) {
-	d := s27Design(t, 1)
-	base, err := RunCtx(context.Background(), d, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := RunCtx(context.Background(), d, Params{SimulateAlternatingOnHard: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Total coverage must not drop; the alternating-dropped faults are
-	// credited to step 2.
-	baseDet := base.Step2.Detected + base.Step3.Detected
-	optDet := opt.Step2.Detected + opt.Step3.Detected
-	if optDet < baseDet {
-		t.Errorf("alternating-on-hard lowered detections: %d < %d", optDet, baseDet)
-	}
-	if opt.Undetected() > base.Undetected() {
-		t.Errorf("alternating-on-hard raised undetected: %d > %d", opt.Undetected(), base.Undetected())
+	if g := groupDistances(10); g != (distances{large: 50, med: 25, dist: 20}) {
+		t.Errorf("distance floors: %d/%d/%d", g.large, g.med, g.dist)
 	}
 }
 

@@ -99,21 +99,30 @@ func buildCO(d *scan.Design, chain, firstSeg, lastSeg int, affected map[int]bool
 	return ctrl, obs
 }
 
+// distances are the paper's grouping distances (Section 6): spans of
+// at least large go to group 1, spans of at least med to group 2, and
+// group 3's windows are at most dist wide.
+type distances struct{ large, med, dist int }
+
+// groupDistances derives the distances from the longest chain:
+// LARGE_DIST = max(0.6*maxsize, 50), MED_DIST = max(0.25*maxsize, 25)
+// and DIST = max(0.15*maxsize, 20).
+func groupDistances(maxChain int) distances {
+	return distances{
+		large: max(int(0.6*float64(maxChain)), 50),
+		med:   max(int(0.25*float64(maxChain)), 25),
+		dist:  max(int(0.15*float64(maxChain)), 20),
+	}
+}
+
 // planGroups implements the paper's grouping (Section 5): multi-chain
 // and wide-span faults form group 1 (individual models), medium spans
 // form group 2 (one model per seed fault, compatible faults ride along),
 // and the rest are partitioned into minimal DIST-wide clusters.
-func planGroups(d *scan.Design, remaining []Screened, p Params) []coModel {
+func planGroups(d *scan.Design, remaining []Screened, dist distances) []coModel {
 	var models []coModel
 	frames := func(sp int) int {
-		f := sp + 2
-		if f > p.MaxFrames {
-			f = p.MaxFrames
-		}
-		if f < 2 {
-			f = 2
-		}
-		return f
+		return min(max(sp+2, 2), maxFrames)
 	}
 
 	var group1, group2 []Screened
@@ -128,9 +137,9 @@ func planGroups(d *scan.Design, remaining []Screened, p Params) []coModel {
 		switch {
 		case multi:
 			group1 = append(group1, s)
-		case len(s.Locs) > 1 && span(&s) >= p.LargeDist:
+		case len(s.Locs) > 1 && span(&s) >= dist.large:
 			group1 = append(group1, s)
-		case len(s.Locs) > 1 && span(&s) >= p.MedDist:
+		case len(s.Locs) > 1 && span(&s) >= dist.med:
 			group2 = append(group2, s)
 		default:
 			perChain[first.Chain] = append(perChain[first.Chain], s)
@@ -217,7 +226,7 @@ func planGroups(d *scan.Design, remaining []Screened, p Params) []coModel {
 				if jl.Seg > nhi {
 					nhi = jl.Seg
 				}
-				if nhi-lo > p.Dist {
+				if nhi-lo > dist.dist {
 					break
 				}
 				hi = nhi
@@ -272,7 +281,7 @@ func runStep3(ctx context.Context, d *scan.Design, remaining []Screened, p Param
 	if len(remaining) == 0 {
 		return nil
 	}
-	models := planGroups(d, remaining, p)
+	models := planGroups(d, remaining, groupDistances(d.MaxChainLen()))
 	rep.COCircuits = len(models)
 
 	// Grouped pass: one pool index per C/O model.
@@ -437,7 +446,7 @@ func runCOModel(ctx context.Context, d *scan.Design, m coModel, p Params) ([]ste
 	out := make([]step3Outcome, len(m.faults))
 	for j, s := range m.faults {
 		done := timeATPG(rec, "atpg.seq", s.Fault)
-		res, err := tm.GenerateCtx(ctx, s.Fault, p.SeqBacktracks)
+		res, err := tm.GenerateCtx(ctx, s.Fault, seqBacktracks)
 		if err != nil {
 			return nil, err
 		}
@@ -468,7 +477,7 @@ func finalAttempt(ctx context.Context, d *scan.Design, s Screened, eng *atpg.Eng
 	if eng != nil {
 		done := timeATPG(rec, "atpg.final", s.Fault)
 		var err error
-		cres, err = eng.GenerateCtx(ctx, cm.MapFault(s.Fault), p.FinalBacktracks)
+		cres, err = eng.GenerateCtx(ctx, cm.MapFault(s.Fault), finalBacktracks)
 		if err != nil {
 			return step3Outcome{}, err
 		}
@@ -512,15 +521,13 @@ func finalAttempt(ctx context.Context, d *scan.Design, s Screened, eng *atpg.Eng
 		}
 		if multi {
 			ctrl, obs = buildCO(d, -1, 0, 0, aff)
-			fr = p.MaxFrames
+			fr = maxFrames
 		} else {
 			ctrl, obs = buildCO(d, first.Chain, first.Seg, last.Seg, aff)
 			fr = span(&s) + 2
 		}
 	}
-	if fr > p.MaxFrames+2 {
-		fr = p.MaxFrames + 2
-	}
+	fr = min(fr, maxFrames+2)
 	out := step3Outcome{built: true}
 	tm, err := seqatpg.Build(d, ctrl, obs, fr)
 	if err != nil {
@@ -528,7 +535,7 @@ func finalAttempt(ctx context.Context, d *scan.Design, s Screened, eng *atpg.Eng
 	}
 	tm.Instrument(p.Obs, "atpg.seq")
 	done := timeATPG(rec, "atpg.seq", s.Fault)
-	res, err := tm.GenerateCtx(ctx, s.Fault, p.FinalBacktracks)
+	res, err := tm.GenerateCtx(ctx, s.Fault, finalBacktracks)
 	if err != nil {
 		return step3Outcome{}, err
 	}

@@ -46,22 +46,3 @@ func TestRunPartialScan(t *testing.T) {
 		t.Errorf("step-3 accounting %d != %d", s3, rep.Step2.Undetected)
 	}
 }
-
-// TestRandomVectorsOnFullScan: explicitly requesting random vectors on a
-// full-scan design must work and detect a solid share of hard faults.
-func TestRandomVectorsOnFullScan(t *testing.T) {
-	d := s27Design(t, 1)
-	rep, err := RunCtx(context.Background(), d, Params{RandomVectors: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Step2Vectors != 300 {
-		t.Errorf("vectors = %d, want 300", rep.Step2Vectors)
-	}
-	if rep.Step2.Undetectable != 0 {
-		t.Error("random vectors cannot prove undetectability")
-	}
-	if rep.Step2.Detected == 0 {
-		t.Error("random vectors detected nothing")
-	}
-}

@@ -16,15 +16,15 @@ import (
 	"repro/internal/scan"
 )
 
-// step3Design is the step-3 test circuit. With step 2 skipped every
-// hard fault reaches step 3, which then plans ten C/O models and sends
-// dozens of faults on to the final pass, in well under a second.
+// step3Design is the step-3 test circuit. Handed every hard fault,
+// step 3 plans ten C/O models and sends dozens of faults on to the
+// final pass, in well under a second.
 func step3Design(t *testing.T) *scan.Design {
 	return genDesign(t, 300, 24, 2, 8)
 }
 
 // hardFaults screens d and returns the faults the flow hands to the
-// later steps (category 2), as step 3 receives them with step 2 skipped.
+// later steps (category 2); the step-3 tests give them all to step 3.
 func hardFaults(d *scan.Design) []Screened {
 	var hard []Screened
 	screened, _ := ScreenCtx(context.Background(), d, fault.Collapsed(d.C), ScreenOptions{})
@@ -42,8 +42,8 @@ func hardFaults(d *scan.Design) []Screened {
 func TestPlanGroupsDeterministicOrder(t *testing.T) {
 	d := step3Design(t)
 	hard := hardFaults(d)
-	p := Params{}.withDefaults(d.MaxChainLen())
-	want := planGroups(d, hard, p)
+	dist := groupDistances(d.MaxChainLen())
+	want := planGroups(d, hard, dist)
 	chains := map[int]bool{}
 	for _, m := range want {
 		for _, s := range m.faults {
@@ -56,7 +56,7 @@ func TestPlanGroupsDeterministicOrder(t *testing.T) {
 		t.Fatalf("models cover %d chain(s); the order check needs at least 2", len(chains))
 	}
 	for i := 0; i < 20; i++ {
-		if got := planGroups(d, hard, p); !reflect.DeepEqual(got, want) {
+		if got := planGroups(d, hard, dist); !reflect.DeepEqual(got, want) {
 			t.Fatalf("call %d planned a different model sequence", i)
 		}
 	}
@@ -83,10 +83,9 @@ func TestPlanGroupsPartition(t *testing.T) {
 				t.Fatalf("%s: fault %s reaches step 3 twice", name, s.Fault.Describe(d.C))
 			}
 		}
-		for _, dist := range []Params{{}, {LargeDist: 4, MedDist: 2, Dist: 1}} {
-			p := dist.withDefaults(d.MaxChainLen())
+		for _, dist := range []distances{groupDistances(d.MaxChainLen()), {large: 4, med: 2, dist: 1}} {
 			in := map[fault.Fault]int{}
-			for _, m := range planGroups(d, hard, p) {
+			for _, m := range planGroups(d, hard, dist) {
 				for _, s := range m.faults {
 					in[s.Fault]++
 				}
@@ -94,12 +93,12 @@ func TestPlanGroupsPartition(t *testing.T) {
 			for _, s := range hard {
 				if n := in[s.Fault]; n != 1 {
 					t.Errorf("%s dist=%d: fault %s is in %d models, want 1",
-						name, p.Dist, s.Fault.Describe(d.C), n)
+						name, dist.dist, s.Fault.Describe(d.C), n)
 				}
 			}
 			if len(in) != len(hard) {
 				t.Errorf("%s dist=%d: models hold %d distinct faults, want %d",
-					name, p.Dist, len(in), len(hard))
+					name, dist.dist, len(in), len(hard))
 			}
 		}
 	}
@@ -112,14 +111,15 @@ func TestPlanGroupsPartition(t *testing.T) {
 func TestStep3DeterministicAcrossWorkers(t *testing.T) {
 	d := step3Design(t)
 	faults := fault.Collapsed(d.C)
+	hard := hardFaults(d)
 	var wantRep []byte
 	var wantWhy map[fault.Fault]string
 	for _, w := range []int{1, 2, 4} {
 		col := obs.New()
 		rec := journal.New(0)
 		col.SetJournal(rec)
-		rep, err := RunCtx(context.Background(), d, Params{Workers: w, Obs: col, SkipStep2: true})
-		if err != nil {
+		rep := &Report{}
+		if err := runStep3(context.Background(), d, hard, Params{Workers: w, Obs: col}, rep); err != nil {
 			t.Fatal(err)
 		}
 		if rep.COCircuits < 2 {
@@ -163,13 +163,14 @@ func TestStep3DeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStep3CancelMidPass cancels the flow from a journal subscriber as
+// TestStep3CancelMidPass cancels step 3 from a journal subscriber as
 // soon as the grouped pass (atpg.seq) or the final pass (atpg.final)
-// reports its first attempt. The run must return context.Canceled
+// reports its first attempt. The step must return context.Canceled
 // promptly, join every worker, and fold no step-3 verdict into the
 // partial report.
 func TestStep3CancelMidPass(t *testing.T) {
 	d := step3Design(t)
+	hard := hardFaults(d)
 	for _, stage := range []string{"atpg.seq", "atpg.final"} {
 		t.Run(stage, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -188,13 +189,14 @@ func TestStep3CancelMidPass(t *testing.T) {
 					})
 				}
 			})
-			rep, err := RunCtx(ctx, d, Params{Workers: 2, Obs: col, SkipStep2: true})
+			rep := &Report{}
+			err := runStep3(ctx, d, hard, Params{Workers: 2, Obs: col}, rep)
 			returned := time.Now()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			if lag := returned.Sub(cancelledAt); lag > 2*time.Second {
-				t.Errorf("RunCtx returned %v after the cancel, want <= 2s", lag)
+				t.Errorf("runStep3 returned %v after the cancel, want <= 2s", lag)
 			}
 			checkGoroutines(t, before)
 			s3 := rep.Step3

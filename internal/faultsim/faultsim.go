@@ -53,14 +53,6 @@ type Options struct {
 	// picks per run: hybrid for full-width passes on larger sequential
 	// circuits, and the compiled evaluator otherwise.
 	Eval engine.Backend
-	// ConeThreshold is the hybrid strategy's per-cycle gate-evaluation
-	// budget: faults whose divergence exceeds it in any cycle are
-	// demoted to the compiled sweep. 0 selects the circuit-scaled
-	// engine.ConeThresholdFor default. Ignored by the compiled
-	// backend. The demotion decision depends only on the fault, the
-	// sequence and the initial state, so results stay identical at any
-	// worker count.
-	ConeThreshold int
 	// Cache supplies the shared circuit-artifact cache the compiled
 	// program is drawn from. Nil selects engine.Default().
 	Cache *engine.Cache
@@ -71,6 +63,12 @@ type Options struct {
 	// (hybrid fast path) pools. A nil collector costs one pointer test
 	// per batch.
 	Obs *obs.Collector
+
+	// coneThreshold overrides the hybrid strategy's per-cycle
+	// gate-evaluation budget (0 = engine.ConeThresholdFor, the only
+	// value outside this package's tests, which use it to force each
+	// demotion regime).
+	coneThreshold int
 }
 
 // Result reports, for each fault (by index into the input fault slice),
@@ -285,7 +283,7 @@ func runSweep(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, id
 func runHybrid(ctx context.Context, seqW [][]logic.Word, faults []fault.Fault, opts Options, res *Result, col *obs.Collector, arts *engine.Artifacts) error {
 	cones := arts.Cones(col)
 	prog := arts.Program(col)
-	thr := opts.ConeThreshold
+	thr := opts.coneThreshold
 	if thr <= 0 {
 		thr = engine.ConeThresholdFor(prog.C)
 	}

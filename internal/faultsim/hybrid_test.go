@@ -36,7 +36,7 @@ func TestHybridMatchesCompiled(t *testing.T) {
 		seq := randSeq(r, len(c.Inputs), 30+r.Intn(40), true)
 		ref, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Compiled})
 		for _, thr := range []int{1, 4, engine.DefaultConeThreshold, 1 << 20} {
-			got, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Hybrid, ConeThreshold: thr})
+			got, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Hybrid, coneThreshold: thr})
 			if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 				for i := range ref.DetectedAt {
 					if ref.DetectedAt[i] != got.DetectedAt[i] {
@@ -86,11 +86,11 @@ func TestHybridDeterministicAcrossWorkers(t *testing.T) {
 	for _, thr := range []int{2, engine.DefaultConeThreshold, 1 << 20} {
 		for _, stop := range []bool{false, true} {
 			ref, _ := RunCtx(context.Background(), c, seq, faults, Options{
-				Eval: engine.Hybrid, ConeThreshold: thr, Workers: 1, StopWhenAllDetected: stop,
+				Eval: engine.Hybrid, coneThreshold: thr, Workers: 1, StopWhenAllDetected: stop,
 			})
 			for _, workers := range []int{2, 7, runtime.GOMAXPROCS(0), 0} {
 				got, _ := RunCtx(context.Background(), c, seq, faults, Options{
-					Eval: engine.Hybrid, ConeThreshold: thr, Workers: workers, StopWhenAllDetected: stop,
+					Eval: engine.Hybrid, coneThreshold: thr, Workers: workers, StopWhenAllDetected: stop,
 				})
 				if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 					t.Fatalf("thr=%d stop=%v: workers=%d result differs from workers=1", thr, stop, workers)
@@ -147,7 +147,7 @@ func FuzzHybridMatchesCompiled(f *testing.F) {
 		faults := fault.Collapsed(c)
 		seq := randSeq(rand.New(rand.NewSource(seqSeed)), len(c.Inputs), 25, true)
 		ref, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Compiled})
-		got, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Hybrid, ConeThreshold: thr})
+		got, _ := RunCtx(context.Background(), c, seq, faults, Options{Eval: engine.Hybrid, coneThreshold: thr})
 		if !reflect.DeepEqual(ref.DetectedAt, got.DetectedAt) {
 			t.Fatalf("hybrid diverged: circSeed=%d seqSeed=%d thr=%d", circSeed, seqSeed, thr)
 		}

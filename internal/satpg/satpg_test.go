@@ -1,6 +1,7 @@
 package satpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -105,7 +106,7 @@ z = AND(y, b)
 	for _, m := range models {
 		eng := atpg.NewEngine(m)
 		for _, f := range fault.Collapsed(m.C) {
-			p := eng.Generate(f, 100000)
+			p, _ := eng.GenerateCtx(context.Background(), f, 100000)
 			s, err := Generate(m, f, 200000)
 			if err != nil {
 				t.Fatal(err)
@@ -149,7 +150,7 @@ func TestSatOnGeneratedCircuit(t *testing.T) {
 	}
 	agree := 0
 	for _, f := range faults {
-		p := eng.Generate(f, 50000)
+		p, _ := eng.GenerateCtx(context.Background(), f, 50000)
 		s, err := Generate(m, f, 100000)
 		if err != nil {
 			t.Fatal(err)

@@ -241,15 +241,10 @@ type Result struct {
 	Backtracks int
 }
 
-// Generate runs PODEM on the unrolled model and translates the result.
-func (m *Model) Generate(f fault.Fault, backtrackLimit int) Result {
-	res, _ := m.GenerateCtx(nil, f, backtrackLimit)
-	return res
-}
-
-// GenerateCtx is Generate with cooperative cancellation, checked at the
-// underlying engine's backtrack boundaries: once ctx fires the search
-// stops with an Aborted result and the context error.
+// GenerateCtx runs PODEM on the unrolled model and translates the
+// result. Cancellation is checked at the underlying engine's backtrack
+// boundaries: once ctx fires the search stops with an Aborted result
+// and the context error.
 func (m *Model) GenerateCtx(ctx context.Context, f fault.Fault, backtrackLimit int) (Result, error) {
 	injs := m.injections(f)
 	if len(injs) == 0 {

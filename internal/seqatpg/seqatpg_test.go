@@ -79,7 +79,7 @@ func TestGeneratedTestsConfirm(t *testing.T) {
 	faults := fault.Collapsed(d.C)
 	found, confirmed, aborted := 0, 0, 0
 	for _, f := range faults {
-		res := m.Generate(f, 2000)
+		res, _ := m.GenerateCtx(context.Background(), f, 2000)
 		if res.Status != atpg.Found {
 			if res.Status == atpg.Aborted {
 				aborted++
@@ -128,10 +128,10 @@ func TestEnhancementHelps(t *testing.T) {
 	faults := fault.Collapsed(d.C)
 	plainFound, enhFound := 0, 0
 	for _, f := range faults {
-		if plain.Generate(f, 500).Status == atpg.Found {
+		if res, _ := plain.GenerateCtx(context.Background(), f, 500); res.Status == atpg.Found {
 			plainFound++
 		}
-		if enh.Generate(f, 500).Status == atpg.Found {
+		if res, _ := enh.GenerateCtx(context.Background(), f, 500); res.Status == atpg.Found {
 			enhFound++
 		}
 	}
@@ -160,7 +160,7 @@ func TestTranslationLoadsConstraint(t *testing.T) {
 	// on a chain flip-flop output.
 	ff0 := d.Chains[0].FFs[0]
 	f := fault.Fault{Signal: ff0, Gate: netlist.None, Pin: -1, Stuck: logic.Zero}
-	res := m.Generate(f, 2000)
+	res, _ := m.GenerateCtx(context.Background(), f, 2000)
 	if res.Status != atpg.Found {
 		t.Fatalf("status = %v", res.Status)
 	}

@@ -22,6 +22,7 @@ import (
 // validation and admission rather than the engines.
 func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"kind":"faultsim","circuit":"s27","units":3}`))
+	f.Add([]byte(`{"kind":"faultsim","circuit":"s27","cone_threshold":8}`))
 	f.Add([]byte(`{"kind":"faultsim","circuit":"s27","cycles":2000000000}`))
 	f.Add([]byte(`{"kind":"faultsim","circuit":"s27","eval":"event"}`))
 	f.Add([]byte(`{"kind":"screen","circuit":"s2`))

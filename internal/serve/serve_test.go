@@ -231,7 +231,8 @@ func expectedOutput(t *testing.T, sp task.Spec) string {
 		eng := atpg.NewEngineTables(model, tables)
 		found, redundant, aborted := 0, 0, 0
 		for _, f := range faults {
-			switch eng.Generate(f, 250).Status {
+			res, _ := eng.GenerateCtx(context.Background(), f, 250)
+			switch res.Status {
 			case atpg.Found:
 				found++
 			case atpg.Redundant:
@@ -513,6 +514,41 @@ func TestSSEStreamsEvents(t *testing.T) {
 	}
 }
 
+// TestSSEKindsFilter: the ?kinds= filter SERVICE.md documents keeps
+// exactly the named journal kinds, and the stream still ends on done.
+func TestSSEKindsFilter(t *testing.T) {
+	_, h, _ := testServer(t, serve.Config{})
+	v := submit(t, h.URL, task.Spec{Kind: task.KindFlow, Circuit: "s27"})
+	resp, err := http.Get(h.URL + "/api/v1/jobs/" + v.ID + "/events?kinds=phase_begin,phase_end,cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var kinds []string
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	for sc.Scan() {
+		if k, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			kinds = append(kinds, k)
+		}
+	}
+	if len(kinds) == 0 || kinds[len(kinds)-1] != "done" {
+		t.Fatalf("stream %v does not end on done", kinds)
+	}
+	seen := map[string]bool{}
+	for _, k := range kinds[:len(kinds)-1] {
+		switch k {
+		case "phase_begin", "phase_end", "cache":
+			seen[k] = true
+		default:
+			t.Errorf("filtered stream carried a %q event", k)
+		}
+	}
+	if !seen["phase_begin"] || !seen["phase_end"] {
+		t.Errorf("filtered stream carried %v, want phase_begin and phase_end events", kinds)
+	}
+}
+
 // TestValidation exercises the 400 paths.
 func TestValidation(t *testing.T) {
 	_, h, _ := testServer(t, serve.Config{})
@@ -539,19 +575,24 @@ func TestValidation(t *testing.T) {
 			t.Errorf("spec %+v: status %d, want 400", sp, resp.StatusCode)
 		}
 	}
-	// Job sharding is gone: a body still asking for units is an unknown
-	// field.
-	resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json",
-		strings.NewReader(`{"kind":"faultsim","circuit":"s27","units":3}`))
-	if err != nil {
-		t.Fatal(err)
+	// Removed spec fields are unknown fields: job sharding (units) is
+	// gone, and the hybrid budget (cone_threshold) is derived from the
+	// circuit.
+	for field, body := range map[string]string{
+		"units":          `{"kind":"faultsim","circuit":"s27","units":3}`,
+		"cone_threshold": `{"kind":"faultsim","circuit":"s27","cone_threshold":8}`,
+	} {
+		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e, `unknown field \"`+field+`\"`) {
+			t.Errorf("%s body: status %d (%s), want 400 naming the field", field, resp.StatusCode, e)
+		}
 	}
-	e := readAll(t, resp)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e, `unknown field \"units\"`) {
-		t.Errorf("units body: status %d (%s), want 400 naming the field", resp.StatusCode, e)
-	}
-	resp, err = http.Get(h.URL + "/api/v1/jobs/j999999")
+	resp, err := http.Get(h.URL + "/api/v1/jobs/j999999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,6 @@ import (
 // (one per gate, in topological order).
 func (p *Program) NumInstr() int { return len(p.code) }
 
-// NumSignals returns the size of the compiled circuit's signal space.
-func (p *Program) NumSignals() int { return len(p.isGate) }
-
 // CompileObs is Compile plus metrics: when col is enabled it records
 // the compile count, cumulative compile wall time and cumulative
 // instruction count under the sim.compile.* counters. With a nil

@@ -19,10 +19,6 @@ import (
 	"repro/internal/scan"
 )
 
-// combBacktracks is the PODEM backtrack limit for standalone atpg
-// jobs — flow step 2's default, so the two agree.
-const combBacktracks = 250
-
 // Result is a job outcome: the text report (partial on interruption),
 // the circuit identity and headline scalars for the ledger, and the
 // per-kind data for richer consumers (tables, detection-profile plots,
@@ -199,7 +195,7 @@ func runATPG(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collect
 	eng := atpg.NewEngineTables(model, tables)
 	eng.Instrument(col, "atpg.comb")
 	for _, f := range faults {
-		r, err := eng.GenerateCtx(ctx, f, combBacktracks)
+		r, err := eng.GenerateCtx(ctx, f, core.CombBacktracks)
 		if err != nil {
 			return err
 		}
@@ -245,8 +241,7 @@ func runFaultSim(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Col
 	res.Gates, res.FFs, res.Cycles = st.Gates, st.FFs, len(seq)
 	col.Journal().Emit(journal.Axis(res.Faults))
 	r, err := faultsim.RunCtx(ctx, c, seq, faults, faultsim.Options{
-		Workers: sp.Workers, Eval: sp.backend(), ConeThreshold: sp.ConeThreshold,
-		Cache: cache, Obs: col,
+		Workers: sp.Workers, Eval: sp.backend(), Cache: cache, Obs: col,
 	})
 	res.DetectedAt = r.DetectedAt
 	res.Detected = r.NumDetected()

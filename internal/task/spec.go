@@ -101,10 +101,6 @@ type Spec struct {
 	// Uncollapsed selects the full fault list instead of the
 	// equivalence-collapsed one (faultsim only).
 	Uncollapsed bool `json:"uncollapsed,omitempty"`
-	// ConeThreshold overrides the hybrid evaluator's per-cycle event
-	// budget (0 = circuit-scaled default). Demotion depends only on the
-	// fault, sequence and initial state, so it is worker-invariant.
-	ConeThreshold int `json:"cone_threshold,omitempty"`
 	// Priority orders the daemon queue: higher pops first (default 0;
 	// FIFO within a priority). It does not affect the run itself.
 	Priority int `json:"priority,omitempty"`
@@ -153,9 +149,6 @@ type Defaults struct {
 	Eval string
 	// Cycles is the random-stimulus length default.
 	Cycles int
-	// ConeThreshold is the hybrid event-budget default (0 =
-	// circuit-scaled).
-	ConeThreshold int
 	// MaxWorkers is the largest Workers value Normalize accepts. Every
 	// worker may hold its own scratch (evaluators, PODEM engines), so
 	// one spec must not be able to ask for an unbounded pool.
@@ -248,9 +241,6 @@ func (sp *Spec) Normalize() error {
 	}
 	if sp.Workers > d.MaxWorkers {
 		return &LimitError{Field: "workers", Value: sp.Workers, Max: d.MaxWorkers}
-	}
-	if sp.ConeThreshold < 0 {
-		sp.ConeThreshold = d.ConeThreshold
 	}
 	if sp.TraceParent != "" {
 		tc, err := trace.Parse(sp.TraceParent)

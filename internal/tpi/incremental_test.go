@@ -71,7 +71,7 @@ func FuzzInsertIncremental(f *testing.F) {
 			script = script[:64]
 		}
 		c := gen.Generate(gen.Profile{Name: "fz", PIs: 6, POs: 4, FFs: 6, Gates: 50}, seed)
-		b, err := newBuilder(c, Options{Seed: seed}.withDefaults(len(c.FFs)))
+		b, err := newBuilder(c, Options{NumChains: 1, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

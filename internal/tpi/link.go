@@ -34,7 +34,7 @@ func (b *builder) tryFunctionalLink(q, ff netlist.SignalID) (scan.Segment, bool)
 	return scan.Segment{}, false
 }
 
-// enumeratePaths finds up to MaxPathsTried simple gate paths from q to
+// enumeratePaths finds up to maxPathsTried simple gate paths from q to
 // target by depth-first search, shortest alternatives first. Candidate
 // path nets must currently be X in scan mode (definite nets cannot
 // carry shift data) and must not belong to an established segment.
@@ -55,11 +55,11 @@ func (b *builder) enumeratePaths(q, target netlist.SignalID) [][]netlist.SignalI
 	var cur []netlist.SignalID
 	var dfs func(sig netlist.SignalID, depth int)
 	dfs = func(sig netlist.SignalID, depth int) {
-		if depth > b.opts.MaxPathLen {
+		if depth > maxPathLen {
 			return
 		}
 		for _, fo := range b.fanouts[sig] {
-			if len(paths) >= b.opts.MaxPathsTried {
+			if len(paths) >= maxPathsTried {
 				return
 			}
 			if fo == target {
@@ -69,7 +69,7 @@ func (b *builder) enumeratePaths(q, target netlist.SignalID) [][]netlist.SignalI
 				continue
 			}
 			// dist-1 more gates reach target from fo, which sits at depth.
-			if d := int(b.dist[fo]); d == 0 || depth+d-1 > b.opts.MaxPathLen || b.onPath[fo] {
+			if d := int(b.dist[fo]); d == 0 || depth+d-1 > maxPathLen || b.onPath[fo] {
 				continue
 			}
 			cur = append(cur, fo)
@@ -99,7 +99,7 @@ func (b *builder) distancesTo(target netlist.SignalID) {
 	for i := 0; i < len(b.reached); i++ {
 		s := b.reached[i]
 		d := b.dist[s]
-		if int(d) >= b.opts.MaxPathLen {
+		if int(d) >= maxPathLen {
 			continue
 		}
 		for _, f := range b.c.Signals[s].Fanin {
@@ -261,7 +261,7 @@ func (b *builder) ensureSide(g netlist.SignalID, pin int, op logic.Op, planned [
 // on failure the builder state is unchanged.
 func (b *builder) justify(net netlist.SignalID, v logic.V) bool {
 	acc := make(map[netlist.SignalID]logic.V)
-	if !b.propose(net, v, b.opts.JustifyDepth, acc) {
+	if !b.propose(net, v, justifyDepth, acc) {
 		return false
 	}
 	if len(acc) == 0 {

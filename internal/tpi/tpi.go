@@ -25,15 +25,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Options tunes scan insertion.
+// Options configures scan insertion.
 type Options struct {
-	NumChains     int   // number of scan chains (min 1)
-	MaxPathLen    int   // maximum gates on a functional path (default 8)
-	MaxPathsTried int   // DFS path candidates examined per link (default 12)
-	JustifyDepth  int   // recursion depth for PI-assignment justification (default 24)
-	MaxCandidates int   // candidate successors kept per flip-flop (default 16)
-	ConeCap       int   // forward-cone exploration cap per flip-flop (default 600)
-	Seed          int64 // tie-breaking randomness
+	NumChains int   // number of scan chains (clamped to 1..scan flip-flops)
+	Seed      int64 // tie-breaking randomness
 
 	// ScanFFs restricts the chains to this flip-flop subset (partial
 	// scan); the rest keep their mission D input and are recorded in
@@ -42,30 +37,14 @@ type Options struct {
 	ScanFFs []netlist.SignalID
 }
 
-func (o Options) withDefaults(nFF int) Options {
-	if o.NumChains < 1 {
-		o.NumChains = 1
-	}
-	if o.NumChains > nFF {
-		o.NumChains = nFF
-	}
-	if o.MaxPathLen == 0 {
-		o.MaxPathLen = 8
-	}
-	if o.MaxPathsTried == 0 {
-		o.MaxPathsTried = 12
-	}
-	if o.JustifyDepth == 0 {
-		o.JustifyDepth = 24
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 16
-	}
-	if o.ConeCap == 0 {
-		o.ConeCap = 600
-	}
-	return o
-}
+// The functional-link search's effort limits.
+const (
+	maxPathLen    = 8   // maximum gates on a functional path
+	maxPathsTried = 12  // DFS path candidates examined per link
+	justifyDepth  = 24  // recursion depth for PI-assignment justification
+	maxCandidates = 16  // candidate successors kept per flip-flop
+	coneCap       = 600 // forward-cone exploration cap per flip-flop
+)
 
 type builder struct {
 	opts Options
@@ -122,7 +101,7 @@ func Insert(orig *netlist.Circuit, opts Options) (*scan.Design, error) {
 			scanSet[ff] = true
 		}
 	}
-	opts = opts.withDefaults(len(scanSet))
+	opts.NumChains = min(max(opts.NumChains, 1), len(scanSet))
 
 	b, err := newBuilder(orig, opts)
 	if err != nil {
@@ -368,7 +347,7 @@ func (b *builder) propagate() {
 func (b *builder) val(s netlist.SignalID) logic.V { return b.vals[s] }
 
 // successorCandidates finds, per flip-flop, the flip-flops whose D cone
-// its output reaches within MaxPathLen gates — the functional-link
+// its output reaches within maxPathLen gates — the functional-link
 // candidates, nearest first.
 func (b *builder) successorCandidates(orig *netlist.Circuit) map[netlist.SignalID][]netlist.SignalID {
 	dsrcOf := make(map[netlist.SignalID][]netlist.SignalID) // D-source signal -> FFs
@@ -387,12 +366,12 @@ func (b *builder) successorCandidates(orig *netlist.Circuit) map[netlist.SignalI
 		visited := 0
 		var cands []netlist.SignalID
 		have := map[netlist.SignalID]bool{}
-		for len(queue) > 0 && visited < b.opts.ConeCap && len(cands) < b.opts.MaxCandidates {
+		for len(queue) > 0 && visited < coneCap && len(cands) < maxCandidates {
 			cur := queue[0]
 			queue = queue[1:]
 			visited++
 			for _, fo := range orig.Fanouts[cur.sig] {
-				if seen[fo] || !orig.IsGate(fo) || cur.dist+1 > b.opts.MaxPathLen {
+				if seen[fo] || !orig.IsGate(fo) || cur.dist+1 > maxPathLen {
 					continue
 				}
 				seen[fo] = true

@@ -34,17 +34,12 @@ type Metrics = obs.Metrics
 // NewCollector returns an enabled metrics collector.
 func NewCollector() *Collector { return obs.New() }
 
-// PublishMetrics exports col's live snapshot as the expvar variable
-// "fsct_metrics" (visible on /debug/vars of a ServeDebug server) and as
-// the OpenMetrics exposition ServeDebug serves at /metrics. Calling it
-// again rebinds both to the new collector.
-func PublishMetrics(col *Collector) { obs.Publish(col) }
-
 // ServeDebug starts an HTTP server on addr exposing the standard
-// net/http/pprof profiles under /debug/pprof/, expvar (including any
-// published collector) under /debug/vars, and a Prometheus/OpenMetrics
-// text rendering of the published collector's live snapshot at
-// /metrics. The server runs its own mux — nothing registered on
+// net/http/pprof profiles under /debug/pprof/, expvar under
+// /debug/vars, and a Prometheus/OpenMetrics text rendering at /metrics
+// of the collector a CLI's -debug flag publishes (a library process
+// publishes none, so its /metrics is a valid empty exposition). The
+// server runs its own mux — nothing registered on
 // http.DefaultServeMux leaks onto it. It returns once the listener is
 // bound; serving continues in the background. Close (or Shutdown) the
 // returned server to stop it; its Addr field carries the bound address,
@@ -69,13 +64,6 @@ type JournalEvent = journal.Event
 // (<= 0 selects the default, 65536). Overflow drops new events but
 // keeps counting them.
 func NewJournal(capacity int) *Journal { return journal.New(capacity) }
-
-// WriteJournalTrace serializes journal events (Journal.Snapshot) in
-// Chrome trace-event JSON format, loadable by chrome://tracing and
-// Perfetto. dropped (Journal.Dropped) is annotated in the timeline.
-func WriteJournalTrace(w io.Writer, events []JournalEvent, dropped int64) error {
-	return journal.WriteTrace(w, events, dropped)
-}
 
 // Provenance is the journal-derived explanation of what the flow
 // decided about one fault; see ExplainFault.
