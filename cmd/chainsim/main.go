@@ -8,7 +8,6 @@
 // Usage:
 //
 //	chainsim [-profile s27|s1423|…] [-scale 0.1] [-chains N] [-seed 1] [-list]
-//	         [-eval auto|compiled|hybrid]
 //	         [-metrics] [-tracefile run.json] [-progress] [-debug addr]
 //
 // The observability flags are the shared surface (see
@@ -38,7 +37,7 @@ func main() {
 	var (
 		v = specflags.Register(flag.CommandLine, fsct.TaskScreen,
 			specflags.Options{Profile: true, DefaultProfile: "s27", Chains: true,
-				Workers: true, Eval: true, ScaleDefault: 0.05})
+				Workers: true, ScaleDefault: 0.05})
 		list   = flag.Bool("list", false, "list every escaping hard fault")
 		oflags = obsflags.Register(flag.CommandLine)
 	)
@@ -50,11 +49,6 @@ func main() {
 	}
 	defer sess.Close()
 	col := sess.Collector()
-
-	backend, err := fsct.ParseEvalBackend(v.Eval)
-	if err != nil {
-		sess.Fail(err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -98,7 +92,7 @@ func main() {
 	fmt.Printf("alternating shift test: %d cycles over %d chain(s), longest %d\n",
 		len(alt), len(d.Chains), d.MaxChainLen())
 
-	simOpts := fsct.SimOptions{Workers: v.Workers, Eval: backend, Obs: col}
+	simOpts := fsct.SimOptions{Workers: v.Workers, Obs: col}
 	easyRes, err := fsct.SimulateFaultsCtx(ctx, d.C, alt, easy, simOpts)
 	if err != nil {
 		sess.Fail(err)

@@ -7,7 +7,6 @@
 //	faultsim -in circuit.bench -seq tests.txt
 //	faultsim -profile s9234 -scale 0.1 -random 2000 -profileplot
 //	faultsim -profile s5378 -scale 0.1 -random 500 -metrics [-progress]
-//	faultsim -profile s1423 -random 500 -eval hybrid
 //	faultsim -profile s9234 -random 1000 -tracefile run.json -progress
 //
 // The flags assemble a task spec (see internal/task and
@@ -46,7 +45,7 @@ func main() {
 	maxCycles := fsct.TaskDefaultsFor(fsct.TaskFaultSim).MaxCycles
 	var (
 		v = specflags.Register(flag.CommandLine, fsct.TaskFaultSim,
-			specflags.Options{In: true, Profile: true, Workers: true, Eval: true})
+			specflags.Options{In: true, Profile: true, Workers: true})
 		seqFile     = flag.String("seq", "", "test sequence file (see internal/faultsim format)")
 		random      = flag.Int("random", 0, fmt.Sprintf("generate this many random cycles instead of -seq (at most %d)", maxCycles))
 		uncollapsed = flag.Bool("uncollapsed", false, "use the full fault list (no equivalence collapsing)")

@@ -32,7 +32,7 @@
 // run_id/job_id.
 //
 // See SERVICE.md at the repository root for the operator's handbook:
-// every endpoint, the SSE stream format, queue/priority semantics and
+// every endpoint, the SSE stream format, FIFO queue semantics and
 // cache-budget tuning.
 //
 // The shared observability flags apply to the daemon process itself:

@@ -7,7 +7,6 @@
 //
 //	fsctest [-scale 0.1] [-circuits s1423,s5378] [-chains N] [-seed 1]
 //	        [-table all|1|2|3] [-fig5 s38584] [-v]
-//	        [-eval auto|compiled|hybrid]
 //	        [-metrics] [-tracefile run.json] [-progress]
 //	        [-debug addr] [-why fault]
 //
@@ -60,7 +59,7 @@ import (
 func main() {
 	var (
 		v = specflags.Register(flag.CommandLine, fsct.TaskFlow,
-			specflags.Options{Chains: true, Workers: true, Eval: true})
+			specflags.Options{Chains: true, Workers: true})
 		circuits = flag.String("circuits", "", "comma-separated circuit names (default: whole suite)")
 		table    = flag.String("table", "all", "which table to print: all, 1, 2, 3")
 		fig5     = flag.String("fig5", "", "circuit whose detection profile to plot (default: largest run)")
@@ -75,9 +74,6 @@ func main() {
 		sess.Fail(err)
 	}
 	defer sess.Close()
-	if _, err := fsct.ParseEvalBackend(v.Eval); err != nil {
-		sess.Fail(err)
-	}
 
 	// SIGINT cancels the flow mid-step; whatever completed is still
 	// reported below, marked interrupted.

@@ -136,12 +136,11 @@ type Session struct {
 	tctx    trace.Context
 	tparent trace.SpanID
 
-	mu         sync.Mutex
-	runs       []ledger.Record
-	exit       int
-	circuits   []string     // distinct circuits seen by RecordRun
-	hash       uint64       // last nonzero structural hash
-	traceAttrs []trace.Attr // extra OTLP resource attrs (SetTraceAttr)
+	mu       sync.Mutex
+	runs     []ledger.Record
+	exit     int
+	circuits []string // distinct circuits seen by RecordRun
+	hash     uint64   // last nonzero structural hash
 
 	closeOnce sync.Once
 	closeErr  error
@@ -250,29 +249,19 @@ func (s *Session) StampTrace(sp *task.Spec) {
 	sp.TraceParent = s.tctx.Traceparent()
 }
 
-// SetTraceAttr adds one resource attribute to the run's exported trace
-// (the eval backend, say — facts the session cannot see from its own
-// flags). Later values for the same key win at export.
-func (s *Session) SetTraceAttr(key, value string) {
-	s.mu.Lock()
-	s.traceAttrs = append(s.traceAttrs, trace.Attr{Key: key, Value: value})
-	s.mu.Unlock()
-}
-
 // Trace assembles the run's span tree from the flight recorder: the
 // root span (this CLI invocation, parented to TRACEPARENT's span when
 // one was inherited), one span per executed unit, and the phase,
 // worker-pool and ATPG spans inside each. The resource attributes
 // carry the run identity — run_id, cli, the circuits RecordRun saw,
-// the last structural hash, any SetTraceAttr extras — plus the
-// recorder's dropped-event count, so truncated traces self-describe.
+// the last structural hash — plus the recorder's dropped-event count,
+// so truncated traces self-describe.
 func (s *Session) Trace() trace.Trace {
 	s.mu.Lock()
 	attrs := []trace.Attr{{Key: "run_id", Value: s.runID}, {Key: "cli", Value: s.cli}}
 	if len(s.circuits) > 0 {
 		attrs = append(attrs, trace.Attr{Key: "circuit", Value: strings.Join(s.circuits, ",")})
 	}
-	attrs = append(attrs, s.traceAttrs...)
 	hash := s.hash
 	s.mu.Unlock()
 	return trace.FromRecorder(s.recorder, s.tctx, s.tparent, s.cli, -1, hash, attrs...)

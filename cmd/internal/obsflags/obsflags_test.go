@@ -334,7 +334,6 @@ func TestOTLPFileWrittenOnClose(t *testing.T) {
 	}
 	s.Collector().Phase("faultsim.seq").End()
 	s.RecordRun("s27", 0xabc, nil, nil)
-	s.SetTraceAttr("eval", "table")
 	var sp task.Spec
 	s.StampTrace(&sp)
 	if want := s.TraceContext().Traceparent(); sp.TraceParent != want {
@@ -364,7 +363,7 @@ func TestOTLPFileWrittenOnClose(t *testing.T) {
 	}
 	for _, want := range []struct{ k, v string }{
 		{"circuit", "s27"}, {"structural_hash", "0000000000000abc"},
-		{"eval", "table"}, {"journal.dropped_events", "0"},
+		{"journal.dropped_events", "0"},
 	} {
 		if attrs[want.k] != want.v {
 			t.Errorf("resource %s = %q, want %q", want.k, attrs[want.k], want.v)

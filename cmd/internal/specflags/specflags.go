@@ -30,8 +30,6 @@ type Options struct {
 	Chains bool
 	// Workers registers -workers.
 	Workers bool
-	// Eval registers -eval.
-	Eval bool
 	// ScaleDefault overrides the defaults table's -scale default for
 	// commands whose UX wants a different entry point (chainsim 0.05,
 	// testability 0.1). Zero keeps the table value.
@@ -48,14 +46,13 @@ type Values struct {
 	Seed    int64
 	Chains  int
 	Workers int
-	Eval    string
 }
 
 // Register installs the selected flags on fs with defaults from
 // task.DefaultsFor(kind) and returns the value holder.
 func Register(fs *flag.FlagSet, kind string, opt Options) *Values {
 	d := task.DefaultsFor(kind)
-	v := &Values{Kind: kind, Eval: d.Eval}
+	v := &Values{Kind: kind}
 	if opt.In {
 		fs.StringVar(&v.In, "in", "", "input .bench file")
 	}
@@ -77,10 +74,6 @@ func Register(fs *flag.FlagSet, kind string, opt Options) *Values {
 		fs.IntVar(&v.Workers, "workers", d.Workers,
 			fmt.Sprintf("fault-axis worker goroutines (0 = GOMAXPROCS, 1 = serial, at most %d)", d.MaxWorkers))
 	}
-	if opt.Eval {
-		fs.StringVar(&v.Eval, "eval", d.Eval,
-			"fault-simulation backend: auto, compiled, hybrid")
-	}
 	return v
 }
 
@@ -98,7 +91,6 @@ func (v *Values) Spec(circuit string) (task.Spec, error) {
 		Seed:    v.Seed,
 		Chains:  v.Chains,
 		Workers: v.Workers,
-		Eval:    v.Eval,
 	}
 	if circuit != "" {
 		return sp, nil

@@ -11,7 +11,7 @@ import (
 
 // allFlags registers every optional flag, the widest surface a command
 // can ask for.
-var allFlags = Options{In: true, Profile: true, Chains: true, Workers: true, Eval: true}
+var allFlags = Options{In: true, Profile: true, Chains: true, Workers: true}
 
 // TestDefaultsMatchDaemon is the anti-drift contract: for every job
 // kind, a CLI that parses zero flags must produce a spec that
@@ -48,9 +48,6 @@ func TestDefaultsMatchDaemon(t *testing.T) {
 		if cli.Workers != daemon.Workers {
 			t.Errorf("%s: workers: CLI %d, daemon %d", kind, cli.Workers, daemon.Workers)
 		}
-		if cli.Eval != daemon.Eval {
-			t.Errorf("%s: eval: CLI %q, daemon %q", kind, cli.Eval, daemon.Eval)
-		}
 		if cli.Cycles != daemon.Cycles {
 			t.Errorf("%s: cycles: CLI %d, daemon %d", kind, cli.Cycles, daemon.Cycles)
 		}
@@ -70,7 +67,6 @@ func TestFlagDefaultsComeFromTable(t *testing.T) {
 			"seed":    fmt.Sprintf("%d", d.Seed),
 			"chains":  fmt.Sprintf("%d", d.Chains),
 			"workers": fmt.Sprintf("%d", d.Workers),
-			"eval":    d.Eval,
 		}
 		for name, def := range want {
 			f := fs.Lookup(name)
@@ -82,9 +78,12 @@ func TestFlagDefaultsComeFromTable(t *testing.T) {
 			}
 		}
 		// The hybrid budget is derived from the circuit
-		// (engine.ConeThresholdFor); no flag or spec field sets it.
-		if fs.Lookup("conethr") != nil {
-			t.Errorf("%s: -conethr registered", kind)
+		// (engine.ConeThresholdFor) and the evaluator is engine.Auto's
+		// choice; no flag or spec field sets either.
+		for _, name := range []string{"conethr", "eval"} {
+			if fs.Lookup(name) != nil {
+				t.Errorf("%s: -%s registered", kind, name)
+			}
 		}
 	}
 }

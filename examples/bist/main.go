@@ -35,12 +35,11 @@ func main() {
 	}
 	fmt.Printf("circuit %s: %d chain-affecting faults\n", design.C.Name, len(affecting))
 
-	cfg := bist.Config{MISRWidth: 32}
-	res, err := bist.Run(design, affecting, cfg)
+	res, err := bist.Run(design, affecting)
 	if err != nil {
 		log.Fatal(err)
 	}
-	golden, _ := bist.GoldenSignature(design, cfg)
+	golden, _ := bist.GoldenSignature(design)
 	fmt.Printf("golden signature: %08x\n\n", golden)
 
 	alt := fsct.Sequence(design.AlternatingSequence(8))

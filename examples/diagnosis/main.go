@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("circuit %s: %d candidate chain faults in the dictionary\n",
 		design.C.Name, len(affecting))
 
-	dict, err := diagnose.BuildCtx(context.Background(), design, affecting, diagnose.DefaultSequences(design, 99), 1, nil)
+	dict, err := diagnose.BuildCtx(context.Background(), design, affecting, diagnose.DefaultSequences(design, 99), 1, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,25 +72,11 @@ type (
 	Sequence = faultsim.Sequence
 	// SimResult is the outcome of fault-simulating a sequence.
 	SimResult = faultsim.Result
-	// EvalBackend selects a fault-simulation backend (EvalAuto,
-	// EvalCompiled, EvalHybrid).
-	EvalBackend = engine.Backend
 	// EngineCache memoizes per-circuit derived artifacts (compiled
 	// programs, collapsed fault lists, combinational ATPG models and
 	// SCOAP tables) across flow phases and library calls.
 	EngineCache = engine.Cache
 )
-
-// Fault-simulation backends for SimOptions.Eval and FlowParams.Eval.
-const (
-	EvalAuto     = engine.Auto
-	EvalCompiled = engine.Compiled
-	EvalHybrid   = engine.Hybrid
-)
-
-// ParseEvalBackend maps a flag string (auto, compiled, hybrid) to an
-// EvalBackend.
-func ParseEvalBackend(s string) (EvalBackend, error) { return engine.ParseBackend(s) }
 
 // Logic constants.
 const (
@@ -190,8 +176,8 @@ func ScreenFaultsCtx(ctx context.Context, d *Design, faults []Fault, opts Screen
 }
 
 // SimOptions tunes a fault-simulation run (initial state, early stop,
-// worker count, evaluator backend). The zero value selects GOMAXPROCS
-// workers and the Auto backend.
+// worker count, artifact cache, metrics collector). The zero value
+// selects GOMAXPROCS workers and lets the engine pick the evaluator.
 type SimOptions = faultsim.Options
 
 // SimulateFaultsCtx fault-simulates a test sequence against every fault
@@ -225,15 +211,15 @@ type Dictionary = diagnose.Dictionary
 // BuildDictionaryCtx simulates the candidate faults against the default
 // diagnostic sequences and indexes their response signatures, with the
 // 63-fault simulation batches sharded across workers goroutines (0 =
-// GOMAXPROCS); the dictionary is identical at any width. The build runs
-// under a "dictionary" phase of col, its worker pool reports
+// GOMAXPROCS); the dictionary is identical at any width. The build
+// runs under a "dictionary" phase of col, its worker pool reports
 // utilization as the "diagnose" pool, and with a journal attached both
 // emit flight-recorder events; col may be nil. Discard the dictionary
 // when the error is non-nil.
 func BuildDictionaryCtx(ctx context.Context, d *Design, faults []Fault, seed uint64, workers int, col *Collector) (*Dictionary, error) {
 	sp := col.Phase("dictionary")
 	defer sp.End()
-	return diagnose.BuildCtx(ctx, d, faults, diagnose.DefaultSequences(d, seed), workers, col)
+	return diagnose.BuildCtx(ctx, d, faults, diagnose.DefaultSequences(d, seed), workers, nil, col)
 }
 
 // ChainNets returns every on-path net of the design's chains.

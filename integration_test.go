@@ -50,7 +50,7 @@ func TestAllSystems(t *testing.T) {
 			affecting = append(affecting, s.Fault)
 		}
 	}
-	bres, err := bist.Run(design, affecting, bist.Config{})
+	bres, err := bist.Run(design, affecting)
 	if err != nil {
 		t.Fatal(err)
 	}

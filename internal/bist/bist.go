@@ -165,46 +165,44 @@ func (m *MISR) Fold(po []logic.V) {
 // Signature returns the compacted state.
 func (m *MISR) Signature() uint64 { return m.state }
 
-// Config describes one chain self-test session.
-type Config struct {
-	Cycles    int       // stimulus length (default 4*maxchain+64)
-	LFSRWidth int       // default 32
-	MISRWidth int       // default 32
-	Seed      uint64    // LFSR seed (default 0xACE1)
-	Weight    Weighting // 1-density of the stimulus (default Uniform)
+// The chain self-test session: a 32-bit LFSR seeded with lfsrSeed
+// drives uniform random bits for 4*maxchain+cycleSlack cycles, and a
+// 32-bit MISR compacts the responses.
+const (
+	lfsrWidth  = 32
+	misrWidth  = 32
+	lfsrSeed   = 0xACE1
+	cycleSlack = 64
+)
+
+// config holds the session parameters the tests vary (seed, MISR
+// width, length, weighting); Run and GoldenSignature always use
+// sessionConfig.
+type config struct {
+	cycles    int
+	misrWidth int
+	seed      uint64
+	weight    Weighting
 }
 
-func (cfg Config) withDefaults(d *scan.Design) Config {
-	if cfg.Cycles == 0 {
-		cfg.Cycles = 4*d.MaxChainLen() + 64
-	}
-	if cfg.LFSRWidth == 0 {
-		cfg.LFSRWidth = 32
-	}
-	if cfg.MISRWidth == 0 {
-		cfg.MISRWidth = 32
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0xACE1
-	}
-	return cfg
+func sessionConfig(d *scan.Design) config {
+	return config{cycles: 4*d.MaxChainLen() + cycleSlack, misrWidth: misrWidth, seed: lfsrSeed, weight: Uniform}
 }
 
-// Stimulus generates the BIST input sequence for a design: scan mode
+// stimulus generates the BIST input sequence for a design: scan mode
 // asserted, pinned inputs at their TPI constants, every other input
 // (scan-ins included) driven from the LFSR.
-func Stimulus(d *scan.Design, cfg Config) ([][]logic.V, error) {
-	cfg = cfg.withDefaults(d)
-	l, err := NewLFSR(cfg.LFSRWidth, cfg.Seed)
+func stimulus(d *scan.Design, cfg config) ([][]logic.V, error) {
+	l, err := NewLFSR(lfsrWidth, cfg.seed)
 	if err != nil {
 		return nil, err
 	}
-	seq := make([][]logic.V, cfg.Cycles)
+	seq := make([][]logic.V, cfg.cycles)
 	for t := range seq {
 		pi := d.BaselinePI()
 		for i, in := range d.C.Inputs {
 			if _, pinned := d.Assignments[in]; !pinned {
-				pi[i] = l.WeightedBit(cfg.Weight)
+				pi[i] = l.WeightedBit(cfg.weight)
 			}
 		}
 		seq[t] = pi
@@ -214,17 +212,18 @@ func Stimulus(d *scan.Design, cfg Config) ([][]logic.V, error) {
 
 // GoldenSignature simulates the fault-free design under the BIST
 // stimulus and returns the reference signature.
-func GoldenSignature(d *scan.Design, cfg Config) (uint64, error) {
-	cfg = cfg.withDefaults(d)
-	seq, err := Stimulus(d, cfg)
+func GoldenSignature(d *scan.Design) (uint64, error) { return goldenSignature(d, sessionConfig(d)) }
+
+func goldenSignature(d *scan.Design, cfg config) (uint64, error) {
+	seq, err := stimulus(d, cfg)
 	if err != nil {
 		return 0, err
 	}
 	return signatureOf(d, seq, nil, cfg)
 }
 
-func signatureOf(d *scan.Design, seq [][]logic.V, inj *sim.Inject, cfg Config) (uint64, error) {
-	m, err := NewMISR(cfg.MISRWidth)
+func signatureOf(d *scan.Design, seq [][]logic.V, inj *sim.Inject, cfg config) (uint64, error) {
+	m, err := NewMISR(cfg.misrWidth)
 	if err != nil {
 		return 0, err
 	}
@@ -255,9 +254,12 @@ type Result struct {
 // Run executes the self-test against every fault: one fault-free pass
 // for the golden signature, then one faulty pass per fault (signatures
 // must be computed serially — each faulty machine owns a MISR).
-func Run(d *scan.Design, faults []fault.Fault, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults(d)
-	seq, err := Stimulus(d, cfg)
+func Run(d *scan.Design, faults []fault.Fault) (*Result, error) {
+	return run(d, faults, sessionConfig(d))
+}
+
+func run(d *scan.Design, faults []fault.Fault, cfg config) (*Result, error) {
+	seq, err := stimulus(d, cfg)
 	if err != nil {
 		return nil, err
 	}

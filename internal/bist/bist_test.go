@@ -102,15 +102,17 @@ func TestMISROrderSensitivity(t *testing.T) {
 
 func TestGoldenSignatureDeterministic(t *testing.T) {
 	d := design(t)
-	a, err := GoldenSignature(d, Config{})
+	a, err := GoldenSignature(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := GoldenSignature(d, Config{})
+	b, _ := GoldenSignature(d)
 	if a != b {
 		t.Error("golden signature nondeterministic")
 	}
-	c, _ := GoldenSignature(d, Config{Seed: 0xDEAD})
+	cfg := sessionConfig(d)
+	cfg.seed = 0xDEAD
+	c, _ := goldenSignature(d, cfg)
 	if a == c {
 		t.Error("different seed produced the same signature (suspicious)")
 	}
@@ -126,7 +128,7 @@ func TestRunDetectsChainFaults(t *testing.T) {
 			affecting = append(affecting, s.Fault)
 		}
 	}
-	res, err := Run(d, affecting, Config{})
+	res, err := Run(d, affecting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,9 @@ func TestNarrowMISRAliases(t *testing.T) {
 	// narrow widths and stays consistent.
 	d := design(t)
 	all := fault.Collapsed(d.C)
-	res, err := Run(d, all, Config{MISRWidth: 8, Cycles: 64})
+	cfg := sessionConfig(d)
+	cfg.misrWidth, cfg.cycles = 8, 64
+	res, err := run(d, all, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +200,13 @@ func TestWeightedBitDensity(t *testing.T) {
 
 func TestWeightedStimulusChangesSignature(t *testing.T) {
 	d := design(t)
-	a, err := GoldenSignature(d, Config{Weight: Uniform})
+	cfg := sessionConfig(d)
+	a, err := goldenSignature(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GoldenSignature(d, Config{Weight: Quarter})
+	cfg.weight = Quarter
+	b, err := goldenSignature(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

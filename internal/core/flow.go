@@ -31,18 +31,14 @@ const (
 
 // Params configures a flow run. The flow itself is fixed (the paper's
 // distances and effort limits); these fields choose only how it runs —
-// parallelism, backend, artifact cache and instrumentation — and the
-// findings are identical for every setting.
+// parallelism, artifact cache and instrumentation — and the findings
+// are identical for every setting. Fault simulation picks its
+// evaluator per run (engine.Auto).
 type Params struct {
 	// Workers shards the fault axis of screening and every fault
 	// simulation across this many goroutines (0 = GOMAXPROCS, 1 =
 	// serial). Reports are identical at any width.
 	Workers int
-
-	// Eval selects the fault-simulation backend (engine.Auto picks per
-	// run). Screening and the step-2 dropper are combinational and
-	// always use the compiled evaluator.
-	Eval engine.Backend
 
 	// Engine supplies the shared circuit-artifact cache every phase
 	// draws derived structures from (compiled programs, collapsed fault
@@ -128,12 +124,11 @@ func (r *Report) Undetected() int { return len(r.UndetectedFaults) }
 func (r *Report) Affecting() int { return r.Easy + r.Hard }
 
 // simOptions assembles the fault-simulation options the flow's phases
-// share, threading the evaluator backend and artifact cache through.
+// share, threading the artifact cache through.
 func (p Params) simOptions(stopEarly bool) faultsim.Options {
 	return faultsim.Options{
 		StopWhenAllDetected: stopEarly,
 		Workers:             p.Workers,
-		Eval:                p.Eval,
 		Cache:               p.Engine,
 		Obs:                 p.Obs,
 	}

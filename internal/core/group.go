@@ -40,7 +40,7 @@ func tryVectorFills(ctx context.Context, d *scan.Design, f fault.Fault, v scan.V
 		}
 		seq := faultsim.Sequence(d.ConvertVectors([]scan.Vector{vv}))
 		fr, err := faultsim.RunCtx(ctx, d.C, seq, []fault.Fault{f},
-			faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
+			faultsim.Options{Cache: p.Engine, Obs: p.Obs})
 		if err != nil {
 			return false, err
 		}
@@ -427,7 +427,7 @@ func firstErr(errs []error, poolErr error) error {
 // circuit; only a confirmed detection counts as one.
 func confirm(ctx context.Context, d *scan.Design, f fault.Fault, seq [][]logic.V, p Params) (bool, error) {
 	fr, err := faultsim.RunCtx(ctx, d.C, faultsim.Sequence(seq), []fault.Fault{f},
-		faultsim.Options{Eval: p.Eval, Cache: p.Engine, Obs: p.Obs})
+		faultsim.Options{Cache: p.Engine, Obs: p.Obs})
 	if err != nil {
 		return false, err
 	}

@@ -74,9 +74,9 @@ func DefaultSequences(d *scan.Design, seed uint64) [][][]logic.V {
 // slot and a fault belongs to exactly one batch, so the dictionary is
 // identical at any worker count; the fault-free machine is hashed by
 // whichever worker runs the first batch (every batch's lane 0 simulates
-// the same fault-free device). The compiled program is drawn from the
-// shared artifact cache, so building a dictionary for a circuit the
-// flow already ran on costs no recompilation.
+// the same fault-free device). The compiled program is drawn from
+// cache (nil = engine.Default()), so building a dictionary for a
+// circuit the flow already ran on costs no recompilation.
 //
 // Workers stop claiming fault batches once ctx fires and the context
 // error is returned. A cancelled build yields a dictionary whose
@@ -86,7 +86,7 @@ func DefaultSequences(d *scan.Design, seed uint64) [][][]logic.V {
 // When col is non-nil the build's worker pool reports utilization (and,
 // with a journal attached, per-batch flight-recorder events) under the
 // "diagnose" pool, and the artifact-cache probe is accounted.
-func BuildCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, seqs [][][]logic.V, workers int, col *obs.Collector) (*Dictionary, error) {
+func BuildCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, seqs [][][]logic.V, workers int, cache *engine.Cache, col *obs.Collector) (*Dictionary, error) {
 	dict := &Dictionary{
 		Design: d,
 		Faults: faults,
@@ -109,7 +109,7 @@ func BuildCtx(ctx context.Context, d *scan.Design, faults []fault.Fault, seqs []
 		}
 	}
 
-	prog := engine.Default().ForObs(d.C, col).Program(col)
+	prog := engine.Resolve(cache).ForObs(d.C, col).Program(col)
 	batches := par.Chunks(len(faults), 63)
 	workers = par.Workers(workers)
 	if workers > len(batches) {

@@ -36,7 +36,7 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 			truth[s.Fault] = s.Locs
 		}
 	}
-	dict, _ := BuildCtx(context.Background(), d, affecting, DefaultSequences(d, 7), 1, nil)
+	dict, _ := BuildCtx(context.Background(), d, affecting, DefaultSequences(d, 7), 1, nil, nil)
 
 	diagnosable := 0
 	for _, f := range affecting {
@@ -84,7 +84,7 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 
 func TestGoodDeviceMatchesGoodSignature(t *testing.T) {
 	d := buildDesign(t, 1)
-	dict, _ := BuildCtx(context.Background(), d, fault.Collapsed(d.C)[:10], DefaultSequences(d, 3), 1, nil)
+	dict, _ := BuildCtx(context.Background(), d, fault.Collapsed(d.C)[:10], DefaultSequences(d, 3), 1, nil, nil)
 	sig := dict.Observe(&SimulatedDevice{C: d.C})
 	if sig != dict.GoodSignature() {
 		t.Error("fault-free device does not match the good signature")
@@ -101,7 +101,7 @@ func TestGoodDeviceMatchesGoodSignature(t *testing.T) {
 func TestEquivalentFaultsShareSignature(t *testing.T) {
 	d := buildDesign(t, 1)
 	all := fault.All(d.C) // uncollapsed: contains equivalent pairs
-	dict, _ := BuildCtx(context.Background(), d, all, DefaultSequences(d, 5), 1, nil)
+	dict, _ := BuildCtx(context.Background(), d, all, DefaultSequences(d, 5), 1, nil, nil)
 	seen := map[Signature]int{}
 	for _, s := range dict.sigs {
 		seen[s]++
@@ -131,7 +131,7 @@ func TestDiagnoseMultiChain(t *testing.T) {
 			affecting = append(affecting, s.Fault)
 		}
 	}
-	dict, _ := BuildCtx(context.Background(), d, affecting, DefaultSequences(d, 11), 1, nil)
+	dict, _ := BuildCtx(context.Background(), d, affecting, DefaultSequences(d, 11), 1, nil, nil)
 	hits := 0
 	for _, f := range affecting {
 		hidden := f
@@ -153,7 +153,7 @@ func TestDiagnoseMultiChain(t *testing.T) {
 
 func TestEmptyDictionary(t *testing.T) {
 	d := buildDesign(t, 1)
-	dict, _ := BuildCtx(context.Background(), d, nil, DefaultSequences(d, 1), 1, nil)
+	dict, _ := BuildCtx(context.Background(), d, nil, DefaultSequences(d, 1), 1, nil, nil)
 	if got := dict.Match(dict.GoodSignature()); len(got) != 0 {
 		t.Errorf("empty dictionary matched %d faults", len(got))
 	}
@@ -183,9 +183,9 @@ func TestBuildOptWorkerInvariance(t *testing.T) {
 		t.Fatalf("want >63 affecting faults for a multi-batch test, got %d", len(affecting))
 	}
 	seqs := DefaultSequences(d, 7)
-	ref, _ := BuildCtx(context.Background(), d, affecting, seqs, 1, nil)
+	ref, _ := BuildCtx(context.Background(), d, affecting, seqs, 1, nil, nil)
 	for _, w := range []int{2, 4, 0} {
-		got, _ := BuildCtx(context.Background(), d, affecting, seqs, w, nil)
+		got, _ := BuildCtx(context.Background(), d, affecting, seqs, w, nil, nil)
 		if got.good != ref.good {
 			t.Errorf("workers=%d: good signature %016x != %016x", w, got.good, ref.good)
 		}

@@ -7,8 +7,10 @@ import (
 )
 
 // Backend names a fault-simulation backend. Auto defers the choice to a
-// per-run heuristic (circuit size, lane occupancy); the other values
-// force one, which the -eval flags on the binaries expose for ablation.
+// per-run heuristic (circuit size, lane occupancy) and is what every
+// run above internal/faultsim uses; the other values force one, which
+// faultsim.Options.Eval exposes for cross-checks and crossover
+// measurements.
 type Backend int
 
 // The selectable backends. Compiled is the 64-lane flat-instruction
@@ -31,16 +33,6 @@ func (b Backend) String() string {
 		return backendNames[b]
 	}
 	return fmt.Sprintf("Backend(%d)", int(b))
-}
-
-// ParseBackend maps a flag value to a Backend.
-func ParseBackend(s string) (Backend, error) {
-	for i, n := range backendNames {
-		if s == n {
-			return Backend(i), nil
-		}
-	}
-	return Auto, fmt.Errorf("engine: unknown evaluator backend %q (want auto, compiled or hybrid)", s)
 }
 
 // DefaultConeThreshold is the floor of the hybrid strategy's per-cycle

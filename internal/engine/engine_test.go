@@ -218,21 +218,6 @@ func TestCombSearchMemoized(t *testing.T) {
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	for _, b := range []Backend{Auto, Compiled, Hybrid} {
-		got, err := ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Errorf("ParseBackend(%q) = %v, %v", b.String(), got, err)
-		}
-	}
-	// Only auto, compiled and hybrid parse.
-	for _, name := range []string{"warp", "packed", "scalar", "event"} {
-		if _, err := ParseBackend(name); err == nil {
-			t.Errorf("ParseBackend accepted %q", name)
-		}
-	}
-}
-
 func TestResolveAuto(t *testing.T) {
 	small := testCircuit(t, 5)
 	if got := Auto.ResolveSeq(small, 1); got != Compiled {

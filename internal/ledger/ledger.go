@@ -76,8 +76,6 @@ type ServerMeta struct {
 	JobID string `json:"job_id"`
 	// Kind is the job kind (flow, screen, atpg, faultsim, diagnose).
 	Kind string `json:"kind"`
-	// Priority is the submitted queue priority (higher runs earlier).
-	Priority int `json:"priority"`
 	// Status is the terminal job status (done, failed, canceled).
 	Status string `json:"status"`
 	// QueueNS is how long the job waited for a runner, in nanoseconds.

@@ -28,6 +28,7 @@ func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"kind":"screen","circuit":"s2`))
 	f.Add([]byte(`{"kind":"screen","circuit":"big","bench":"` + strings.Repeat("#", MaxSubmitBytes) + `"}`))
 	f.Add([]byte(`{"kind":"screen","circuit":"s27","priority":3}`))
+	f.Add([]byte(`{"kind":"faultsim","circuit":"s27","eval":"auto"}`))
 
 	origRun, origCap := runTask, maxRetainedJobs
 	f.Cleanup(func() { runTask, maxRetainedJobs = origRun, origCap })

@@ -36,7 +36,6 @@ func (st Status) Terminal() bool {
 // only wraps queue position, status and streaming.
 type Job struct {
 	id        string
-	seq       int64
 	spec      task.Spec
 	submitted time.Time
 
@@ -52,7 +51,6 @@ type Job struct {
 	tparent trace.SpanID
 
 	mu        sync.Mutex
-	index     int // heap position; -1 when not queued
 	status    Status
 	errMsg    string
 	output    string
@@ -77,14 +75,12 @@ func newJob(parent context.Context, seq int64, sp task.Spec) *Job {
 		tctx:      tctx,
 		tparent:   caller.Span,
 		id:        fmt.Sprintf("j%06d", seq),
-		seq:       seq,
 		spec:      sp,
 		submitted: time.Now(),
 		ctx:       ctx,
 		cancel:    cancel,
 		rec:       journal.New(0),
 		hub:       newHub(),
-		index:     -1,
 		status:    StatusQueued,
 	}
 	j.rec.Subscribe(func(journal.Event) { j.hub.bump() })
@@ -137,7 +133,7 @@ func (j *Job) TraceContext() trace.Context { return j.tctx }
 // job — spans still open simply end "now" and carry the unclosed
 // attribute once the job is canceled mid-flight. runID is stamped into
 // the resource attributes alongside the job identity, the circuit's
-// structural hash (once the run resolved it), the eval backend and the
+// structural hash (once the run resolved it) and the
 // recorder's dropped-event count, so truncated traces self-describe.
 func (j *Job) Trace(runID string) trace.Trace {
 	j.mu.Lock()
@@ -154,17 +150,15 @@ func (j *Job) Trace(runID string) trace.Trace {
 		trace.Attr{Key: "job_id", Value: j.id},
 		trace.Attr{Key: "kind", Value: j.spec.Kind},
 		trace.Attr{Key: "circuit", Value: j.spec.Circuit},
-		trace.Attr{Key: "eval", Value: j.spec.Eval},
 		trace.Attr{Key: "status", Value: string(status)})
 }
 
 // View is the JSON shape of a job on the status endpoints. Started and
 // Finished are nil until the job reaches those states.
 type View struct {
-	ID       string `json:"id"`
-	Kind     string `json:"kind"`
-	Circuit  string `json:"circuit"`
-	Priority int    `json:"priority"`
+	ID      string `json:"id"`
+	Kind    string `json:"kind"`
+	Circuit string `json:"circuit"`
 	// TraceID is the job's distributed-trace identity (32 hex digits);
 	// GET /api/v1/trace/{id} returns the assembled span tree.
 	TraceID   string     `json:"trace_id,omitempty"`
@@ -185,7 +179,6 @@ func (j *Job) View() View {
 		ID:        j.id,
 		Kind:      j.spec.Kind,
 		Circuit:   j.spec.Circuit,
-		Priority:  j.spec.Priority,
 		TraceID:   j.tctx.Trace.String(),
 		Status:    j.status,
 		Error:     j.errMsg,

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"container/heap"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -11,14 +11,13 @@ import (
 // and resubmit; the HTTP layer maps it to 429 Too Many Requests.
 var ErrQueueFull = errors.New("serve: job queue full")
 
-// jobQueue is the bounded priority queue between Submit and the runner
-// pool: higher Spec.Priority pops first, FIFO (admission order) within
-// a priority. The bound counts waiting jobs only — jobs hand their
-// queue slot back the moment a runner pops them.
+// jobQueue is the bounded FIFO between Submit and the runner pool: jobs
+// pop in admission order. The bound counts waiting jobs only — jobs
+// hand their queue slot back the moment a runner pops them.
 type jobQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	heap   jobHeap
+	jobs   []*Job
 	limit  int
 	closed bool
 }
@@ -36,38 +35,42 @@ func (q *jobQueue) push(j *Job) error {
 	if q.closed {
 		return errors.New("serve: server closed")
 	}
-	if len(q.heap) >= q.limit {
+	if len(q.jobs) >= q.limit {
 		return ErrQueueFull
 	}
-	heap.Push(&q.heap, j)
+	q.jobs = append(q.jobs, j)
 	q.cond.Signal()
 	return nil
 }
 
-// pop blocks until a job is available and returns it, or returns nil
-// once the queue is closed (remaining entries are abandoned — Close
-// marks them canceled).
+// pop blocks until a job is available and returns the oldest, or
+// returns nil once the queue is closed (remaining entries are
+// abandoned — Close marks them canceled).
 func (q *jobQueue) pop() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for !q.closed && len(q.heap) == 0 {
+	for !q.closed && len(q.jobs) == 0 {
 		q.cond.Wait()
 	}
 	if q.closed {
 		return nil
 	}
-	return heap.Pop(&q.heap).(*Job)
+	j := q.jobs[0]
+	q.jobs[0] = nil
+	q.jobs = q.jobs[1:]
+	return j
 }
 
 // remove withdraws a still-queued job (cancellation); reports whether
-// it was present.
+// it was present. The scan is bounded by the queue limit.
 func (q *jobQueue) remove(j *Job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j.index < 0 || j.index >= len(q.heap) || q.heap[j.index] != j {
+	i := slices.Index(q.jobs, j)
+	if i < 0 {
 		return false
 	}
-	heap.Remove(&q.heap, j.index)
+	q.jobs = slices.Delete(q.jobs, i, i+1)
 	return true
 }
 
@@ -75,7 +78,7 @@ func (q *jobQueue) remove(j *Job) bool {
 func (q *jobQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.heap)
+	return len(q.jobs)
 }
 
 // close wakes every blocked pop with nil.
@@ -84,39 +87,4 @@ func (q *jobQueue) close() {
 	q.closed = true
 	q.mu.Unlock()
 	q.cond.Broadcast()
-}
-
-// jobHeap orders jobs by priority (descending), then admission
-// sequence (ascending) so equal priorities run first-come first-served.
-type jobHeap []*Job
-
-func (h jobHeap) Len() int { return len(h) }
-
-func (h jobHeap) Less(a, b int) bool {
-	if h[a].spec.Priority != h[b].spec.Priority {
-		return h[a].spec.Priority > h[b].spec.Priority
-	}
-	return h[a].seq < h[b].seq
-}
-
-func (h jobHeap) Swap(a, b int) {
-	h[a], h[b] = h[b], h[a]
-	h[a].index = a
-	h[b].index = b
-}
-
-func (h *jobHeap) Push(x any) {
-	j := x.(*Job)
-	j.index = len(*h)
-	*h = append(*h, j)
-}
-
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	j.index = -1
-	*h = old[:n-1]
-	return j
 }

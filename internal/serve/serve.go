@@ -5,9 +5,9 @@
 //
 // The layer composes machinery that already existed for single runs:
 //
-//   - jobs are admitted into a bounded priority queue (admission
-//     control rejects past the bound; higher priority runs earlier,
-//     FIFO within a priority) and executed by a fixed runner pool,
+//   - jobs are admitted into a bounded FIFO queue (admission control
+//     rejects past the bound; jobs run in admission order) and
+//     executed by a fixed runner pool,
 //     each under its own context.Context so per-job cancellation rides
 //     the cooperative-cancellation plumbing of the facade's *Ctx calls;
 //   - every job gets a private flight recorder (internal/journal) whose
@@ -252,8 +252,7 @@ func (s *Server) Submit(sp task.Spec) (*Job, error) {
 	s.log.Info("job submitted",
 		slog.String(telemetry.KeyJobID, j.id),
 		slog.String(telemetry.KeyTraceID, j.tctx.Trace.String()),
-		slog.String("kind", sp.Kind), slog.String("circuit", sp.Circuit),
-		slog.Int("priority", sp.Priority))
+		slog.String("kind", sp.Kind), slog.String("circuit", sp.Circuit))
 	return j, nil
 }
 
@@ -478,11 +477,10 @@ func (s *Server) record(j *Job, m *obs.Metrics, res *task.Result) {
 	rec := ledger.NewRecord(circuit, hash, m, extras)
 	j.mu.Lock()
 	rec.Server = &ledger.ServerMeta{
-		JobID:    j.id,
-		Kind:     j.spec.Kind,
-		Priority: j.spec.Priority,
-		Status:   string(j.status),
-		QueueNS:  j.queueWait.Nanoseconds(),
+		JobID:   j.id,
+		Kind:    j.spec.Kind,
+		Status:  string(j.status),
+		QueueNS: j.queueWait.Nanoseconds(),
 	}
 	exit := 0
 	if j.status != StatusDone {

@@ -557,11 +557,9 @@ func TestValidation(t *testing.T) {
 		{Kind: "nope", Circuit: "s27"},
 		{Kind: task.KindFlow},
 		{Kind: task.KindFlow, Circuit: "not-a-profile"},
-		{Kind: task.KindFlow, Circuit: "s27", Eval: "warp-drive"},
 		{Kind: task.KindFlow, Circuit: "s27", Workers: task.DefaultsFor(task.KindFlow).MaxWorkers + 1},
 		{Kind: task.KindFaultSim, Circuit: "s27", Cycles: task.DefaultsFor(task.KindFaultSim).MaxCycles + 1},
 		{Kind: task.KindFaultSim, Circuit: "s27", Cycles: 2000000000},
-		{Kind: task.KindFaultSim, Circuit: "s27", Eval: "event"},
 		// Inside the body cap, past the inline netlist limit.
 		{Kind: task.KindScreen, Circuit: "big", Bench: strings.Repeat("#", task.DefaultsFor(task.KindScreen).MaxBenchBytes+1)},
 	} {
@@ -576,11 +574,14 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	// Removed spec fields are unknown fields: job sharding (units) is
-	// gone, and the hybrid budget (cone_threshold) is derived from the
-	// circuit.
+	// gone, the hybrid budget (cone_threshold) is derived from the
+	// circuit, the evaluator (eval) is engine.Auto's choice, and the
+	// queue is FIFO (priority).
 	for field, body := range map[string]string{
 		"units":          `{"kind":"faultsim","circuit":"s27","units":3}`,
 		"cone_threshold": `{"kind":"faultsim","circuit":"s27","cone_threshold":8}`,
+		"eval":           `{"kind":"faultsim","circuit":"s27","eval":"auto"}`,
+		"priority":       `{"kind":"faultsim","circuit":"s27","priority":3}`,
 	} {
 		resp, err := http.Post(h.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -136,7 +136,7 @@ func runFlow(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collect
 	}
 	res.Circuit, res.Hash, res.Design = d.C.Name, d.C.StructuralHash(), d
 	rep, err := core.RunCtx(ctx, d, core.Params{
-		Workers: sp.Workers, Eval: sp.backend(), Engine: cache, Obs: col,
+		Workers: sp.Workers, Engine: cache, Obs: col,
 	})
 	if rep != nil {
 		res.Report, res.Faults = rep, rep.Faults
@@ -241,7 +241,7 @@ func runFaultSim(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Col
 	res.Gates, res.FFs, res.Cycles = st.Gates, st.FFs, len(seq)
 	col.Journal().Emit(journal.Axis(res.Faults))
 	r, err := faultsim.RunCtx(ctx, c, seq, faults, faultsim.Options{
-		Workers: sp.Workers, Eval: sp.backend(), Cache: cache, Obs: col,
+		Workers: sp.Workers, Cache: cache, Obs: col,
 	})
 	res.DetectedAt = r.DetectedAt
 	res.Detected = r.NumDetected()
@@ -295,7 +295,7 @@ func Diagnosis(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Colle
 		}
 	}
 	sp2 := col.Phase("dictionary")
-	dict, err := diagnose.BuildCtx(ctx, d, affecting, diagnose.DefaultSequences(d, uint64(sp.Seed)), sp.Workers, col)
+	dict, err := diagnose.BuildCtx(ctx, d, affecting, diagnose.DefaultSequences(d, uint64(sp.Seed)), sp.Workers, cache, col)
 	sp2.End()
 	if err != nil {
 		return d, screened, affecting, nil, err

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
 	"repro/internal/faultsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
@@ -87,9 +86,6 @@ type Spec struct {
 	// Workers shards each phase's fault axis within the process
 	// (0 = GOMAXPROCS). Results are identical at any width.
 	Workers int `json:"workers,omitempty"`
-	// Eval selects the fault-simulation backend: "auto" (the
-	// default), "compiled" or "hybrid".
-	Eval string `json:"eval,omitempty"`
 	// Cycles is the random-sequence length for faultsim jobs
 	// (default 500, at most DefaultsFor(kind).MaxCycles). Ignored when
 	// Sequence is set.
@@ -101,9 +97,6 @@ type Spec struct {
 	// Uncollapsed selects the full fault list instead of the
 	// equivalence-collapsed one (faultsim only).
 	Uncollapsed bool `json:"uncollapsed,omitempty"`
-	// Priority orders the daemon queue: higher pops first (default 0;
-	// FIFO within a priority). It does not affect the run itself.
-	Priority int `json:"priority,omitempty"`
 	// TraceParent, when non-empty, is the W3C traceparent of the span
 	// that owns this job — the submitting client's span, or the daemon
 	// job span once fsctd re-stamps an accepted spec. The run's unit
@@ -145,8 +138,6 @@ type Defaults struct {
 	// Workers is the in-process fault-axis worker default
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Eval is the evaluator backend default.
-	Eval string
 	// Cycles is the random-stimulus length default.
 	Cycles int
 	// MaxWorkers is the largest Workers value Normalize accepts. Every
@@ -167,7 +158,7 @@ type Defaults struct {
 
 // DefaultsFor returns the option defaults for a job kind.
 func DefaultsFor(kind string) Defaults {
-	d := Defaults{Scale: 1, Seed: 1, Eval: "auto", Cycles: 500, MaxWorkers: 256, MaxCycles: 1 << 16, MaxBenchBytes: 3 << 20}
+	d := Defaults{Scale: 1, Seed: 1, Cycles: 500, MaxWorkers: 256, MaxCycles: 1 << 16, MaxBenchBytes: 3 << 20}
 	switch kind {
 	case KindFaultSim, KindDiagnose:
 		d.Scale = 0.1
@@ -221,12 +212,6 @@ func (sp *Spec) Normalize() error {
 	if sp.Scale < 0 || sp.Scale > 1 {
 		return fmt.Errorf("task: scale %v out of range (0,1]", sp.Scale)
 	}
-	if sp.Eval == "" {
-		sp.Eval = d.Eval
-	}
-	if _, err := engine.ParseBackend(sp.Eval); err != nil {
-		return fmt.Errorf("task: %w", err)
-	}
 	if sp.Seed == 0 {
 		sp.Seed = d.Seed
 	}
@@ -250,17 +235,6 @@ func (sp *Spec) Normalize() error {
 		sp.TraceParent = tc.Traceparent()
 	}
 	return nil
-}
-
-// backend resolves the spec's evaluator backend; Normalize has already
-// validated the name.
-func (sp *Spec) backend() engine.Backend {
-	name := sp.Eval
-	if name == "" {
-		name = "auto"
-	}
-	b, _ := engine.ParseBackend(name)
-	return b
 }
 
 // BuildCircuit materializes the spec's circuit: the inline .bench

@@ -123,6 +123,28 @@ func TestScreenMatchesDirectCalls(t *testing.T) {
 	}
 }
 
+// TestDiagnoseUsesRunCache: a diagnose run draws its dictionary's
+// compiled program from the run's cache, so the process-wide cache sees
+// no probe — a daemon's -cache-budget and hit/miss counters cover the
+// whole job.
+func TestDiagnoseUsesRunCache(t *testing.T) {
+	sp := Spec{Kind: KindDiagnose, Circuit: "s3384", Scale: 0.05}
+	if err := sp.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	before := engine.Default().Stats()
+	cache := engine.New()
+	if _, err := Run(context.Background(), sp, cache, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := engine.Default().Stats(); after != before {
+		t.Errorf("engine.Default() stats moved: %+v -> %+v", before, after)
+	}
+	if st := cache.Stats(); st.Entries == 0 {
+		t.Errorf("run cache stayed empty: %+v", st)
+	}
+}
+
 // TestSpecJSONRoundTrip sends every kind's spec through its wire form
 // and requires the byte-identical result: a daemon that
 // received the JSON must run exactly what the CLI ran.
@@ -185,8 +207,6 @@ func TestNormalizeErrors(t *testing.T) {
 		{Spec{Kind: KindFlow}, "missing circuit"},
 		{Spec{Kind: KindFlow, Circuit: "no-such-profile"}, "no-such-profile"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Scale: 1.5}, "out of range"},
-		{Spec{Kind: KindFlow, Circuit: "s27", Eval: "bogus"}, "bogus"},
-		{Spec{Kind: KindFlow, Circuit: "s27", Eval: "event"}, "event"},
 		{Spec{Kind: KindFlow, Circuit: "s27", Version: 99}, "version"},
 	}
 	for _, c := range cases {
@@ -357,16 +377,16 @@ func TestCanceledRunEndsUnclean(t *testing.T) {
 // is idempotent, that the JSON wire trip preserves the normalized spec
 // exactly.
 func FuzzSpecRoundTrip(f *testing.F) {
-	f.Add("screen", 0.5, int64(7), 2, 3, "hybrid", 100, false)
-	f.Add("faultsim", 0.0, int64(0), 0, 0, "", 0, true)
-	f.Add("atpg", 1.0, int64(-3), 1, -2, "hybrid", -5, false)
-	f.Add("diagnose", 0.25, int64(42), 9, 1, "auto", 17, false)
-	f.Add("flow", 0.1, int64(1), 1, 1, "compiled", 500, false)
+	f.Add("screen", 0.5, int64(7), 2, 3, 100, false)
+	f.Add("faultsim", 0.0, int64(0), 0, 0, 0, true)
+	f.Add("atpg", 1.0, int64(-3), 1, -2, -5, false)
+	f.Add("diagnose", 0.25, int64(42), 9, 1, 17, false)
+	f.Add("flow", 0.1, int64(1), 1, 1, 500, false)
 	f.Fuzz(func(t *testing.T, kind string, scale float64, seed int64,
-		chains, workers int, eval string, cycles int, uncollapsed bool) {
+		chains, workers, cycles int, uncollapsed bool) {
 		sp := Spec{
 			Kind: kind, Circuit: "s27", Scale: scale, Seed: seed,
-			Chains: chains, Workers: workers, Eval: eval, Cycles: cycles,
+			Chains: chains, Workers: workers, Cycles: cycles,
 			Uncollapsed: uncollapsed,
 		}
 		if err := sp.Normalize(); err != nil {

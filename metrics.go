@@ -3,7 +3,6 @@ package fsct
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -33,18 +32,6 @@ type Metrics = obs.Metrics
 
 // NewCollector returns an enabled metrics collector.
 func NewCollector() *Collector { return obs.New() }
-
-// ServeDebug starts an HTTP server on addr exposing the standard
-// net/http/pprof profiles under /debug/pprof/, expvar under
-// /debug/vars, and a Prometheus/OpenMetrics text rendering at /metrics
-// of the collector a CLI's -debug flag publishes (a library process
-// publishes none, so its /metrics is a valid empty exposition). The
-// server runs its own mux — nothing registered on
-// http.DefaultServeMux leaks onto it. It returns once the listener is
-// bound; serving continues in the background. Close (or Shutdown) the
-// returned server to stop it; its Addr field carries the bound address,
-// so addr ":0" works for tests.
-func ServeDebug(addr string) (*http.Server, error) { return obs.ServeDebug(addr) }
 
 // WriteOpenMetrics renders a metrics snapshot in the OpenMetrics text
 // exposition format (counters, phase/pool gauges, and native cumulative
