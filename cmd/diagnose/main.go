@@ -60,7 +60,6 @@ func main() {
 	if err != nil {
 		sess.Fail(err)
 	}
-	sess.StampTrace(&sp)
 
 	// -stats is exactly a diagnose-kind task: the report (dictionary
 	// header plus resolution statistics) and the ledger extras come from

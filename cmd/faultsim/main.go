@@ -65,7 +65,6 @@ func main() {
 	if err != nil {
 		sess.Fail(err)
 	}
-	sess.StampTrace(&sp)
 	sp.Uncollapsed = *uncollapsed
 	switch {
 	case *seqFile != "":

@@ -19,15 +19,13 @@
 //	curl -N localhost:8341/api/v1/jobs/j000001/events
 //	curl -s localhost:8341/api/v1/jobs/j000001/result
 //
-// Watch every job's progress live (or point `fsctstats watch` at the
-// daemon for a terminal dashboard):
-//
-//	curl -s localhost:8341/api/v1/live
-//	curl -N localhost:8341/api/v1/live/events
+// Every job view carries the job's live progress, so one poll of
+// /api/v1/jobs reads them all (or point `fsctstats watch` at the
+// daemon for a terminal dashboard).
 //
 // A straggler watchdog flags any running job that makes no progress
-// for the -stall threshold (default 30s); stalled jobs surface on
-// /api/v1/live, in /metrics and as warning logs. -log and -logfile
+// for the -stall threshold (default 30s); stalled jobs surface in
+// their job view's progress, in /metrics and as warning logs. -log and -logfile
 // emit structured request and job-lifecycle logs correlated by
 // run_id/job_id.
 //

@@ -102,7 +102,6 @@ func main() {
 		if serr != nil {
 			sess.Fail(fmt.Errorf("%s: %w", p.Name, serr))
 		}
-		sess.StampTrace(&sp)
 		// The journal is shared across circuits; remember where this
 		// circuit's events start so -why replays only its own slice
 		// (fault keys are circuit-local signal IDs).

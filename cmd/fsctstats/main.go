@@ -28,7 +28,7 @@
 // mistyped ledger path).
 //
 // watch is the live counterpart: instead of the ledger it polls a
-// running fsctd daemon's /api/v1/live and /metrics endpoints and
+// running fsctd daemon's /api/v1/jobs and /api/v1/server endpoints and
 // renders a terminal dashboard — one block per job with its unit's
 // completion bar, the finished job's faults-per-second throughput, and
 // any unit the straggler watchdog flagged highlighted as STALLED. -once prints a single frame and exits (scripts, CI).
@@ -155,8 +155,8 @@ func usage() {
   trend  per-(CLI, circuit) evolution of runtime, coverage, cache hit rate
   check  flag metric drift of the newest run vs the rolling median of
          prior runs; exits 1 on drift (-strict: also on an empty match)
-  watch  live terminal dashboard over a running fsctd daemon's
-         /api/v1/live: per-job unit progress bars, throughput and
+  watch  live terminal dashboard over a running fsctd daemon's job
+         views: per-job unit progress bars, throughput and
          highlighted stragglers
   trace  critical path, per-phase self time and straggler attribution
          over an exported span tree (-otlp file, or -job from a daemon)

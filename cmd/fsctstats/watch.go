@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 )
 
 // runWatchCmd is the watch subcommand: a terminal dashboard over a
-// running fsctd daemon's /api/v1/live snapshot. Returns the process
-// exit code.
+// running fsctd daemon's job and server views. Returns the process exit
+// code.
 func runWatchCmd(args []string) int {
 	fs := flag.NewFlagSet("fsctstats watch", flag.ExitOnError)
 	var (
@@ -33,7 +32,7 @@ func runWatchCmd(args []string) int {
 	}
 	tty := stdoutIsTTY() && !*once
 	for {
-		lv, counters, err := fetchLive(base)
+		jobs, sv, err := fetchLive(base)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fsctstats: %v\n", err)
 			return 1
@@ -42,7 +41,7 @@ func runWatchCmd(args []string) int {
 		if tty {
 			b.WriteString("\x1b[2J\x1b[H") // clear + home between frames
 		}
-		renderWatch(&b, *addr, lv, counters, tty)
+		renderWatch(&b, *addr, jobs, sv, tty)
 		os.Stdout.WriteString(b.String())
 		if *once {
 			return 0
@@ -51,54 +50,33 @@ func runWatchCmd(args []string) int {
 	}
 }
 
-// fetchLive pulls one dashboard's worth of daemon state: the live
-// progress view plus the label-free /metrics samples (queue depth,
-// lifetime job counters).
-func fetchLive(base string) (serve.LiveView, map[string]float64, error) {
-	var lv serve.LiveView
-	resp, err := http.Get(base + "/api/v1/live")
+// fetchLive pulls one dashboard's worth of daemon state: every job's
+// view, progress included, and the server view (queue depth, lifetime
+// counters, stall threshold).
+func fetchLive(base string) ([]serve.View, serve.ServerView, error) {
+	var jobs []serve.View
+	var sv serve.ServerView
+	if err := getJSON(base, "/api/v1/jobs", &jobs); err != nil {
+		return nil, sv, err
+	}
+	err := getJSON(base, "/api/v1/server", &sv)
+	return jobs, sv, err
+}
+
+// getJSON decodes the daemon's JSON answer to GET path into v.
+func getJSON(base, path string, v any) error {
+	resp, err := http.Get(base + path)
 	if err != nil {
-		return lv, nil, fmt.Errorf("is fsctd running at %s? %w", base, err)
+		return fmt.Errorf("is fsctd running at %s? %w", base, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return lv, nil, fmt.Errorf("GET /api/v1/live: status %d", resp.StatusCode)
+		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&lv); err != nil {
-		return lv, nil, fmt.Errorf("GET /api/v1/live: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("GET %s: %w", path, err)
 	}
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return lv, nil, err
-	}
-	defer mresp.Body.Close()
-	body, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		return lv, nil, err
-	}
-	return lv, parseCounters(string(body)), nil
-}
-
-// parseCounters extracts the label-free samples of an OpenMetrics
-// exposition into name -> value (labelled samples and comments are
-// skipped — the dashboard only needs the scalar server counters).
-func parseCounters(text string) map[string]float64 {
-	out := map[string]float64{}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			continue
-		}
-		out[name] = v
-	}
-	return out
+	return nil
 }
 
 // renderWatch writes one dashboard frame: a header with queue and job
@@ -106,9 +84,9 @@ func parseCounters(text string) map[string]float64 {
 // and lifecycle state, a stalled job highlighted. Pure function of its
 // inputs (the tests feed it canned views); color only decorates, the
 // plain text carries everything.
-func renderWatch(w io.Writer, addr string, lv serve.LiveView, counters map[string]float64, color bool) {
+func renderWatch(w io.Writer, addr string, jobs []serve.View, sv serve.ServerView, color bool) {
 	running, done := 0, 0
-	for _, j := range lv.Jobs {
+	for _, j := range jobs {
 		switch j.Status {
 		case serve.StatusRunning:
 			running++
@@ -117,20 +95,18 @@ func renderWatch(w io.Writer, addr string, lv serve.LiveView, counters map[strin
 		}
 	}
 	fmt.Fprintf(w, "fsctd %s — %d jobs (%d running, %d done)  queue %d  stalls %d  stall threshold %s\n\n",
-		addr, len(lv.Jobs), running, done,
-		int(counters["fsct_serve_queue_depth_total"]),
-		int(counters["fsct_serve_jobs_stalls_total"]),
-		fmtDur(time.Duration(lv.StallThresholdNS)))
-	for _, j := range lv.Jobs {
+		addr, len(jobs), running, done, sv.QueueDepth, sv.Counters["serve.jobs.stalls"],
+		fmtDur(time.Duration(sv.StallThresholdNS)))
+	for _, j := range jobs {
 		renderJob(w, j, color)
 	}
-	if len(lv.Jobs) == 0 {
+	if len(jobs) == 0 {
 		fmt.Fprintln(w, "(no jobs)")
 	}
 }
 
 // renderJob writes one job's row.
-func renderJob(w io.Writer, j serve.LiveJob, color bool) {
+func renderJob(w io.Writer, j serve.View, color bool) {
 	fmt.Fprintf(w, "%s %s %s [%s]", j.ID, j.Kind, j.Circuit, j.Status)
 	if j.TraceID != "" {
 		// The job's distributed-trace identity: the handle to paste into

@@ -13,52 +13,52 @@ import (
 	"repro/internal/telemetry"
 )
 
-// cannedLive is a stalled faultsim job mid-flight, a finished screen
+// cannedJobs is a stalled faultsim job mid-flight, a finished screen
 // job, a canceled faultsim job and a queued one.
-func cannedLive() serve.LiveView {
-	return serve.LiveView{
-		StallThresholdNS: (30 * time.Second).Nanoseconds(),
-		Jobs: []serve.LiveJob{
-			{
-				ID: "j000001", Kind: "faultsim", Circuit: "s3384", Status: serve.StatusRunning,
-				TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
-				Progress: &telemetry.Snapshot{
-					RunID: "r", JobID: "j000001", Kind: "faultsim", Circuit: "s3384",
-					Running: true, Stalled: true,
-					FaultsTotal: 252, FaultsDone: 63, Detected: 20,
-					WallNS: int64(40 * time.Second), IdleNS: int64(35 * time.Second),
-				},
+func cannedJobs() []serve.View {
+	return []serve.View{
+		{
+			ID: "j000001", Kind: "faultsim", Circuit: "s3384", Status: serve.StatusRunning,
+			TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
+			Progress: &telemetry.Snapshot{
+				Running: true, Stalled: true,
+				FaultsTotal: 252, FaultsDone: 63, Detected: 20,
+				WallNS: int64(40 * time.Second), IdleNS: int64(35 * time.Second),
 			},
-			{
-				ID: "j000002", Kind: "screen", Circuit: "s27", Status: serve.StatusDone,
-				Progress: &telemetry.Snapshot{
-					RunID: "r", JobID: "j000002", Kind: "screen", Circuit: "s27",
-					Finished:    true,
-					FaultsTotal: 52, FaultsDone: 52, Detected: 21, Throughput: 63,
-					WallNS: int64(time.Second),
-				},
-			},
-			{
-				ID: "j000003", Kind: "faultsim", Circuit: "s27", Status: serve.StatusCanceled, Error: "canceled",
-				Progress: &telemetry.Snapshot{
-					RunID: "r", JobID: "j000003", Kind: "faultsim", Circuit: "s27",
-					Finished:    true,
-					FaultsTotal: 32, FaultsDone: 0,
-					WallNS: int64(2 * time.Millisecond),
-				},
-			},
-			{ID: "j000004", Kind: "screen", Circuit: "s27", Status: serve.StatusQueued},
 		},
+		{
+			ID: "j000002", Kind: "screen", Circuit: "s27", Status: serve.StatusDone,
+			Progress: &telemetry.Snapshot{
+				Finished:    true,
+				FaultsTotal: 52, FaultsDone: 52, Detected: 21, Throughput: 63,
+				WallNS: int64(time.Second),
+			},
+		},
+		{
+			ID: "j000003", Kind: "faultsim", Circuit: "s27", Status: serve.StatusCanceled, Error: "canceled",
+			Progress: &telemetry.Snapshot{
+				Finished:    true,
+				FaultsTotal: 32, FaultsDone: 0,
+				WallNS: int64(2 * time.Millisecond),
+			},
+		},
+		{ID: "j000004", Kind: "screen", Circuit: "s27", Status: serve.StatusQueued},
+	}
+}
+
+// cannedServer is a daemon with one queued job, one stall counted and
+// the default 30 s stall threshold.
+func cannedServer() serve.ServerView {
+	return serve.ServerView{
+		QueueDepth:       1,
+		StallThresholdNS: (30 * time.Second).Nanoseconds(),
+		Counters:         map[string]int64{"serve.jobs.stalls": 1},
 	}
 }
 
 func TestRenderWatchFrame(t *testing.T) {
 	var b strings.Builder
-	counters := map[string]float64{
-		"fsct_serve_queue_depth_total": 1,
-		"fsct_serve_jobs_stalls_total": 1,
-	}
-	renderWatch(&b, "localhost:8341", cannedLive(), counters, false)
+	renderWatch(&b, "localhost:8341", cannedJobs(), cannedServer(), false)
 	out := b.String()
 	for _, want := range []string{
 		"4 jobs (1 running, 1 done)",
@@ -80,7 +80,7 @@ func TestRenderWatchFrame(t *testing.T) {
 
 func TestRenderWatchColorHighlightsStall(t *testing.T) {
 	var b strings.Builder
-	renderWatch(&b, "a", cannedLive(), nil, true)
+	renderWatch(&b, "a", cannedJobs(), serve.ServerView{}, true)
 	if !strings.Contains(b.String(), "\x1b[1;31mSTALLED") {
 		t.Fatalf("stalled job not highlighted:\n%s", b.String())
 	}
@@ -88,7 +88,7 @@ func TestRenderWatchColorHighlightsStall(t *testing.T) {
 
 func TestRenderWatchEmpty(t *testing.T) {
 	var b strings.Builder
-	renderWatch(&b, "a", serve.LiveView{}, nil, false)
+	renderWatch(&b, "a", nil, serve.ServerView{}, false)
 	if !strings.Contains(b.String(), "(no jobs)") {
 		t.Fatalf("empty view frame = %q", b.String())
 	}
@@ -111,57 +111,54 @@ func TestBar(t *testing.T) {
 	}
 }
 
-func TestParseCounters(t *testing.T) {
-	text := "# TYPE fsct_x counter\n" +
-		"fsct_x_total 42\n" +
-		"fsct_pool_utilization{pool=\"faultsim\"} 0.9\n" + // labelled: skipped
-		"fsct_run_wall_seconds 1.5\n" +
-		"garbage line without value\n" +
-		"# EOF\n"
-	got := parseCounters(text)
-	if got["fsct_x_total"] != 42 || got["fsct_run_wall_seconds"] != 1.5 {
-		t.Fatalf("parseCounters = %v", got)
-	}
-	if _, ok := got[`fsct_pool_utilization{pool="faultsim"}`]; ok {
-		t.Fatal("labelled sample not skipped")
-	}
-	if len(got) != 2 {
-		t.Fatalf("parseCounters kept %d samples, want 2: %v", len(got), got)
-	}
-}
-
-// TestFetchLive drives the HTTP client against a canned daemon.
+// TestFetchLive drives the HTTP client against a canned daemon that
+// serves only the two JSON views: the dashboard must not scrape
+// /metrics.
 func TestFetchLive(t *testing.T) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/v1/live", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /api/v1/jobs", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"stall_threshold_ns":30000000000,"jobs":[{"id":"j000001","kind":"screen","circuit":"s27","status":"done","progress":{"finished":true,"faults_total":52,"faults_done":52,"detected":32}}]}`))
+		_, _ = w.Write([]byte(`[{"id":"j000001","kind":"screen","circuit":"s27","status":"done","progress":{"finished":true,"faults_total":52,"faults_done":52,"detected":32}}]`))
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = w.Write([]byte("fsct_serve_queue_depth_total 0\n# EOF\n"))
+	mux.HandleFunc("GET /api/v1/server", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"queue_depth":2,"stall_threshold_ns":30000000000,"counters":{"serve.jobs.stalls":3}}`))
+	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("fetchLive requested %s beyond the two views", r.URL.Path)
+		http.NotFound(w, r)
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	lv, counters, err := fetchLive(srv.URL)
+	jobs, sv, err := fetchLive(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lv.Jobs) != 1 || lv.Jobs[0].Progress == nil || lv.Jobs[0].Progress.FaultsDone != 52 {
-		t.Fatalf("fetchLive view = %+v", lv)
+	if len(jobs) != 1 || jobs[0].Progress == nil || jobs[0].Progress.FaultsDone != 52 {
+		t.Fatalf("fetchLive jobs = %+v", jobs)
 	}
-	if counters["fsct_serve_queue_depth_total"] != 0 {
-		t.Fatalf("fetchLive counters = %v", counters)
+	if sv.QueueDepth != 2 || sv.StallThresholdNS != (30*time.Second).Nanoseconds() || sv.Counters["serve.jobs.stalls"] != 3 {
+		t.Fatalf("fetchLive server view = %+v", sv)
 	}
 	var b strings.Builder
-	renderWatch(&b, srv.URL, lv, counters, false)
-	if !strings.Contains(b.String(), "52/52 (100.0%)") {
-		t.Fatalf("rendered fetched frame missing totals:\n%s", b.String())
+	renderWatch(&b, srv.URL, jobs, sv, false)
+	for _, want := range []string{"52/52 (100.0%)", "queue 2  stalls 3  stall threshold 30s"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("rendered fetched frame missing %q:\n%s", want, b.String())
+		}
+	}
+
+	// A daemon that is up but answers an error fails the fetch.
+	bad := httptest.NewServer(http.NotFoundHandler())
+	defer bad.Close()
+	if _, _, err := fetchLive(bad.URL); err == nil || !strings.Contains(err.Error(), "status 404") {
+		t.Fatalf("fetchLive against a 404 daemon = %v", err)
 	}
 }
 
 // TestWatchRunningJobShowsPercentage: a running faultsim job announces
-// its fault axis before it finishes, so its live entry carries
+// its fault axis before it finishes, so its job view's progress carries
 // faults_total and its watch row a completion percentage.
 func TestWatchRunningJobShowsPercentage(t *testing.T) {
 	if testing.Short() {
@@ -181,14 +178,14 @@ func TestWatchRunningJobShowsPercentage(t *testing.T) {
 
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		lv, counters, err := fetchLive(h.URL)
+		jobs, sv, err := fetchLive(h.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lj := lv.Jobs[0]
+		lj := jobs[0]
 		if p := lj.Progress; p != nil && p.Running && p.FaultsTotal > 0 {
 			var b strings.Builder
-			renderWatch(&b, h.URL, lv, counters, false)
+			renderWatch(&b, h.URL, jobs, sv, false)
 			row := fmt.Sprintf("%s faultsim s38584 [running]", j.ID())
 			for _, line := range strings.Split(b.String(), "\n") {
 				if strings.HasPrefix(line, row) {

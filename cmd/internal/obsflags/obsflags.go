@@ -29,9 +29,9 @@
 // Every session also roots a distributed-trace context: a fresh
 // 128-bit trace ID, or — when the TRACEPARENT environment variable
 // carries a valid W3C traceparent — a child of the caller's span, so a
-// CI script's trace threads through the CLIs it invokes. Commands
-// stamp it into the specs they run with StampTrace; -otlpfile exports
-// the assembled span tree on Close.
+// CI script's trace threads through the CLIs it invokes. Trace parents
+// every unit span the command ran to that root; -otlpfile exports the
+// assembled span tree on Close.
 package obsflags
 
 import (
@@ -53,7 +53,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -235,19 +234,6 @@ func (s *Session) Logger() *slog.Logger { return s.logger }
 // RunID returns the identifier correlating this process run's log
 // lines.
 func (s *Session) RunID() string { return s.runID }
-
-// TraceContext returns the run's root trace context: the span that
-// owns everything this process does. Its Traceparent() is what
-// StampTrace writes into specs.
-func (s *Session) TraceContext() trace.Context { return s.tctx }
-
-// StampTrace stamps the session's trace context into sp, so the unit
-// spans the executor emits — and, for a spec forwarded to fsctd, the
-// daemon's job span — parent to this CLI invocation's root span. Call
-// it on every spec the command runs; the field never affects results.
-func (s *Session) StampTrace(sp *task.Spec) {
-	sp.TraceParent = s.tctx.Traceparent()
-}
 
 // Trace assembles the run's span tree from the flight recorder: the
 // root span (this CLI invocation, parented to TRACEPARENT's span when

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/task"
 	"repro/internal/trace"
 )
 
@@ -334,11 +333,6 @@ func TestOTLPFileWrittenOnClose(t *testing.T) {
 	}
 	s.Collector().Phase("faultsim.seq").End()
 	s.RecordRun("s27", 0xabc, nil, nil)
-	var sp task.Spec
-	s.StampTrace(&sp)
-	if want := s.TraceContext().Traceparent(); sp.TraceParent != want {
-		t.Fatalf("StampTrace wrote %q, want %q", sp.TraceParent, want)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -351,8 +345,8 @@ func TestOTLPFileWrittenOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadOTLP: %v", err)
 	}
-	if tr.Ctx.Trace != s.TraceContext().Trace {
-		t.Fatalf("exported trace %s, want session trace %s", tr.Ctx.Trace, s.TraceContext().Trace)
+	if tr.Ctx.Trace != s.tctx.Trace {
+		t.Fatalf("exported trace %s, want session trace %s", tr.Ctx.Trace, s.tctx.Trace)
 	}
 	if len(tr.Spans) < 2 || tr.Spans[0].Kind != trace.SpanRoot {
 		t.Fatalf("span tree wrong: %+v", tr.Spans)
@@ -380,7 +374,7 @@ func TestOTLPFileWrittenOnClose(t *testing.T) {
 func TestTraceparentEnvJoinsCallerTrace(t *testing.T) {
 	t.Setenv("TRACEPARENT", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	s := open(t)
-	if got := s.TraceContext().Trace.String(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
+	if got := s.tctx.Trace.String(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("session trace = %s, want the caller's", got)
 	}
 	tr := s.Trace()
@@ -393,7 +387,7 @@ func TestTraceparentEnvJoinsCallerTrace(t *testing.T) {
 
 	t.Setenv("TRACEPARENT", "not-a-traceparent")
 	s2 := open(t)
-	if s2.TraceContext().Trace.IsZero() || s2.TraceContext().Trace == s.TraceContext().Trace {
+	if s2.tctx.Trace.IsZero() || s2.tctx.Trace == s.tctx.Trace {
 		t.Fatal("malformed TRACEPARENT must root a fresh trace")
 	}
 	if err := s2.Close(); err != nil {

@@ -54,7 +54,6 @@ func main() {
 	if err != nil {
 		sess.Fail(err)
 	}
-	sess.StampTrace(&sp)
 	c, err := sp.BuildCircuit()
 	if err != nil {
 		sess.Fail(err)

@@ -20,15 +20,14 @@ func TestProfileByNameFacade(t *testing.T) {
 // a cancelled context yields a non-nil partial report alongside an error
 // that unwraps to context.Canceled — never a panic, never a nil report.
 func TestRunFlowCtxPartialReport(t *testing.T) {
-	exp := Experiment{Profile: MustProfile("s1423"), Scale: 0.05, Seed: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, d, err := exp.RunCtx(ctx)
+	rep, d, err := runExperiment(ctx, t, MustProfile("s1423"), 0.05, 0, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if rep == nil || d == nil {
-		t.Fatal("cancelled RunCtx dropped the partial report or design")
+		t.Fatal("cancelled RunFlowCtx dropped the partial report or design")
 	}
 
 	// And the ctx-aware helpers surface the same error shape.

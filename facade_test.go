@@ -97,32 +97,3 @@ func TestWriteReportJSON(t *testing.T) {
 		}
 	}
 }
-
-func TestFacadeCompactVectors(t *testing.T) {
-	c := GenerateCircuit(MustProfile("s1423").Scale(0.1), 4)
-	d, err := InsertScan(c, ScanOptions{NumChains: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := CollapsedFaults(d.C)[:40]
-	vectors := make([]ScanVector, 6)
-	for i := range vectors {
-		vectors[i] = ScanVector{FFs: map[SignalID]Value{}, PIs: map[SignalID]Value{}}
-		for j, ff := range d.C.FFs {
-			vectors[i].FFs[ff] = Value((i + j) % 2)
-		}
-	}
-	res := CompactVectors(d, vectors, faults)
-	if res.After > res.Before {
-		t.Error("compaction grew the vector set")
-	}
-}
-
-func TestDominanceFaultsFacade(t *testing.T) {
-	c := S27()
-	col := CollapsedFaults(c)
-	dom := DominanceFaults(c)
-	if len(dom) == 0 || len(dom) >= len(col) {
-		t.Errorf("dominance %d vs collapsed %d", len(dom), len(col))
-	}
-}

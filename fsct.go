@@ -157,11 +157,6 @@ func RunFlowCtx(ctx context.Context, d *Design, p FlowParams) (*Report, error) {
 // of a circuit (the paper's "#faults").
 func CollapsedFaults(c *Circuit) []Fault { return fault.Collapsed(c) }
 
-// DominanceFaults returns the dominance-collapsed fault list: a smaller
-// ATPG target set that preserves full stuck-at coverage (but not
-// per-fault counting semantics — reports use CollapsedFaults).
-func DominanceFaults(c *Circuit) []Fault { return fault.Dominance(c) }
-
 // ScreenOptions tunes the screening engine (worker count, artifact
 // cache, metrics collector). The zero value selects GOMAXPROCS workers
 // and the shared artifact cache.
@@ -236,17 +231,6 @@ func ChainTransitionCoverageCtx(ctx context.Context, d *Design, extraCycles, wor
 	return detected, total, err
 }
 
-// CompactVectors statically compacts a step-2 vector set against a
-// fault list, keeping only vectors that own detections (verified by
-// re-simulation; coverage never drops).
-func CompactVectors(d *Design, vectors []ScanVector, faults []Fault) core.CompactResult {
-	return core.CompactVectors(d, vectors, faults)
-}
-
-// ScanVector is one scan-mode combinational test vector (flip-flop
-// values to shift in plus free primary-input values).
-type ScanVector = scan.Vector
-
 // WriteReportJSON serializes a report (durations in nanoseconds).
 func WriteReportJSON(w io.Writer, r *Report) error {
 	enc := json.NewEncoder(w)
@@ -313,38 +297,4 @@ func TaskDefaultsFor(kind string) TaskDefaults { return task.DefaultsFor(kind) }
 // every batch CLI and daemon job.
 func RunTask(ctx context.Context, sp TaskSpec, cache *EngineCache, col *Collector) (*TaskResult, error) {
 	return task.Run(ctx, sp, cache, col)
-}
-
-// Experiment is one suite entry to reproduce: a profile at a scale, with
-// seeded generation and scan insertion.
-type Experiment struct {
-	Profile Profile
-	Scale   float64 // 0 or 1 = full size
-	Chains  int     // 0 = DefaultChains
-	Seed    int64
-	Flow    FlowParams
-}
-
-// RunCtx generates the circuit, inserts scan, and executes the flow.
-// On cancel the partial report (possibly nil when the flow never
-// started) is returned with the design and an error wrapping ctx.Err().
-func (e Experiment) RunCtx(ctx context.Context) (*Report, *Design, error) {
-	p := e.Profile
-	if e.Scale > 0 && e.Scale < 1 {
-		p = p.Scale(e.Scale)
-	}
-	c := gen.Generate(p, e.Seed)
-	chains := e.Chains
-	if chains == 0 {
-		chains = DefaultChains(len(c.FFs))
-	}
-	d, err := tpi.Insert(c, tpi.Options{NumChains: chains, Seed: e.Seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := core.RunCtx(ctx, d, e.Flow)
-	if err != nil {
-		return rep, d, err
-	}
-	return rep, d, nil
 }

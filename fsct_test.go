@@ -7,14 +7,27 @@ import (
 	"testing"
 )
 
+// runExperiment reproduces one suite entry the way the examples do:
+// generate the profile at scale, insert scan (chains 0 selects
+// DefaultChains) and run the flow. On cancel the partial report comes
+// back with the design.
+func runExperiment(ctx context.Context, t *testing.T, p Profile, scale float64, chains int, seed int64) (*Report, *Design, error) {
+	t.Helper()
+	c := GenerateCircuit(p.Scale(scale), seed)
+	if chains == 0 {
+		chains = DefaultChains(len(c.FFs))
+	}
+	d, err := InsertScan(c, ScanOptions{NumChains: chains, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunFlowCtx(ctx, d, FlowParams{})
+	return rep, d, err
+}
+
 func smallReport(t *testing.T, name string, chains int, seed int64) *Report {
 	t.Helper()
-	rep, _, err := Experiment{
-		Profile: MustProfile(name),
-		Scale:   0.04,
-		Chains:  chains,
-		Seed:    seed,
-	}.RunCtx(context.Background())
+	rep, _, err := runExperiment(context.Background(), t, MustProfile(name), 0.04, chains, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +165,7 @@ func TestReproductionShape(t *testing.T) {
 	}
 	var totalFaults, affecting, hard, undetected int
 	for _, p := range Suite()[:6] { // the six smaller circuits keep this fast
-		rep, _, err := Experiment{Profile: p, Scale: 0.05, Seed: 1}.RunCtx(context.Background())
+		rep, _, err := runExperiment(context.Background(), t, p, 0.05, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,72 +123,3 @@ func Collapsed(c *netlist.Circuit) []Fault {
 	}
 	return out
 }
-
-// Dominance returns the dominance-collapsed fault list: starting from
-// the equivalence-collapsed list, the output faults of AND/NAND/OR/NOR
-// gates that are dominated by an input fault are dropped too (the
-// classic rule: any test for input s-a-non-controlling also detects the
-// gate-output fault it dominates, so only the input-side faults need
-// explicit targets).
-//
-// Dominance preserves full single-stuck-at coverage for test
-// *generation*, but unlike equivalence it does not preserve per-fault
-// detection equivalence — reports that count faults (the paper's
-// tables) use Collapsed; Dominance exists for ATPG effort reduction and
-// is property-tested for coverage preservation.
-func Dominance(c *netlist.Circuit) []Fault {
-	type key struct {
-		sig  netlist.SignalID
-		gate netlist.SignalID
-		pin  int
-		v    logic.V
-	}
-	keep := make(map[key]bool)
-	for _, f := range Collapsed(c) {
-		keep[key{f.Signal, f.Gate, f.Pin, f.Stuck}] = true
-	}
-	for id := netlist.SignalID(0); int(id) < len(c.Signals); id++ {
-		s := &c.Signals[id]
-		if s.Kind != netlist.KindGate {
-			continue
-		}
-		switch s.Op {
-		case logic.OpAnd, logic.OpNand, logic.OpOr, logic.OpNor:
-		default:
-			continue
-		}
-		ctrl, _ := s.Op.Controlling()
-		// Output stuck at the "all-non-controlling" response is
-		// dominated by each input stuck at the controlling... the
-		// standard direction: output s-a-(value produced when an input
-		// is controlling) dominates input s-a-controlling (kept via
-		// equivalence); output s-a-(other value) DOMINATES input
-		// s-a-non-controlling, so the output fault can be dropped when
-		// at least one input-side non-controlling fault remains.
-		outVal := ctrl.Not()
-		if s.Op.Inverting() {
-			outVal = ctrl
-		}
-		hasInputTarget := false
-		for pin, src := range s.Fanin {
-			k := key{src, id, pin, ctrl.Not()}
-			if len(c.Fanouts[src]) <= 1 {
-				k = key{src, netlist.None, -1, ctrl.Not()}
-			}
-			if keep[k] {
-				hasInputTarget = true
-				break
-			}
-		}
-		if hasInputTarget {
-			delete(keep, key{id, netlist.None, -1, outVal})
-		}
-	}
-	var out []Fault
-	for _, f := range Collapsed(c) {
-		if keep[key{f.Signal, f.Gate, f.Pin, f.Stuck}] {
-			out = append(out, f)
-		}
-	}
-	return out
-}

@@ -27,8 +27,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /api/v1/server", s.handleServer)
 	mux.HandleFunc("GET /api/v1/history", s.handleHistory)
-	mux.HandleFunc("GET /api/v1/live", s.handleLive)
-	mux.HandleFunc("GET /api/v1/live/events", s.handleLiveEvents)
 	mux.HandleFunc("GET /api/v1/trace/{id}", s.handleTrace)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -64,7 +62,7 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards streaming flushes (the SSE handlers require it).
+// Flush forwards streaming flushes (the SSE handler requires it).
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
@@ -200,16 +198,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_ = trace.WriteOTLP(w, j.Trace(s.runID))
 }
 
-// serverView is the /api/v1/server snapshot: queue and job-table
-// occupancy plus the engine cache's live accounting.
-type serverView struct {
-	UptimeNS   int64            `json:"uptime_ns"`
-	Runners    int              `json:"runners"`
-	QueueDepth int              `json:"queue_depth"`
-	QueueLimit int              `json:"queue_limit"`
-	Jobs       map[string]int   `json:"jobs"`
-	Cache      cacheView        `json:"cache"`
-	Counters   map[string]int64 `json:"counters,omitempty"`
+// ServerView is the /api/v1/server snapshot: queue and job-table
+// occupancy, the engine cache's live accounting, the server's lifetime
+// counters and the watchdog's stall threshold, so a dashboard can
+// render "no heartbeat for X of Y" without knowing the daemon's flags.
+type ServerView struct {
+	UptimeNS         int64            `json:"uptime_ns"`
+	Runners          int              `json:"runners"`
+	QueueDepth       int              `json:"queue_depth"`
+	QueueLimit       int              `json:"queue_limit"`
+	StallThresholdNS int64            `json:"stall_threshold_ns"`
+	Jobs             map[string]int   `json:"jobs"`
+	Cache            cacheView        `json:"cache"`
+	Counters         map[string]int64 `json:"counters,omitempty"`
 }
 
 type cacheView struct {
@@ -228,12 +229,13 @@ func (s *Server) handleServer(w http.ResponseWriter, _ *http.Request) {
 		byStatus[string(j.Status())]++
 	}
 	st := s.cache.Stats()
-	view := serverView{
-		UptimeNS:   time.Since(s.start).Nanoseconds(),
-		Runners:    s.cfg.Runners,
-		QueueDepth: s.q.depth(),
-		QueueLimit: s.cfg.QueueLimit,
-		Jobs:       byStatus,
+	view := ServerView{
+		UptimeNS:         time.Since(s.start).Nanoseconds(),
+		Runners:          s.cfg.Runners,
+		QueueDepth:       s.q.depth(),
+		QueueLimit:       s.cfg.QueueLimit,
+		StallThresholdNS: s.watchdog.Threshold().Nanoseconds(),
+		Jobs:             byStatus,
 		Cache: cacheView{
 			Entries: st.Entries, Bytes: st.Bytes, Budget: st.Budget,
 			MaxEntries: st.MaxEntries, Hits: st.Hits, Misses: st.Misses,
@@ -265,7 +267,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// flight recorders' total overwrite count.
 	var stalled, dropped int64
 	for _, j := range s.Jobs() {
-		if live := j.Live(); live != nil && live.Stalled {
+		if p := j.progress(); p != nil && p.Stalled {
 			stalled++
 		}
 		dropped += j.rec.Dropped()

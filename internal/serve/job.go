@@ -64,12 +64,10 @@ type Job struct {
 func newJob(parent context.Context, seq int64, sp task.Spec) *Job {
 	// The job joins the submitter's trace when the (already normalized)
 	// spec carries a traceparent — the job span becomes a child of the
-	// caller's span — and roots a fresh trace otherwise. The spec is
-	// re-stamped with the job's own context, so the executor's unit
-	// spans (and any future remote shard) parent to the job span.
+	// caller's span — and roots a fresh trace otherwise. Trace assembles
+	// the executor's unit spans under the job span.
 	caller, _ := sp.TraceContext()
 	tctx := caller.Child()
-	sp.TraceParent = tctx.Traceparent()
 	ctx, cancel := context.WithCancel(parent)
 	j := &Job{
 		tctx:      tctx,
@@ -113,18 +111,14 @@ func (j *Job) Output() string {
 	return j.output
 }
 
-// Live freezes the job's run progress, or nil while the job has not
-// reached a runner (queued and early-canceled jobs have no tracker).
-func (j *Job) Live() *telemetry.Snapshot {
+// progress freezes the job's run progress, or nil while the job has
+// not reached a runner (queued and early-canceled jobs have no tracker).
+func (j *Job) progress() *telemetry.Snapshot {
 	j.mu.Lock()
 	tr := j.tracker
 	j.mu.Unlock()
 	return tr.Snapshot()
 }
-
-// TraceContext returns the job's trace context (the job span's
-// identity); its Traceparent is what the spec was re-stamped with.
-func (j *Job) TraceContext() trace.Context { return j.tctx }
 
 // Trace assembles the job's current span tree from its flight
 // recorder: the job span (parented to the submitter's span when the
@@ -154,7 +148,8 @@ func (j *Job) Trace(runID string) trace.Trace {
 }
 
 // View is the JSON shape of a job on the status endpoints. Started and
-// Finished are nil until the job reaches those states.
+// Finished are nil until the job reaches those states, Progress until a
+// runner starts it.
 type View struct {
 	ID      string `json:"id"`
 	Kind    string `json:"kind"`
@@ -169,6 +164,9 @@ type View struct {
 	Finished  *time.Time `json:"finished,omitempty"`
 	QueueNS   int64      `json:"queue_ns"`
 	Events    int        `json:"events"`
+	// Progress is the run tracker's snapshot: faults done of the fault
+	// axis, detections, throughput and the watchdog's stall flag.
+	Progress *telemetry.Snapshot `json:"progress"`
 }
 
 // View snapshots the job for JSON encoding.
@@ -185,6 +183,7 @@ func (j *Job) View() View {
 		Submitted: j.submitted,
 		QueueNS:   j.queueWait.Nanoseconds(),
 		Events:    j.rec.Len(),
+		Progress:  j.tracker.Snapshot(),
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -310,5 +312,77 @@ func TestCloseRecordsQueuedJobs(t *testing.T) {
 	}
 	if got := s.col.Counter("serve.jobs.canceled").Value(); got != n {
 		t.Errorf("serve.jobs.canceled = %d, want %d", got, n)
+	}
+}
+
+// TestLiveStallFlagged: a running job whose run stops emitting is
+// flagged stalled in its job view within a few stall thresholds, and
+// the stall is counted on /api/v1/server and /metrics.
+func TestLiveStallFlagged(t *testing.T) {
+	orig := runTask
+	t.Cleanup(func() { runTask = orig })
+	// The stand-in starts a run, announces its fault axis, then goes
+	// silent until canceled.
+	runTask = func(ctx context.Context, _ task.Spec, _ *engine.Cache, col *obs.Collector) (*task.Result, error) {
+		col.Journal().Emit(journal.UnitBegin())
+		col.Journal().Emit(journal.Axis(64))
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	s := New(Config{Runners: 1, StallThreshold: 5 * time.Millisecond})
+	h := httptest.NewServer(s.Handler())
+	defer func() {
+		h.Close()
+		s.Close()
+	}()
+	j, err := s.Submit(task.Spec{Kind: task.KindFaultSim, Circuit: "s27"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(h.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The watchdog goroutine sweeps at threshold/4; the flag must land
+	// within a few thresholds of the last heartbeat.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var jv View
+		get("/api/v1/jobs/"+j.ID(), &jv)
+		if p := jv.Progress; p != nil && p.Stalled {
+			if !p.Running || p.FaultsTotal != 64 || p.IdleNS <= 0 {
+				t.Fatalf("stalled progress = %+v", p)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled job never flagged in its view: %+v", jv)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var sv ServerView
+	get("/api/v1/server", &sv)
+	if sv.StallThresholdNS != (5*time.Millisecond).Nanoseconds() || sv.Counters["serve.jobs.stalls"] < 1 {
+		t.Fatalf("server view threshold %d, stalls %d; want 5ms and at least one stall",
+			sv.StallThresholdNS, sv.Counters["serve.jobs.stalls"])
+	}
+	resp, err := http.Get(h.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"fsct_serve_jobs_stalls_total", "fsct_serve_jobs_stalled_total 1"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 }

@@ -83,9 +83,9 @@ type Config struct {
 	// disables the endpoint.
 	LedgerPath string
 	// StallThreshold is the no-progress age past which the straggler
-	// watchdog flags a running job (surfaced on /api/v1/live and as a
-	// warning log). 0 selects telemetry.DefaultStallThreshold; negative
-	// disables stall detection.
+	// watchdog flags a running job (surfaced in the job view's progress
+	// and as a warning log). 0 selects telemetry.DefaultStallThreshold;
+	// negative disables stall detection.
 	StallThreshold time.Duration
 	// Logger receives the daemon's structured logs (request lines, job
 	// lifecycle, stall warnings), each stamped with RunID. Nil discards.
@@ -119,7 +119,6 @@ type Server struct {
 	runID string
 
 	watchdog *telemetry.Watchdog
-	liveHub  *hub // bumped on any job's progress transition
 
 	ctx  context.Context
 	stop context.CancelFunc
@@ -169,23 +168,21 @@ func New(cfg Config) *Server {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		cache:   cache,
-		col:     obs.New(),
-		sess:    cfg.Ledger,
-		start:   time.Now(),
-		log:     logger,
-		runID:   runID,
-		liveHub: newHub(),
-		ctx:     ctx,
-		stop:    stop,
-		q:       newJobQueue(cfg.QueueLimit),
-		jobs:    make(map[string]*Job),
+		cfg:   cfg,
+		cache: cache,
+		col:   obs.New(),
+		sess:  cfg.Ledger,
+		start: time.Now(),
+		log:   logger,
+		runID: runID,
+		ctx:   ctx,
+		stop:  stop,
+		q:     newJobQueue(cfg.QueueLimit),
+		jobs:  make(map[string]*Job),
 	}
 	s.watchdog = telemetry.NewWatchdog(cfg.StallThreshold, 0, logger)
 	s.watchdog.OnStall = func(stalls []telemetry.Stall) {
 		s.col.Counter("serve.jobs.stalls").Add(int64(len(stalls)))
-		s.liveHub.bump()
 	}
 	s.wg.Add(cfg.Runners + 1)
 	go func() {
@@ -197,10 +194,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Watchdog returns the server's straggler watchdog (tests sweep it with
-// a fake clock).
-func (s *Server) Watchdog() *telemetry.Watchdog { return s.watchdog }
 
 // Cache returns the server's engine cache (tests inspect its Stats).
 func (s *Server) Cache() *engine.Cache { return s.cache }
@@ -218,7 +211,6 @@ func (s *Server) Close() {
 	for _, j := range s.Jobs() {
 		s.cancelQueued(j, "server shutting down")
 	}
-	s.liveHub.close()
 	s.log.Info("server stopped", slog.Duration("uptime", time.Since(s.start)))
 }
 
@@ -346,24 +338,14 @@ func (s *Server) runJob(j *Job) {
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.submitted)
 	tracker := telemetry.NewRunTracker(telemetry.Info{
-		RunID: s.runID, JobID: j.id,
-		Kind: j.spec.Kind, Circuit: j.spec.Circuit,
-		TraceID: j.tctx.Trace.String(),
+		RunID: s.runID, JobID: j.id, TraceID: j.tctx.Trace.String(),
 	}, s.log)
 	j.tracker = tracker
 	j.mu.Unlock()
-	// The tracker folds the job's journal into its live progress; its
-	// transitions wake both the job's own SSE stream and the server-wide
-	// live stream (journal events keep waking the job stream through its
-	// own subscription).
-	tracker.SetOnChange(func() {
-		j.hub.bump()
-		s.liveHub.bump()
-	})
+	// The tracker folds the job's journal into the view's progress.
 	untrack := j.rec.Subscribe(tracker.Observe)
 	s.watchdog.Register(tracker)
 	defer s.watchdog.Unregister(tracker)
-	j.hub.bump()
 	s.log.Info("job started",
 		slog.String(telemetry.KeyJobID, j.id),
 		slog.String("kind", j.spec.Kind), slog.String("circuit", j.spec.Circuit),
@@ -412,7 +394,6 @@ func (s *Server) runJob(j *Job) {
 	// ends on "done" then finds the job in the counters and the ledger.
 	s.record(j, col.Snapshot(), res)
 	j.hub.close()
-	s.liveHub.bump()
 	s.retire(j)
 }
 

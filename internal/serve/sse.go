@@ -28,7 +28,7 @@ func newHub() *hub {
 	return &hub{ch: make(chan struct{})}
 }
 
-// bump wakes current waiters (new events, status change).
+// bump wakes current waiters (new journal events).
 func (h *hub) bump() {
 	h.mu.Lock()
 	if !h.closed {

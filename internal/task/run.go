@@ -91,10 +91,11 @@ func (r *Result) SimResult() *faultsim.Result {
 // report nothing. A nil cache selects engine.Default(); a nil
 // collector runs uninstrumented. When the collector records a journal,
 // the run is bracketed by one unit_begin/unit_end pair — the span the
-// tracing layer (internal/trace) assembles under the spec's
-// TraceParent, and the whole lifecycle the daemon's run tracker
-// (internal/telemetry) folds — with one axis event between them once
-// the executor knows the fault-axis length.
+// tracing layer (internal/trace) assembles under the root context its
+// caller passes (the CLI session's or the daemon job's), and the whole
+// lifecycle the daemon's run tracker (internal/telemetry) folds — with
+// one axis event between them once the executor knows the fault-axis
+// length.
 func Run(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collector) (res *Result, err error) {
 	if err := sp.Normalize(); err != nil {
 		return nil, err

@@ -97,12 +97,11 @@ type Spec struct {
 	// Uncollapsed selects the full fault list instead of the
 	// equivalence-collapsed one (faultsim only).
 	Uncollapsed bool `json:"uncollapsed,omitempty"`
-	// TraceParent, when non-empty, is the W3C traceparent of the span
-	// that owns this job — the submitting client's span, or the daemon
-	// job span once fsctd re-stamps an accepted spec. The run's unit
-	// span parents to it, so a trace assembled anywhere (CLI export,
-	// daemon endpoint) joins into one tree. Normalize validates and canonicalizes it; it does not
-	// affect the run's result.
+	// TraceParent, when non-empty, is the W3C traceparent of the
+	// submitting client's span: fsctd makes the job span its child, so
+	// the client's trace and the job's span tree join into one.
+	// Normalize validates and canonicalizes it; it does not affect the
+	// run's result.
 	TraceParent string `json:"traceparent,omitempty"`
 }
 

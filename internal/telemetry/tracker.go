@@ -11,7 +11,8 @@
 //     ATPG attempts and detections advance a live faults-done estimate
 //     and the progress heartbeat, and unit_end finishes the run with
 //     the exact totals it carries. The clock and the watchdog's stall
-//     flag are its only other inputs;
+//     flag are its only other inputs, and its Snapshot is the progress
+//     field of the daemon's job view;
 //   - Watchdog sweeps registered trackers on an interval and flags any
 //     running run whose last progress heartbeat is older than the stall
 //     threshold;
@@ -38,15 +39,12 @@ import (
 const batchWidth = 63
 
 // Info names a run for its tracker: the identity attributes stamped on
-// every log line and carried in every snapshot.
+// its log lines and stall reports.
 type Info struct {
 	// RunID correlates the run's log lines (KeyRunID).
 	RunID string
 	// JobID is the daemon job identifier, when the run is a daemon job.
 	JobID string
-	// Kind and Circuit describe the job.
-	Kind    string
-	Circuit string
 	// TraceID is the run's distributed-trace identity (KeyTraceID),
 	// when the run carries one: the hex form of trace.TraceID.
 	TraceID string
@@ -61,7 +59,6 @@ type RunTracker struct {
 	info Info
 	log  *slog.Logger
 	now  func() time.Time // injectable clock (tests)
-	onCh func()           // change hook (live SSE hub), may be nil
 
 	mu      sync.Mutex
 	started time.Time // zero until unit_begin
@@ -95,16 +92,6 @@ func NewRunTracker(info Info, logger *slog.Logger) *RunTracker {
 	return &RunTracker{info: info, log: logger, now: time.Now}
 }
 
-// SetOnChange installs fn to be called (without the tracker lock held)
-// after every lifecycle or stall transition — the daemon bumps its
-// live-stream hub with it. Call before the run starts.
-func (t *RunTracker) SetOnChange(fn func()) {
-	if t == nil {
-		return
-	}
-	t.onCh = fn
-}
-
 // setNow injects a clock (tests).
 func (t *RunTracker) setNow(now func() time.Time) { t.now = now }
 
@@ -115,9 +102,8 @@ func (t *RunTracker) setNow(now func() time.Time) { t.now = now }
 // that clears a stall flag (the run provably moved); unit_end finishes
 // it. A clean finish fixes faults-done at the axis length and sets the
 // throughput; an interrupted one keeps the live estimate, clamped to
-// the axis. Events outside a run are ignored. Start, axis, resume and
-// finish fire the change hook. Observe does constant work under one
-// short mutex, so it is safe on the hot emit path.
+// the axis. Events outside a run are ignored. Observe does constant
+// work under one short mutex, so it is safe on the hot emit path.
 func (t *RunTracker) Observe(e journal.Event) {
 	if t == nil {
 		return
@@ -127,7 +113,6 @@ func (t *RunTracker) Observe(e journal.Event) {
 	if e.Kind == journal.KindUnitBegin {
 		t.started, t.last, t.running = now, now, true
 		t.mu.Unlock()
-		t.changed()
 		return
 	}
 	if !t.running {
@@ -137,11 +122,9 @@ func (t *RunTracker) Observe(e journal.Event) {
 	t.last = now
 	resumed := t.stalled
 	t.stalled = false
-	notify := resumed
 	switch e.Kind {
 	case journal.KindAxis:
 		t.axis = int(e.D)
-		notify = true
 	case journal.KindBatch:
 		t.items++
 	case journal.KindATPG:
@@ -162,14 +145,10 @@ func (t *RunTracker) Observe(e journal.Event) {
 		} else {
 			t.done = t.estimate()
 		}
-		notify = true
 	}
 	t.mu.Unlock()
 	if resumed && e.Kind != journal.KindUnitEnd {
 		t.log.Info("job resumed")
-	}
-	if notify {
-		t.changed()
 	}
 }
 
@@ -202,15 +181,7 @@ func (t *RunTracker) markStall(now time.Time, threshold time.Duration) (Stall, b
 	if !flag {
 		return Stall{}, false
 	}
-	t.changed()
 	return Stall{RunID: t.info.RunID, JobID: t.info.JobID, Idle: idle}, true
-}
-
-// changed fires the change hook, if any.
-func (t *RunTracker) changed() {
-	if t.onCh != nil {
-		t.onCh()
-	}
 }
 
 // Stall identifies one newly stalled run.
@@ -222,16 +193,10 @@ type Stall struct {
 	Idle time.Duration `json:"idle_ns"`
 }
 
-// Snapshot is a frozen view of one run's progress: the JSON body of the
-// daemon's /api/v1/live entries and the input of the fsctstats watch
-// dashboard.
+// Snapshot is a frozen view of one run's progress: the progress field
+// of the daemon's job view and the input of the fsctstats watch
+// dashboard. The view around it carries the job's identity.
 type Snapshot struct {
-	// RunID, JobID, Kind, Circuit and TraceID echo the tracker's Info.
-	RunID   string `json:"run_id,omitempty"`
-	JobID   string `json:"job_id,omitempty"`
-	Kind    string `json:"kind,omitempty"`
-	Circuit string `json:"circuit,omitempty"`
-	TraceID string `json:"trace_id,omitempty"`
 	// Running, Finished and Stalled are the run's lifecycle flags (all
 	// false before unit_begin).
 	Running  bool `json:"running,omitempty"`
@@ -263,11 +228,7 @@ func (t *RunTracker) Snapshot() *Snapshot {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &Snapshot{
-		RunID: t.info.RunID, JobID: t.info.JobID,
-		Kind: t.info.Kind, Circuit: t.info.Circuit,
-		TraceID: t.info.TraceID,
-	}
+	s := &Snapshot{}
 	if t.started.IsZero() {
 		return s
 	}

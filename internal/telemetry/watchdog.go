@@ -26,8 +26,8 @@ type Watchdog struct {
 	now       func() time.Time // injectable clock (tests)
 
 	// OnStall, when non-nil, is called (outside the watchdog lock) with
-	// each sweep's newly flagged runs — the daemon bumps its live hub
-	// with it. Set before Run.
+	// each sweep's newly flagged runs — the daemon counts them as
+	// serve.jobs.stalls. Set before Run.
 	OnStall func([]Stall)
 
 	mu       sync.Mutex
