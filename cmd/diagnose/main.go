@@ -79,7 +79,7 @@ func main() {
 
 	// -inject shares the task layer's front half (screen + dictionary)
 	// and then plays back the one hidden fault interactively.
-	d, _, affecting, dict, err := task.Diagnosis(ctx, sp, nil, col)
+	d, screened, affecting, dict, err := task.Diagnosis(ctx, sp, nil, col)
 	if err != nil {
 		sess.Fail(err)
 	}
@@ -116,7 +116,7 @@ func main() {
 		}
 		fmt.Printf("  candidate: %s%s\n", m.Describe(d.C), mark)
 	}
-	for _, sus := range dict.Localize(sig) {
+	for _, sus := range dict.Localize(sig, screened) {
 		fmt.Printf("  suspect region: chain %d segments %d..%d (%v)\n",
 			sus.Chain, sus.LoSeg, sus.HiSeg, sus.Category)
 	}

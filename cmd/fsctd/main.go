@@ -62,13 +62,12 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "localhost:8341", "HTTP listen address")
-		queueLimit   = flag.Int("queue", serve.DefaultQueueLimit, "max queued (not yet running) jobs before submissions get 429")
-		runners      = flag.Int("runners", 0, "concurrent job executors (0 = GOMAXPROCS capped at 4)")
-		cacheBudget  = flag.String("cache-budget", "0", "engine artifact cache byte budget, e.g. 256MiB (0 = unbounded)")
-		cacheEntries = flag.Int("cache-entries", 0, "engine artifact cache entry bound (0 = default)")
-		stall        = flag.Duration("stall", telemetry.DefaultStallThreshold, "flag a running job as stalled after this much `silence` (negative disables the watchdog)")
-		oflags       = obsflags.Register(flag.CommandLine)
+		addr        = flag.String("addr", "localhost:8341", "HTTP listen address")
+		queueLimit  = flag.Int("queue", serve.DefaultQueueLimit, "max queued (not yet running) jobs before submissions get 429")
+		runners     = flag.Int("runners", 0, "concurrent job executors (0 = GOMAXPROCS capped at 4)")
+		cacheBudget = flag.String("cache-budget", "0", "engine artifact cache byte budget, e.g. 256MiB (0 = unbounded)")
+		stall       = flag.Duration("stall", telemetry.DefaultStallThreshold, "flag a running job as stalled after this much `silence` (negative disables the watchdog)")
+		oflags      = obsflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -87,7 +86,6 @@ func main() {
 		QueueLimit:     *queueLimit,
 		Runners:        *runners,
 		CacheBudget:    budget,
-		CacheEntries:   *cacheEntries,
 		Ledger:         sess,
 		LedgerPath:     oflags.Ledger,
 		StallThreshold: *stall,

@@ -2,9 +2,9 @@
 // observability flag surface and lifecycle:
 //
 //	-metrics     instrument the run, emit a metrics snapshot
-//	-tracefile   export the run's flight-recorder timeline as a Chrome
-//	             trace-event JSON file (chrome://tracing, Perfetto)
-//	-otlpfile    export the same timeline as an OTLP/JSON span tree
+//	-tracefile   export the run's span tree as a Chrome trace-event
+//	             JSON file (chrome://tracing, Perfetto)
+//	-otlpfile    export the same span tree as OTLP/JSON
 //	             (OpenTelemetry collectors, fsctstats trace)
 //	-progress    live progress on stderr: stamped phase and summary
 //	             lines plus a throttled rate/ETA line (TTY-aware)
@@ -23,15 +23,15 @@
 // in the ledger with whatever they completed and their exit status.
 //
 // The session's flight recorder is the run's only live sink: the
-// -progress renderer subscribes to it, and -tracefile/-otlpfile export
-// what it recorded.
+// -progress renderer subscribes to it. On Close, Trace assembles what
+// it recorded into one span tree, and -tracefile and -otlpfile are two
+// encodings of that tree.
 //
 // Every session also roots a distributed-trace context: a fresh
 // 128-bit trace ID, or — when the TRACEPARENT environment variable
 // carries a valid W3C traceparent — a child of the caller's span, so a
 // CI script's trace threads through the CLIs it invokes. Trace parents
-// every unit span the command ran to that root; -otlpfile exports the
-// assembled span tree on Close.
+// every unit span the command ran to that root.
 package obsflags
 
 import (
@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -77,8 +78,8 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.BoolVar(&f.Metrics, "metrics", false, "instrument the run and report metrics")
-	fs.StringVar(&f.TraceFile, "tracefile", "", "export the run's timeline to this `file` as Chrome trace events (chrome://tracing, Perfetto); same events as -otlpfile, viewer-oriented form")
-	fs.StringVar(&f.OTLPFile, "otlpfile", "", "export the run's timeline to this `file` as an OTLP/JSON span tree (OpenTelemetry collectors, fsctstats trace); same events as -tracefile, tooling-oriented form")
+	fs.StringVar(&f.TraceFile, "tracefile", "", "export the run's span tree to this `file` as Chrome trace events (chrome://tracing, Perfetto); the same spans as -otlpfile, viewer-oriented form")
+	fs.StringVar(&f.OTLPFile, "otlpfile", "", "export the run's span tree to this `file` as OTLP/JSON (OpenTelemetry collectors, fsctstats trace); the same spans as -tracefile, tooling-oriented form")
 	fs.BoolVar(&f.Progress, "progress", false, "render live progress on stderr: stamped phase and summary lines, and a rate/ETA line per phase")
 	fs.StringVar(&f.Debug, "debug", "", "serve /debug/pprof, /debug/vars and /metrics on this `address` (e.g. localhost:6060)")
 	fs.StringVar(&f.Ledger, "ledger", "", "append this run's records to the JSONL run ledger at `file` (query with cmd/fsctstats)")
@@ -152,7 +153,7 @@ type Session struct {
 func (f *Flags) Open() (*Session, error) {
 	if f.TraceFile != "" && f.OTLPFile != "" &&
 		filepath.Clean(f.TraceFile) == filepath.Clean(f.OTLPFile) {
-		return nil, fmt.Errorf("-tracefile and -otlpfile name the same path %q: the exporters would overwrite each other (they share events, not a format)", f.TraceFile)
+		return nil, fmt.Errorf("-tracefile and -otlpfile name the same path %q: the exporters would overwrite each other (they share spans, not a format)", f.TraceFile)
 	}
 	s := &Session{flags: f, start: time.Now(), cli: cliName()}
 	// Root the run's trace. A valid TRACEPARENT in the environment makes
@@ -253,21 +254,40 @@ func (s *Session) Trace() trace.Trace {
 	return trace.FromRecorder(s.recorder, s.tctx, s.tparent, s.cli, -1, hash, attrs...)
 }
 
-// writeOTLP exports the assembled span tree to -otlpfile.
-func (s *Session) writeOTLP() error {
-	if s.flags.OTLPFile == "" {
+// writeTraces exports the assembled span tree, one Trace, to
+// -tracefile as Chrome trace events and to -otlpfile as OTLP/JSON.
+func (s *Session) writeTraces() error {
+	if s.flags.TraceFile == "" && s.flags.OTLPFile == "" {
 		return nil
 	}
-	w, err := os.Create(s.flags.OTLPFile)
-	if err != nil {
-		return fmt.Errorf("otlpfile: %w", err)
+	tr := s.Trace()
+	err := writeFile("tracefile", s.flags.TraceFile, func(w io.Writer) error {
+		return trace.WriteChrome(w, tr, s.recorder.Snapshot())
+	})
+	if oerr := writeFile("otlpfile", s.flags.OTLPFile, func(w io.Writer) error {
+		return trace.WriteOTLP(w, tr)
+	}); err == nil {
+		err = oerr
 	}
-	err = trace.WriteOTLP(w, s.Trace())
+	return err
+}
+
+// writeFile creates path (nothing when empty) and fills it with write;
+// errors name the flag.
+func writeFile(flagName, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	w, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("%s: %w", flagName, err)
+	}
+	err = write(w)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("otlpfile: %w", err)
+		return fmt.Errorf("%s: %w", flagName, err)
 	}
 	return nil
 }
@@ -403,8 +423,8 @@ func (s *Session) Fail(err error) {
 func cliName() string { return filepath.Base(os.Args[0]) }
 
 // Close flushes the session's sinks: the live progress line is
-// terminated, the journal is exported to -tracefile and the assembled
-// span tree to -otlpfile, and the pending
+// terminated, the assembled span tree is written to -tracefile and
+// -otlpfile, and the pending
 // run records are appended to -ledger (also on interrupted runs — the
 // partial history is exactly what a SIGINT investigation wants). Safe
 // to call more than once; every exit path must reach it because
@@ -412,12 +432,7 @@ func cliName() string { return filepath.Base(os.Args[0]) }
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.progress.Flush()
-		if s.flags.TraceFile != "" && s.recorder != nil {
-			s.closeErr = s.writeTrace()
-		}
-		if err := s.writeOTLP(); err != nil && s.closeErr == nil {
-			s.closeErr = err
-		}
+		s.closeErr = s.writeTraces()
 		if err := s.writeLedger(); err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}
@@ -441,37 +456,10 @@ func (s *Session) Close() error {
 // brings the profile up to date (heap profiles are recorded at GC
 // points), so short runs do not export an empty profile.
 func (s *Session) writeMemProfile() error {
-	if s.flags.MemProfile == "" {
-		return nil
-	}
-	w, err := os.Create(s.flags.MemProfile)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	runtime.GC()
-	err = pprof.WriteHeapProfile(w)
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	return nil
-}
-
-func (s *Session) writeTrace() error {
-	w, err := os.Create(s.flags.TraceFile)
-	if err != nil {
-		return fmt.Errorf("tracefile: %w", err)
-	}
-	err = journal.WriteTrace(w, s.recorder.Snapshot(), s.recorder.Dropped())
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("tracefile: %w", err)
-	}
-	return nil
+	return writeFile("memprofile", s.flags.MemProfile, func(w io.Writer) error {
+		runtime.GC()
+		return pprof.WriteHeapProfile(w)
+	})
 }
 
 // writeLedger completes the queued run records with the session-wide

@@ -1,6 +1,7 @@
 package obsflags
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -49,7 +50,8 @@ func TestCloseTwiceNoRecorder(t *testing.T) {
 
 // TestCloseTwiceWithSinks: with a trace file configured, the second
 // Close must not rewrite the file or fail — and must report the first
-// Close's error state unchanged.
+// Close's error state unchanged. The file holds the session's span
+// tree: the root span named after the CLI and the phase under it.
 func TestCloseTwiceWithSinks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	s := open(t, "-tracefile", path)
@@ -59,6 +61,25 @@ func TestCloseTwiceWithSinks(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close after flush: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Ph, Name, Cat string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace file is not valid JSON: %v", err)
+	}
+	var spans []string
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			spans = append(spans, e.Cat+" "+e.Name)
+		}
+	}
+	if want := []string{"root " + s.cli, "phase p"}; !slices.Equal(spans, want) {
+		t.Errorf("trace file spans = %q, want %q", spans, want)
 	}
 }
 
@@ -301,10 +322,9 @@ func TestRecordRunWithoutLedgerIsFree(t *testing.T) {
 	}
 }
 
-// TestSamePathExportersRejected pins satellite behavior: -tracefile and
-// -otlpfile share events but not a format, so naming the same path must
-// fail at Open rather than silently overwrite one export with the
-// other.
+// TestSamePathExportersRejected: -tracefile and -otlpfile share spans
+// but not a format, so naming the same path must fail at Open rather
+// than silently overwrite one export with the other.
 func TestSamePathExportersRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")

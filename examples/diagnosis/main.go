@@ -66,7 +66,7 @@ func main() {
 	}
 
 	fmt.Println("\nlocalized corruption:")
-	for _, sus := range dict.Localize(sig) {
+	for _, sus := range dict.Localize(sig, screened) {
 		ch := &design.Chains[sus.Chain]
 		fmt.Printf("  chain %d, segments %d..%d (of %d), category %v\n",
 			sus.Chain, sus.LoSeg, sus.HiSeg, ch.Len(), core.Category(sus.Category))

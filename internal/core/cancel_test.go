@@ -16,6 +16,7 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // countCtx is a context that reports itself cancelled after its Err
@@ -182,7 +183,8 @@ func TestTransitionCtxCancel(t *testing.T) {
 // across mid-screen, mid-fault-sim and mid-ATPG boundaries, like
 // TestRunCtxCancelMidFlow), every phase opened in the journal must be
 // closed — the flow ends its span on each error return — and the
-// snapshot collected so far must export as a loadable Chrome trace.
+// snapshot collected so far must export as a loadable Chrome trace in
+// which no span had to be closed at the trace end.
 // This is exactly what the CLIs rely on when SIGINT interrupts a run
 // with -tracefile set.
 func TestCancelJournalFlush(t *testing.T) {
@@ -214,8 +216,9 @@ func TestCancelJournalFlush(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := journal.WriteTrace(&buf, events, rec.Dropped()); err != nil {
-			t.Fatalf("budget %d: WriteTrace: %v", budget, err)
+		tr := trace.FromRecorder(rec, trace.NewContext(), trace.SpanID{}, "flow", -1, 0)
+		if err := trace.WriteChrome(&buf, tr, events); err != nil {
+			t.Fatalf("budget %d: WriteChrome: %v", budget, err)
 		}
 		var doc struct {
 			TraceEvents []map[string]any `json:"traceEvents"`
@@ -225,6 +228,11 @@ func TestCancelJournalFlush(t *testing.T) {
 		}
 		if len(doc.TraceEvents) == 0 {
 			t.Errorf("budget %d: interrupted trace carries no events", budget)
+		}
+		for _, e := range doc.TraceEvents {
+			if args, _ := e["args"].(map[string]any); e["ph"] == "X" && args["unclosed"] != nil {
+				t.Errorf("budget %d: span %v closed at the trace end, not by its phase", budget, e["name"])
+			}
 		}
 	}
 }

@@ -74,8 +74,9 @@ func newCombDropper(d *scan.Design, cm *atpg.CombModel, hard []Screened, workers
 }
 
 // drop marks every still-uncovered fault that vector v detects on the
-// combinational model.
-func (cd *combDropper) drop(v scan.Vector) {
+// combinational model. Workers stop claiming batches once ctx fires,
+// and the context error is returned.
+func (cd *combDropper) drop(ctx context.Context, v scan.Vector) error {
 	vecIdx := cd.nVectors
 	cd.nVectors++
 	c := cd.cm.C
@@ -102,7 +103,7 @@ func (cd *combDropper) drop(v scan.Vector) {
 	if workers > len(batches) {
 		workers = len(batches)
 	}
-	par.DoCtx(context.TODO(), workers, len(batches), func(worker, bi int) {
+	return par.DoCtx(ctx, workers, len(batches), func(worker, bi int) {
 		eval := cd.evals[worker]
 		if eval == nil {
 			eval = sim.NewCompiledCombFrom(cd.prog)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/atpg"
@@ -47,7 +48,23 @@ func TestDropperMatchesGroundTruth(t *testing.T) {
 			vec.PIs[in] = logic.One
 		}
 	}
-	cd.drop(vec)
+	// A canceled context stops the pass before any batch: nothing is
+	// predicted covered.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cdc := newCombDropper(d, cm, hard, 0, nil, nil)
+	if err := cdc.drop(canceled, vec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled drop err = %v, want context.Canceled", err)
+	}
+	for i := range hard {
+		if cdc.covered.Get(i) {
+			t.Fatalf("canceled drop marked fault %d covered", i)
+		}
+	}
+
+	if err := cd.drop(context.Background(), vec); err != nil {
+		t.Fatal(err)
+	}
 
 	// Ground truth: single-cycle fault sim of the comb model with the
 	// same values (assignments pinned, everything else 1 except

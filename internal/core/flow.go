@@ -368,7 +368,9 @@ func runStep2(ctx context.Context, d *scan.Design, hard []Screened, p Params, re
 				}
 			}
 			vectors = append(vectors, v)
-			dropper.drop(v)
+			if err := dropper.drop(ctx, v); err != nil {
+				return nil, err
+			}
 		case atpg.Redundant:
 			// Combinationally undetectable in scan mode implies
 			// sequentially undetectable (paper Section 4).

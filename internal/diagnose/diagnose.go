@@ -14,6 +14,7 @@ package diagnose
 import (
 	"context"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -239,17 +240,22 @@ type Suspect struct {
 	Category core.Category
 }
 
-// Localize matches the observation and folds the screening locations of
-// every matched fault into per-chain segment ranges — the repair/FA
-// starting point.
-func (dict *Dictionary) Localize(s Signature) []Suspect {
+// Localize matches the observation and folds the screening verdicts of
+// every matched fault — its category and chain locations, looked up in
+// verdicts (the screening the dictionary's candidates came from; a
+// match with no verdict there adds no location) — into per-chain
+// segment ranges: the repair/FA starting point.
+func (dict *Dictionary) Localize(s Signature, verdicts []core.Screened) []Suspect {
 	matches := dict.Match(s)
 	if len(matches) == 0 {
 		return nil
 	}
-	screened, _ := core.ScreenCtx(context.TODO(), dict.Design, matches, core.ScreenOptions{})
 	byChain := map[int]*Suspect{}
-	for _, sc := range screened {
+	for i := range verdicts {
+		sc := &verdicts[i]
+		if !slices.Contains(matches, sc.Fault) {
+			continue
+		}
 		for _, loc := range sc.Locs {
 			sus, ok := byChain[loc.Chain]
 			if !ok {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/scan"
@@ -60,7 +61,7 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 			t.Errorf("fault %s not among its own matches", f.Describe(d.C))
 			continue
 		}
-		suspects := dict.Localize(sig)
+		suspects := dict.Localize(sig, screened)
 		if len(truth[f]) == 0 {
 			continue
 		}
@@ -79,6 +80,43 @@ func TestDiagnoseRoundTrip(t *testing.T) {
 	}
 	if diagnosable < len(affecting)/2 {
 		t.Errorf("only %d of %d affecting faults diagnosable", diagnosable, len(affecting))
+	}
+}
+
+// TestLocalizeLeavesDefaultCache: Localize folds the screening verdicts
+// it is handed and screens nothing itself, so a diagnosis run entirely
+// in the caller's cache never probes the process-wide engine.Default().
+func TestLocalizeLeavesDefaultCache(t *testing.T) {
+	d := buildDesign(t, 1)
+	cache := engine.New()
+	screened, err := core.ScreenCtx(context.Background(), d, fault.Collapsed(d.C), core.ScreenOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var affecting []fault.Fault
+	for _, s := range screened {
+		if s.Cat != core.Cat3 {
+			affecting = append(affecting, s.Fault)
+		}
+	}
+	dict, err := BuildCtx(context.Background(), d, affecting, DefaultSequences(d, 7), 1, cache, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := engine.Default().Stats()
+	localized := 0
+	for i := range affecting {
+		sig := dict.Observe(&SimulatedDevice{C: d.C, Hidden: &affecting[i]})
+		if len(dict.Localize(sig, screened)) > 0 {
+			localized++
+		}
+	}
+	after := engine.Default().Stats()
+	if after.Entries != before.Entries || after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("Localize probed engine.Default(): stats %+v -> %+v", before, after)
+	}
+	if localized == 0 {
+		t.Error("no candidate localized")
 	}
 }
 
@@ -157,7 +195,7 @@ func TestEmptyDictionary(t *testing.T) {
 	if got := dict.Match(dict.GoodSignature()); len(got) != 0 {
 		t.Errorf("empty dictionary matched %d faults", len(got))
 	}
-	if dict.Localize(Signature(12345)) != nil {
+	if dict.Localize(Signature(12345), nil) != nil {
 		t.Error("unknown signature localized")
 	}
 }

@@ -31,7 +31,7 @@ type CacheStats struct {
 
 // Cache memoizes derived artifacts per circuit structure, with
 // least-recently-used eviction under two independent bounds: a count
-// bound (SetMaxEntries, default DefaultMaxEntries) and an optional byte
+// bound (DefaultMaxEntries) and an optional byte
 // budget (SetBudget). The zero value is not usable; construct with New
 // (or use the process-wide Default). All methods are safe for
 // concurrent use.
@@ -110,17 +110,6 @@ func Resolve(c *Cache) *Cache {
 func (ca *Cache) SetBudget(budget int64) {
 	ca.mu.Lock()
 	ca.budget = budget
-	ca.mu.Unlock()
-}
-
-// SetMaxEntries sets the entry-count bound (n <= 0 restores
-// DefaultMaxEntries).
-func (ca *Cache) SetMaxEntries(n int) {
-	if n <= 0 {
-		n = DefaultMaxEntries
-	}
-	ca.mu.Lock()
-	ca.maxEntries = n
 	ca.mu.Unlock()
 }
 

@@ -32,7 +32,7 @@ func chainCircuit(t *testing.T, depth int) *netlist.Circuit {
 
 func TestCacheLRUOrder(t *testing.T) {
 	ca := New()
-	ca.SetMaxEntries(2)
+	ca.maxEntries = 2
 	c1 := chainCircuit(t, 1)
 	c2 := chainCircuit(t, 2)
 	c3 := chainCircuit(t, 3)
@@ -150,7 +150,7 @@ func TestForObsDedupesRepeatedProbes(t *testing.T) {
 
 func TestEvictedArtifactsStayUsable(t *testing.T) {
 	ca := New()
-	ca.SetMaxEntries(1)
+	ca.maxEntries = 1
 	a1 := ca.For(chainCircuit(t, 1))
 	ca.For(chainCircuit(t, 2)) // evicts a1's entry
 	if ca.Len() != 1 {

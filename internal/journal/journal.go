@@ -12,9 +12,10 @@
 // daemon's run tracker (internal/telemetry) folds a job's events into
 // its live progress, and the daemon's per-job hub (internal/serve)
 // wakes its SSE readers.
-// Offline consumers read the buffer: WriteTrace exports it as Chrome
-// trace events, internal/trace assembles it into an OTLP span tree, and
-// provenance replay (internal/core) explains one fault's journey.
+// Offline consumers read the buffer: internal/trace assembles it into
+// the run's span tree (exported as OTLP/JSON and as Chrome trace
+// events), and provenance replay (internal/core) explains one fault's
+// journey. This package records; it encodes no trace format.
 //
 // The recorder follows the same cost discipline as internal/obs: a nil
 // *Recorder is the disabled recorder — Emit on it returns immediately —

@@ -125,7 +125,8 @@ func (j *Job) progress() *telemetry.Snapshot {
 // submission carried a traceparent), the run's unit span, the phases
 // inside it and their pool/ATPG leaves. Safe on a live
 // job — spans still open simply end "now" and carry the unclosed
-// attribute once the job is canceled mid-flight. runID is stamped into
+// attribute — and a run that ended in an error, a cancel or a panic
+// marks its unit span interrupted. runID is stamped into
 // the resource attributes alongside the job identity, the circuit's
 // structural hash (once the run resolved it) and the
 // recorder's dropped-event count, so truncated traces self-describe.

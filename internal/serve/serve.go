@@ -68,13 +68,6 @@ type Config struct {
 	// CacheBudget is the engine cache's byte budget (see
 	// engine.Cache.SetBudget); 0 leaves bytes unbounded.
 	CacheBudget int64
-	// CacheEntries is the engine cache's entry bound; 0 selects
-	// engine.DefaultMaxEntries.
-	CacheEntries int
-	// Cache supplies the artifact cache to serve from. Nil builds a
-	// fresh private cache (not engine.Default(), so the daemon's budget
-	// cannot evict entries other library users rely on).
-	Cache *engine.Cache
 	// Ledger, when non-nil, receives one immediately-appended ledger
 	// record per finished job (pass the obsflags session).
 	Ledger LedgerSink
@@ -144,15 +137,11 @@ func New(cfg Config) *Server {
 			cfg.Runners = 4
 		}
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = engine.New()
-	}
+	// A private cache, not engine.Default(), so the daemon's budget
+	// cannot evict entries other library users rely on.
+	cache := engine.New()
 	if cfg.CacheBudget > 0 {
 		cache.SetBudget(cfg.CacheBudget)
-	}
-	if cfg.CacheEntries > 0 {
-		cache.SetMaxEntries(cfg.CacheEntries)
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -194,9 +183,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Cache returns the server's engine cache (tests inspect its Stats).
-func (s *Server) Cache() *engine.Cache { return s.cache }
 
 // Close stops accepting queue pops, cancels every running job, and
 // waits for the runner pool to drain. Queued jobs that never ran are
@@ -338,7 +324,7 @@ func (s *Server) runJob(j *Job) {
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.submitted)
 	tracker := telemetry.NewRunTracker(telemetry.Info{
-		RunID: s.runID, JobID: j.id, TraceID: j.tctx.Trace.String(),
+		JobID: j.id, TraceID: j.tctx.Trace.String(),
 	}, s.log)
 	j.tracker = tracker
 	j.mu.Unlock()

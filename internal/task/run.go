@@ -101,17 +101,20 @@ func Run(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collector) 
 		return nil, err
 	}
 	res = &Result{Kind: sp.Kind}
+	returned := false // stays false while a panic unwinds
 	if rec := col.Journal(); rec.Enabled() {
 		rec.Emit(journal.UnitBegin())
 		start := time.Now()
-		// The end event always lands — also on cancel or failure — so
-		// partial traces keep their unit boundary.
+		// The end event always lands — also on cancel, failure or panic
+		// — so partial traces keep their unit boundary, and only a run
+		// that returned without error ends clean.
 		defer func() {
+			clean := returned && err == nil
 			faults := -1 // the axis length was never resolved
-			if err == nil || res.Faults > 0 {
+			if clean || res.Faults > 0 {
 				faults = res.Faults
 			}
-			rec.Emit(journal.UnitEnd(faults, resultHits(res), err == nil, time.Since(start)))
+			rec.Emit(journal.UnitEnd(faults, resultHits(res), clean, time.Since(start)))
 		}()
 	}
 	switch sp.Kind {
@@ -127,6 +130,7 @@ func Run(ctx context.Context, sp Spec, cache *engine.Cache, col *obs.Collector) 
 		err = runDiagnose(ctx, sp, cache, col, res)
 	}
 	res.Interrupted = err != nil
+	returned = true
 	return res, err
 }
 

@@ -373,6 +373,32 @@ func TestCanceledRunEndsUnclean(t *testing.T) {
 	}
 }
 
+// TestPanickedRunEndsUnclean: a run that panics still closes with
+// unit_end, flagged unclean, and the panic reaches the caller.
+func TestPanickedRunEndsUnclean(t *testing.T) {
+	col := obs.New()
+	rec := journal.New(1024)
+	col.SetJournal(rec)
+	rec.Subscribe(func(e journal.Event) {
+		if e.Kind == journal.KindAxis {
+			panic("observer failed")
+		}
+	})
+	func() {
+		defer func() {
+			if p := recover(); p != "observer failed" {
+				t.Errorf("recovered %v, want the observer's panic", p)
+			}
+		}()
+		Run(context.Background(), Spec{Kind: KindFaultSim, Circuit: "s27", Cycles: 100}, nil, col)
+	}()
+	evs := rec.Snapshot()
+	last := evs[len(evs)-1]
+	if last.Kind != journal.KindUnitEnd || last.B != 0 {
+		t.Fatalf("last event = %+v, want an unclean unit_end", last)
+	}
+}
+
 // FuzzSpecRoundTrip checks, for arbitrary field values, that Normalize
 // is idempotent, that the JSON wire trip preserves the normalized spec
 // exactly.

@@ -162,7 +162,7 @@ func TestTrackerFold(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := newFakeClock()
-			tr := NewRunTracker(Info{RunID: "r", JobID: "j1", TraceID: "t"}, nil)
+			tr := NewRunTracker(Info{JobID: "j1", TraceID: "t"}, nil)
 			tr.setNow(clk.now)
 			wd := NewWatchdog(10*time.Second, time.Second, nil)
 			wd.now = clk.now
@@ -185,7 +185,7 @@ func TestTrackerFold(t *testing.T) {
 }
 
 func TestTrackerStallFlaggedAndCleared(t *testing.T) {
-	tr := NewRunTracker(Info{RunID: "rN", JobID: "7"}, nil)
+	tr := NewRunTracker(Info{JobID: "7"}, nil)
 	clk := newFakeClock()
 	tr.setNow(clk.now)
 
@@ -201,7 +201,7 @@ func TestTrackerStallFlaggedAndCleared(t *testing.T) {
 	}
 	clk.advance(11 * time.Second)
 	st := wd.Sweep()
-	if len(st) != 1 || st[0].RunID != "rN" || st[0].JobID != "7" {
+	if len(st) != 1 || st[0].JobID != "7" {
 		t.Fatalf("sweep past threshold = %+v, want run rN job 7", st)
 	}
 	if st[0].Idle < 11*time.Second {
@@ -241,7 +241,7 @@ func TestTrackerUnitFailure(t *testing.T) {
 	// Callers hand the tracker a logger already stamped with run_id (the
 	// daemon does); mirror that contract here.
 	logger := slog.New(slog.NewTextHandler(&buf, nil)).With(slog.String(KeyRunID, "rf"))
-	tr := NewRunTracker(Info{RunID: "rf", JobID: "9"}, logger)
+	tr := NewRunTracker(Info{JobID: "9"}, logger)
 	clk := newFakeClock()
 	tr.setNow(clk.now)
 
@@ -285,7 +285,7 @@ func TestWatchdogDefaultsAndDisable(t *testing.T) {
 		t.Fatalf("threshold = %v, want default %v", wd.Threshold(), DefaultStallThreshold)
 	}
 	off := NewWatchdog(-1, 0, nil)
-	tr := NewRunTracker(Info{RunID: "off"}, nil)
+	tr := NewRunTracker(Info{}, nil)
 	clk := newFakeClock()
 	tr.setNow(clk.now)
 	off.now = clk.now

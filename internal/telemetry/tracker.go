@@ -41,8 +41,6 @@ const batchWidth = 63
 // Info names a run for its tracker: the identity attributes stamped on
 // its log lines and stall reports.
 type Info struct {
-	// RunID correlates the run's log lines (KeyRunID).
-	RunID string
 	// JobID is the daemon job identifier, when the run is a daemon job.
 	JobID string
 	// TraceID is the run's distributed-trace identity (KeyTraceID),
@@ -181,13 +179,12 @@ func (t *RunTracker) markStall(now time.Time, threshold time.Duration) (Stall, b
 	if !flag {
 		return Stall{}, false
 	}
-	return Stall{RunID: t.info.RunID, JobID: t.info.JobID, Idle: idle}, true
+	return Stall{JobID: t.info.JobID, Idle: idle}, true
 }
 
 // Stall identifies one newly stalled run.
 type Stall struct {
-	// RunID and JobID identify the stalled run.
-	RunID string `json:"run_id,omitempty"`
+	// JobID identifies the stalled run.
 	JobID string `json:"job_id,omitempty"`
 	// Idle is how long the run had made no progress when flagged.
 	Idle time.Duration `json:"idle_ns"`

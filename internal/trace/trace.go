@@ -5,17 +5,18 @@
 // The model is deliberately small. A Context names one position in a
 // distributed trace (128-bit trace ID, 64-bit span ID, sampling
 // flags) and travels as the `traceparent` header of the W3C Trace
-// Context specification — inbound on fsctd job submissions, outbound
-// stamped through task.Spec so every run of the job joins the same
-// trace. Assemble replays a journal event buffer into a span tree
+// Context specification — inbound on fsctd job submissions and in the
+// CLIs' TRACEPARENT environment, so a run joins its caller's trace.
+// Assemble replays a journal event buffer into a span tree
 // under such a context: one root span per CLI invocation or daemon
 // job, a child span per task unit, nested phase spans, and
-// leaf spans for worker-pool items and ATPG attempts. The OTLP
-// writer (otlp.go) serializes the result in the OpenTelemetry
-// OTLP/JSON shape without importing any OpenTelemetry code, and the
-// analysis helpers (critpath.go) answer the operator questions —
-// critical path, self time, stragglers — that motivate tracing in
-// the first place.
+// leaf spans for worker-pool items and ATPG attempts. Two writers
+// encode that one tree: otlp.go in the OpenTelemetry OTLP/JSON shape
+// (without importing any OpenTelemetry code) and chrome.go as Chrome
+// trace events, so both files show the same spans with the same
+// attributes. The analysis helpers (critpath.go) answer the operator
+// questions — critical path, self time, stragglers — that motivate
+// tracing in the first place.
 //
 // Everything here is offline: spans are assembled from the journal
 // after (or during) a run, never allocated on hot paths, so the
@@ -219,9 +220,13 @@ func (s Span) DurNS() int64 { return s.EndNS - s.StartNS }
 // ctx.Span, parented to the inbound parent when nonzero) covering
 // [0, endNS]; unit begin/end events become unit spans under the root;
 // phase begin/end events become nested phase spans; worker-pool items
-// and ATPG attempts become leaf spans under the innermost open span.
-// Instant events (notes, classifications, detections, cache lookups)
-// carry no duration and are skipped.
+// and ATPG attempts become leaf spans under the innermost open span,
+// carrying their payload (pool item index/total and worker; ATPG
+// fault key, status and backtracks) as attributes. Instant events
+// (axis, notes, classifications, detections, cache lookups) carry no
+// duration and are skipped. Assemble is the one place journal events
+// are paired into intervals: WriteOTLP and WriteChrome both encode
+// its spans.
 //
 // endNS is the timeline end (the recorder's elapsed offset); it is
 // raised to cover the latest event if events outrun it. Spans still
@@ -314,12 +319,21 @@ func Assemble(ctx Context, parent SpanID, rootName string, events []journal.Even
 			spans = append(spans, Span{
 				Name: e.Arg, Kind: SpanPool, ID: next(), Parent: top().ID,
 				StartNS: e.TNS, EndNS: e.TNS + e.DurNS,
-				Attrs: []Attr{{"worker", strconv.FormatInt(int64(e.Worker), 10)}},
+				Attrs: []Attr{
+					{"worker", strconv.FormatInt(int64(e.Worker), 10)},
+					{"index", strconv.FormatInt(e.A, 10)},
+					{"total", strconv.FormatInt(e.B, 10)},
+				},
 			})
 		case journal.KindATPG:
 			spans = append(spans, Span{
 				Name: e.Arg, Kind: SpanATPG, ID: next(), Parent: top().ID,
 				StartNS: e.TNS, EndNS: e.TNS + e.DurNS,
+				Attrs: []Attr{
+					{"fault", strconv.FormatInt(e.A, 10)},
+					{"status", strconv.FormatInt(e.B, 10)},
+					{"backtracks", strconv.FormatInt(e.C, 10)},
+				},
 			})
 		}
 	}
@@ -341,7 +355,7 @@ func FromRecorder(rec *journal.Recorder, ctx Context, parent SpanID, rootName st
 		endNS = rec.Elapsed().Nanoseconds()
 	}
 	res := make([]Attr, 0, len(attrs)+3)
-	res = append(res, Attr{"service.name", journal.TraceProcessName})
+	res = append(res, Attr{"service.name", serviceName})
 	res = append(res, attrs...)
 	if hash != 0 {
 		res = append(res, Attr{"structural_hash", fmt.Sprintf("%016x", hash)})
@@ -369,13 +383,18 @@ func openIndex(spans []Span, stack []int, kind, name string) int {
 }
 
 // unitAttrs renders a unit_end event's payload as span attributes: the
-// fault-axis length (-1 when the run never resolved it) and the run's
-// per-kind hits.
+// fault-axis length (-1 when the run never resolved it), the run's
+// per-kind hits, and interrupted=true when the run did not finish
+// cleanly (an error, a cancel or a panic).
 func unitAttrs(e journal.Event) []Attr {
-	return []Attr{
+	attrs := []Attr{
 		{"faults", strconv.FormatInt(e.D, 10)},
 		{"hits", strconv.FormatInt(e.A, 10)},
 	}
+	if e.B == 0 {
+		attrs = append(attrs, Attr{"interrupted", "true"})
+	}
+	return attrs
 }
 
 // deriveSpan returns the deterministic span ID for assembly step seq

@@ -143,7 +143,7 @@ func TestFromRecorder(t *testing.T) {
 	}
 	tr := FromRecorder(rec, ctx, SpanID{7: 1}, "cli", -1, 0xabc, Attr{"run_id", "r1"})
 	want := []Attr{
-		{"service.name", journal.TraceProcessName}, {"run_id", "r1"},
+		{"service.name", serviceName}, {"run_id", "r1"},
 		{"structural_hash", "0000000000000abc"}, {"journal.dropped_events", "2"},
 	}
 	if !reflect.DeepEqual(tr.Resource, want) {
@@ -208,9 +208,15 @@ func TestAssembleTree(t *testing.T) {
 	if pool.Parent != ph.ID {
 		t.Errorf("pool item parents to %s, want its phase %s", pool.Parent, ph.ID)
 	}
+	if want := []Attr{{"worker", "1"}, {"index", "0"}, {"total", "4"}}; !reflect.DeepEqual(pool.Attrs, want) {
+		t.Errorf("pool item attrs = %v, want %v", pool.Attrs, want)
+	}
 	atpg := find("atpg.comb", SpanATPG, false)
 	if atpg.Parent != ph.ID {
 		t.Errorf("ATPG attempt parents to %s, want its phase %s", atpg.Parent, ph.ID)
+	}
+	if want := []Attr{{"fault", "7"}, {"status", "0"}, {"backtracks", "3"}}; !reflect.DeepEqual(atpg.Attrs, want) {
+		t.Errorf("ATPG attempt attrs = %v, want %v", atpg.Attrs, want)
 	}
 	u1 := find("unit", SpanUnit, true)
 	if !u1.Unclosed || u1.EndNS != 150_000 {
@@ -252,6 +258,21 @@ func TestAssembleLostEvents(t *testing.T) {
 	}
 	if spans[0].EndNS != 25_000 {
 		t.Errorf("root end = %d, want raised to cover latest event (25000)", spans[0].EndNS)
+	}
+}
+
+// TestAssembleInterruptedUnit: a unit whose run ended with an error,
+// a cancel or a panic (unit_end B = 0) is a closed span marked
+// interrupted.
+func TestAssembleInterruptedUnit(t *testing.T) {
+	events := []journal.Event{
+		{Kind: journal.KindUnitBegin, TNS: 1_000},
+		{Kind: journal.KindUnitEnd, A: 3, B: 0, D: -1, TNS: 1_000, DurNS: 5_000},
+	}
+	spans := Assemble(NewContext(), SpanID{}, "run", events, 0)
+	want := []Attr{{"faults", "-1"}, {"hits", "3"}, {"interrupted", "true"}}
+	if len(spans) != 2 || spans[1].Unclosed || !reflect.DeepEqual(spans[1].Attrs, want) {
+		t.Errorf("spans = %+v, want a closed unit with attrs %v", spans, want)
 	}
 }
 
